@@ -46,7 +46,13 @@ from .analysis import (
 from .datasets import Dataset, gen_hypercube, gen_uniform, load_csv, save_csv
 from .embeddings import EmbeddingSpec
 from .estimators import EstimatorSpec
-from .kernels import KernelKind, closed_form_product_fidelity_batch, gram
+from .kernels import (
+    KernelKind,
+    closed_form_product_fidelity_batch,
+    fidelity_kernel,
+    gram,
+    projected_kernel,
+)
 from .learning import (
     generalization_experiment,
     kernel_target_alignment,
@@ -56,7 +62,7 @@ from .learning import (
     predict,
 )
 from .noise import PauliNoiseParams, noise_bounds, noisy_embed
-from .core import maximally_mixed, reduce_to_qubit, schatten2_distance
+from .core import maximally_mixed, schatten2_distance
 
 
 def point_rng(master_seed: int, *indices: int) -> np.random.Generator:
@@ -237,12 +243,8 @@ def _run_noise_scan(cfg, master_seed, outdir, threads):
             y = rng.uniform(low, high, n)
             ra = noisy_embed(spec, x, params)
             rb = noisy_embed(spec, y, params)
-            kf = float(np.einsum("ij,ji->", ra.matrix, rb.matrix).real)
-            d = 0.0
-            for k in range(n):
-                diff = reduce_to_qubit(ra, k).matrix - reduce_to_qubit(rb, k).matrix
-                d += float(np.sum(diff.real**2 + diff.imag**2))
-            kp = math.exp(-gamma * d)
+            kf = fidelity_kernel(ra, rb)
+            kp = projected_kernel(ra, rb, gamma)
             fdev += abs(kf - bnd.fidelity_mean)
             pdev += abs(1.0 - kp)
             sdist += schatten2_distance(ra, mixed)
@@ -618,7 +620,10 @@ def run_experiment(name: str, config: dict, seed=None, out=".", threads=None) ->
         "config": config,
         "config_sha256": config_hash(config),
         "master_seed": master_seed,
-        "seed_rule": "numpy SeedSequence((master_seed, *sweep_indices))",
+        "seed_rule": (
+            "numpy SeedSequence((master_seed, *sweep_indices)); shot-estimated "
+            "kernel matrices v2: per-row SeedSequence((estimator_seed, row_offset + row))"
+        ),
         "package_version": __version__,
         "backend": ACTIVE_BACKEND,
         "threads": threads,

@@ -66,10 +66,12 @@ class ShotRecord:
         return int(np.sum(self.outcomes == 1))
 
 
-def _check_prob(p: float, what: str) -> float:
-    if not -1e-12 <= p <= 1.0 + 1e-12:
-        raise ValueError(f"{what} = {p!r} is not a probability")
-    return min(max(p, 0.0), 1.0)
+def _check_prob(p, what: str) -> np.ndarray:
+    p = np.asarray(p, dtype=np.float64)
+    bad = ~((p >= -1e-12) & (p <= 1.0 + 1e-12))
+    if bad.any():
+        raise ValueError(f"{what} = {float(p[bad][0])!r} is not a probability")
+    return np.clip(p, 0.0, 1.0)
 
 
 def loschmidt_record(kappa: float, shots: int, rng: np.random.Generator) -> ShotRecord:
@@ -84,6 +86,19 @@ def swap_record(kappa: float, shots: int, rng: np.random.Generator) -> ShotRecor
     p = _check_prob(0.5 * (1.0 + kappa), "(1+kappa)/2")
     outcomes = np.where(rng.random(shots) < p, 1, -1).astype(np.int8)
     return ShotRecord("swap", outcomes, float(outcomes.mean()))
+
+
+def sample_fidelity(kappa, strategy: str, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """One independent ``shots``-shot estimate per entry of an array of fidelity
+    kernel values: the laws of ``loschmidt_record`` and ``swap_record``, drawn as
+    binomial counts without materializing the outcomes."""
+    kappa = np.asarray(kappa, dtype=np.float64)
+    if strategy == "loschmidt":
+        return rng.binomial(shots, _check_prob(kappa, "kappa")) / shots
+    if strategy == "swap":
+        p = _check_prob(0.5 * (1.0 + kappa), "(1+kappa)/2")
+        return 2.0 * rng.binomial(shots, p) / shots - 1.0
+    raise ValueError(f"strategy {strategy!r} cannot estimate a fidelity kernel")
 
 
 def pauli_expectation_record(
@@ -126,10 +141,10 @@ def sample_biased_rand_kappa(shots: int, rng: np.random.Generator) -> ShotRecord
 
 @dataclass(frozen=True, eq=False)
 class BlochTomography:
-    """Per-qubit Bloch component estimates; counts[k, s] = #(+1) outcomes."""
+    """Per-qubit Bloch component estimates; counts[..., k, s] = #(+1) outcomes."""
 
-    components: np.ndarray  # (n, 3) estimated <X>, <Y>, <Z> per qubit
-    counts: np.ndarray  # (n, 3) ints
+    components: np.ndarray  # (..., n, 3) estimated <X>, <Y>, <Z> per qubit
+    counts: np.ndarray  # (..., n, 3) ints
     shots: int
 
 
@@ -137,8 +152,8 @@ class BlochTomography:
 class LocalSwapEstimate:
     """Per-qubit swap-test terms [purity(a), purity(b), overlap], plus counts."""
 
-    terms: np.ndarray  # (n, 3)
-    counts: np.ndarray  # (n, 3) ints
+    terms: np.ndarray  # (..., n, 3)
+    counts: np.ndarray  # (..., n, 3) ints
     shots: int
 
 
@@ -164,11 +179,11 @@ def _local_swap_from_bloch(
     # Reduced single-qubit states: Tr[rho^2] = (1+|c|^2)/2, Tr[rho rho'] = (1+c.c')/2.
     vals = np.stack(
         [
-            0.5 * (1.0 + np.sum(ca * ca, axis=1)),
-            0.5 * (1.0 + np.sum(cb * cb, axis=1)),
-            0.5 * (1.0 + np.sum(ca * cb, axis=1)),
+            0.5 * (1.0 + np.sum(ca * ca, axis=-1)),
+            0.5 * (1.0 + np.sum(cb * cb, axis=-1)),
+            0.5 * (1.0 + np.sum(ca * cb, axis=-1)),
         ],
-        axis=1,
+        axis=-1,
     )
     p = 0.5 * (1.0 + np.clip(vals, -1.0, 1.0))
     counts = rng.binomial(shots, p)
@@ -191,25 +206,31 @@ def projected_estimate_from_bloch(
     shots: int,
     rng: np.random.Generator | None,
     gamma: float = 1.0,
-) -> float:
+) -> float | np.ndarray:
     """Projected-kernel estimate given both states' (n, 3) Bloch arrays.
+
+    ``cb`` may carry a leading entry axis, (k, n, 3): then ``ca`` is paired
+    with each of the k states, every pair is an independent estimator run,
+    and an array of k estimates is returned instead of a float.
 
     Negative estimated squared distances are exponentiated as-is (no
     clipping), so finite-shot estimates can exceed 1.
     """
+    ca = np.broadcast_to(ca, cb.shape)
     if strategy == "exact":
-        d = 0.5 * float(np.sum((ca - cb) ** 2))
-        return math.exp(-gamma * d)
-    if strategy == "tomography":
+        d = 0.5 * np.sum((ca - cb) ** 2, axis=(-2, -1))
+    elif strategy == "tomography":
         ea = _tomography_from_bloch(ca, shots, rng).components
         eb = _tomography_from_bloch(cb, shots, rng).components
-        d = 0.5 * float(np.sum((ea - eb) ** 2))
-        return math.exp(-gamma * d)
-    if strategy == "local_swap":
+        d = 0.5 * np.sum((ea - eb) ** 2, axis=(-2, -1))
+    elif strategy == "local_swap":
         t = _local_swap_from_bloch(ca, cb, shots, rng).terms
-        d = float(np.sum(t[:, 0] + t[:, 1] - 2.0 * t[:, 2]))
-        return math.exp(-gamma * d)
-    raise ValueError(f"strategy {strategy!r} cannot estimate a projected kernel")
+        d = np.sum(t[..., 0] + t[..., 1] - 2.0 * t[..., 2], axis=-1)
+    else:
+        raise ValueError(f"strategy {strategy!r} cannot estimate a projected kernel")
+    if d.ndim == 0:
+        return math.exp(-gamma * float(d))
+    return np.exp(-gamma * d)
 
 
 def estimate_projected(

@@ -23,14 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _accel
-from .core import StateVector, fidelity, hs_inner
+from .core import StateVector, fidelity, hs_inner, reduce_to_qubit
 from .embeddings import EmbeddingSpec, embed_batch
-from .estimators import (
-    EstimatorSpec,
-    loschmidt_record,
-    projected_estimate_from_bloch,
-    swap_record,
-)
+from .estimators import EstimatorSpec, projected_estimate_from_bloch, sample_fidelity
 
 KERNEL_VARIANTS = ("fidelity", "projected")
 
@@ -62,16 +57,22 @@ def fidelity_kernel(a, b) -> float:
     return hs_inner(a, b)
 
 
-def projected_sq_distance(a: StateVector, b: StateVector) -> float:
+def projected_sq_distance(a, b) -> float:
     """Sum over qubits of the squared 2-norm distance of reduced states."""
     if a.num_qubits != b.num_qubits:
         raise ValueError("states act on different qubit counts")
+    if not (isinstance(a, StateVector) and isinstance(b, StateVector)):
+        d = 0.0
+        for k in range(a.num_qubits):
+            diff = reduce_to_qubit(a, k).matrix - reduce_to_qubit(b, k).matrix
+            d += float(np.sum(diff.real**2 + diff.imag**2))
+        return d
     ca = _accel.bloch_batch(a.amplitudes.reshape(1, -1).copy(), a.num_qubits)[0]
     cb = _accel.bloch_batch(b.amplitudes.reshape(1, -1).copy(), b.num_qubits)[0]
     return 0.5 * float(np.sum((ca - cb) ** 2))
 
 
-def projected_kernel(a: StateVector, b: StateVector, gamma: float = 1.0) -> float:
+def projected_kernel(a, b, gamma: float = 1.0) -> float:
     return math.exp(-gamma * projected_sq_distance(a, b))
 
 
@@ -195,8 +196,37 @@ def _all_bloch(spec: EmbeddingSpec, xs: np.ndarray, theta) -> np.ndarray:
     return _accel.bloch_batch(embed_batch(spec, xs, theta=theta), spec.num_qubits)
 
 
-def _entry_rng(seed: int, i: int, j: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, i, j)))
+def _sampled_kernel_matrix(
+    spec: EmbeddingSpec, xs: np.ndarray, ys: np.ndarray | None, kind: KernelKind,
+    estimator: EstimatorSpec, theta, row_offset: int,
+) -> np.ndarray:
+    """Finite-shot kernel estimates between two point sets.
+
+    ys=None estimates only the strict upper triangle of xs vs xs (the rest
+    is left 0). Row i draws all of its entries, each an independent
+    estimator run, from one generator SeedSequence((seed, row_offset + i)).
+    """
+    fidelity_strategy = estimator.strategy in ("loschmidt", "swap")
+    if fidelity_strategy != (kind.variant == "fidelity"):
+        raise ValueError(
+            f"estimator {estimator.strategy!r} is incompatible with the {kind.variant} kernel"
+        )
+    if fidelity_strategy:
+        exact = _exact_kernel_matrix(spec, xs, ys, kind, theta)
+    else:
+        ba = _all_bloch(spec, xs, theta)
+        bb = ba if ys is None else _all_bloch(spec, ys, theta)
+    out = np.zeros((len(xs), len(xs) if ys is None else len(ys)))
+    for i in range(out.shape[0]):
+        lo = i + 1 if ys is None else 0
+        rng = np.random.default_rng(np.random.SeedSequence((estimator.seed, row_offset + i)))
+        if fidelity_strategy:
+            out[i, lo:] = sample_fidelity(exact[i, lo:], estimator.strategy, estimator.shots, rng)
+        else:
+            out[i, lo:] = projected_estimate_from_bloch(
+                ba[i], bb[lo:], estimator.strategy, estimator.shots, rng, kind.gamma
+            )
+    return out
 
 
 def gram(
@@ -210,54 +240,23 @@ def gram(
 
     The diagonal is fixed to exactly 1 without evaluation. With a finite-shot
     estimator, every strict-upper-triangle entry is an independent estimator
-    run whose generator derives from SeedSequence((seed, i, j)); the matrix is
-    then symmetrized. Estimator/kernel compatibility is enforced (loschmidt
-    and swap estimate fidelity kernels; tomography and local_swap estimate
-    projected kernels).
+    run; row i draws its entries from SeedSequence((seed, i)), and the matrix
+    is then symmetrized. Estimator/kernel compatibility is enforced
+    (loschmidt and swap estimate fidelity kernels; tomography and local_swap
+    estimate projected kernels).
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != spec.num_qubits:
         raise ValueError(f"expected (m, {spec.num_qubits}) inputs, got {xs.shape}")
     npts = xs.shape[0]
-    exact_needed = estimator is None or estimator.strategy in ("exact", "loschmidt", "swap")
-
-    if estimator is not None and estimator.strategy != "exact":
-        if kind.variant == "fidelity" and estimator.strategy in ("tomography", "local_swap"):
-            raise ValueError(
-                f"estimator {estimator.strategy!r} is incompatible with the fidelity kernel"
-            )
-        if kind.variant == "projected" and estimator.strategy in ("loschmidt", "swap"):
-            raise ValueError(
-                f"estimator {estimator.strategy!r} is incompatible with the projected kernel"
-            )
-
-    out = np.eye(npts)
     if estimator is None or estimator.strategy == "exact":
-        exact = _exact_kernel_matrix(spec, xs, None, kind, theta)
-        iu = np.triu_indices(npts, k=1)
-        out[iu] = exact[iu]
-        out.T[iu] = exact[iu]
-        return GramMatrix(out, kind, estimator)
-
-    if exact_needed:
-        exact = _exact_kernel_matrix(spec, xs, None, kind, theta)
-        for i in range(npts):
-            for j in range(i + 1, npts):
-                rng = _entry_rng(estimator.seed, i, j)
-                if estimator.strategy == "loschmidt":
-                    val = loschmidt_record(exact[i, j], estimator.shots, rng).estimate
-                else:
-                    val = swap_record(exact[i, j], estimator.shots, rng).estimate
-                out[i, j] = out[j, i] = val
-        return GramMatrix(out, kind, estimator)
-
-    bloch = _all_bloch(spec, xs, theta)
-    for i in range(npts):
-        for j in range(i + 1, npts):
-            rng = _entry_rng(estimator.seed, i, j)
-            out[i, j] = out[j, i] = projected_estimate_from_bloch(
-                bloch[i], bloch[j], estimator.strategy, estimator.shots, rng, kind.gamma
-            )
+        upper = _exact_kernel_matrix(spec, xs, None, kind, theta)
+    else:
+        upper = _sampled_kernel_matrix(spec, xs, None, kind, estimator, theta, 0)
+    out = np.eye(npts)
+    iu = np.triu_indices(npts, k=1)
+    out[iu] = upper[iu]
+    out.T[iu] = upper[iu]
     return GramMatrix(out, kind, estimator)
 
 
@@ -272,38 +271,11 @@ def kernel_matrix(
 ) -> np.ndarray:
     """Rectangular kernel matrix between two point sets (e.g. test vs train).
 
-    Estimated entries get streams SeedSequence((seed, seed_offset + i, j)) so
-    they never collide with the square Gram streams of the same seed.
+    Estimated row i draws from SeedSequence((seed, seed_offset + i)), so it
+    never collides with the square Gram rows of the same seed.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     if estimator is None or estimator.strategy == "exact":
         return _exact_kernel_matrix(spec, xs, ys, kind, theta)
-    if kind.variant == "fidelity" and estimator.strategy in ("tomography", "local_swap"):
-        raise ValueError(
-            f"estimator {estimator.strategy!r} is incompatible with the fidelity kernel"
-        )
-    if kind.variant == "projected" and estimator.strategy in ("loschmidt", "swap"):
-        raise ValueError(
-            f"estimator {estimator.strategy!r} is incompatible with the projected kernel"
-        )
-    out = np.empty((xs.shape[0], ys.shape[0]))
-    if estimator.strategy in ("loschmidt", "swap"):
-        exact = _exact_kernel_matrix(spec, xs, ys, kind, theta)
-        for i in range(xs.shape[0]):
-            for j in range(ys.shape[0]):
-                rng = _entry_rng(estimator.seed, seed_offset + i, j)
-                if estimator.strategy == "loschmidt":
-                    out[i, j] = loschmidt_record(exact[i, j], estimator.shots, rng).estimate
-                else:
-                    out[i, j] = swap_record(exact[i, j], estimator.shots, rng).estimate
-        return out
-    ba = _all_bloch(spec, xs, theta)
-    bb = _all_bloch(spec, ys, theta)
-    for i in range(xs.shape[0]):
-        for j in range(ys.shape[0]):
-            rng = _entry_rng(estimator.seed, seed_offset + i, j)
-            out[i, j] = projected_estimate_from_bloch(
-                ba[i], bb[j], estimator.strategy, estimator.shots, rng, kind.gamma
-            )
-    return out
+    return _sampled_kernel_matrix(spec, xs, ys, kind, estimator, theta, seed_offset)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingSpec
-from .estimators import EstimatorSpec
+from .estimators import EstimatorSpec, sample_fidelity
 from .kernels import KernelKind, gram, kernel_matrix
 
 MAX_CONDITION = 1e12
@@ -318,10 +318,10 @@ def generalization_experiment(
         y_test = k_test @ w
 
         # one finite-shot re-measurement of every entry, sliced per subset
-        k_pool_hat = rng.binomial(shots, np.clip(k_pool, 0.0, 1.0)) / shots
+        k_pool_hat = sample_fidelity(k_pool, "loschmidt", shots, rng)
         k_pool_hat = np.triu(k_pool_hat, k=1)
         k_pool_hat = k_pool_hat + k_pool_hat.T + eye
-        k_test_hat = rng.binomial(shots, np.clip(k_test, 0.0, 1.0)) / shots
+        k_test_hat = sample_fidelity(k_test, "loschmidt", shots, rng)
 
         for si, ns in enumerate(sizes):
             ys = y_pool[:ns]

@@ -25,6 +25,7 @@ from .core import (
     schatten2_distance,
 )
 from .embeddings import EmbeddingSpec, layer_decomposition
+from .kernels import fidelity_kernel, projected_kernel
 
 NOISE_MAX_QUBITS = 6
 _B_EXPONENT = 1.0 / (2.0 * math.log(2.0))
@@ -161,7 +162,7 @@ def noisy_fidelity_kernel(
     """Tr[rho_noisy(x) rho_noisy(y)]."""
     ra = noisy_embed(spec, x, params, theta=theta, max_qubits=max_qubits)
     rb = noisy_embed(spec, y, params, theta=theta, max_qubits=max_qubits)
-    return float(np.einsum("ij,ji->", ra.matrix, rb.matrix).real)
+    return fidelity_kernel(ra, rb)
 
 
 def noisy_projected_kernel(
@@ -174,15 +175,9 @@ def noisy_projected_kernel(
     max_qubits: int = NOISE_MAX_QUBITS,
 ) -> float:
     """exp(-gamma sum_k ||rho_k(x) - rho_k(y)||_2^2) on the noisy states."""
-    from .core import reduce_to_qubit
-
     ra = noisy_embed(spec, x, params, theta=theta, max_qubits=max_qubits)
     rb = noisy_embed(spec, y, params, theta=theta, max_qubits=max_qubits)
-    d = 0.0
-    for k in range(spec.num_qubits):
-        diff = reduce_to_qubit(ra, k).matrix - reduce_to_qubit(rb, k).matrix
-        d += float(np.sum(diff.real**2 + diff.imag**2))
-    return math.exp(-gamma * d)
+    return projected_kernel(ra, rb, gamma)
 
 
 @dataclass(frozen=True)

@@ -199,6 +199,17 @@ class TestGram:
         assert gm.matrix.shape == (5, 5)
         np.testing.assert_allclose(np.diag(gm.matrix), 1.0, atol=0.0)
 
+    def test_manifest_names_row_seed_rule(self, tmp_path):
+        cfg = {
+            "family": "tensor_ry",
+            "qubits": 2,
+            "estimator": {"strategy": "loschmidt", "shots": 20},
+            "dataset": {"source": "uniform", "count": 4},
+        }
+        manifest = run_experiment("gram", cfg, seed=6, out=tmp_path)
+        assert "v2" in manifest["seed_rule"]
+        assert "SeedSequence((estimator_seed, row_offset + row))" in manifest["seed_rule"]
+
     def test_estimated_gram_zero_ratio_rises_with_qubits(self, tmp_path):
         base = {
             "family": "tensor_ry",

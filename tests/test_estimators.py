@@ -18,6 +18,7 @@ from qkonc.estimators import (
     loschmidt_record,
     pauli_expectation_record,
     sample_biased_rand_kappa,
+    sample_fidelity,
     sample_rand_kappa,
     swap_record,
 )
@@ -109,6 +110,32 @@ class TestUnbiasedness:
         )
         assert biased.mean() == pytest.approx(0.5, abs=0.02)
         assert biased.var(ddof=1) == pytest.approx(3.0 / (4.0 * 16.0), rel=0.15)
+
+
+class TestSampleFidelity:
+    @pytest.mark.parametrize(
+        "strategy, kappa, want_var",
+        [("loschmidt", 0.37, 0.37 * 0.63 / 64), ("swap", 0.51, (1.0 - 0.51**2) / 64)],
+    )
+    def test_laws_match_shot_records(self, strategy, kappa, want_var):
+        # one draw per entry of a 4000-entry array, 64 shots each
+        ests = sample_fidelity(np.full(4000, kappa), strategy, 64, np.random.default_rng(42))
+        assert ests.shape == (4000,)
+        se = ests.std(ddof=1) / math.sqrt(ests.size)
+        assert abs(ests.mean() - kappa) < 4.0 * se
+        assert ests.var(ddof=1) == pytest.approx(want_var, rel=0.15)
+
+    def test_invalid_kappa_rejected(self):
+        rng = np.random.default_rng(42)
+        with pytest.raises(ValueError, match="not a probability"):
+            sample_fidelity(np.array([0.5, 1.5]), "loschmidt", 10, rng)
+        with pytest.raises(ValueError, match="not a probability"):
+            sample_fidelity(1.5, "swap", 10, rng)
+
+    @pytest.mark.parametrize("strategy", ["tomography", "local_swap"])
+    def test_projected_strategies_rejected(self, strategy):
+        with pytest.raises(ValueError, match="cannot estimate a fidelity kernel"):
+            sample_fidelity(np.array([0.5]), strategy, 10, np.random.default_rng(42))
 
 
 class TestFidelityEstimation:

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from qkonc.core import maximally_mixed
+from qkonc.core import DensityMatrix, maximally_mixed
 from qkonc.embeddings import EmbeddingSpec, embed
-from qkonc.estimators import EstimatorSpec
+from qkonc.estimators import EstimatorSpec, estimate_projected, sample_fidelity
 from qkonc.kernels import (
     GramMatrix,
     KernelKind,
@@ -58,6 +58,18 @@ class TestKernelValues:
     def test_fidelity_kernel_accepts_density_matrices(self):
         assert fidelity_kernel(maximally_mixed(2), maximally_mixed(2)) == pytest.approx(
             0.25, abs=1e-14
+        )
+
+    def test_projected_kernel_accepts_density_matrices(self):
+        rng = np.random.default_rng(42)
+        spec = EmbeddingSpec(3, "hardware_efficient", layers=2)
+        a = embed(spec, rng.uniform(-np.pi, np.pi, 3))
+        b = embed(spec, rng.uniform(-np.pi, np.pi, 3))
+        ra, rb = (
+            DensityMatrix(3, np.outer(s.amplitudes, s.amplitudes.conj())) for s in (a, b)
+        )
+        assert projected_kernel(ra, rb, gamma=0.7) == pytest.approx(
+            projected_kernel(a, b, gamma=0.7), abs=1e-13
         )
 
     def test_projected_upper_bounds_via_distance(self):
@@ -179,6 +191,44 @@ class TestGramMatrices:
         exact = gram(self.spec, self.xs, KernelKind.projected(1.0))
         np.testing.assert_allclose(g.matrix, exact.matrix, atol=0.02)
 
+    def test_estimated_rows_follow_row_seed_rule(self):
+        # row i of the strict upper triangle is one draw from SeedSequence((seed, i))
+        est = EstimatorSpec("loschmidt", shots=64, seed=5)
+        g = gram(self.spec, self.xs, KernelKind.fidelity(), est)
+        exact = gram(self.spec, self.xs, KernelKind.fidelity()).matrix
+        for i in range(len(self.xs) - 1):
+            rng = np.random.default_rng(np.random.SeedSequence((5, i)))
+            want = sample_fidelity(exact[i, i + 1:], "loschmidt", 64, rng)
+            np.testing.assert_array_equal(g.matrix[i, i + 1:], want)
+
+    def test_projected_gram_with_local_swap(self):
+        est = EstimatorSpec("local_swap", shots=200000, seed=5)
+        g = gram(self.spec, self.xs, KernelKind.projected(1.0), est)
+        exact = gram(self.spec, self.xs, KernelKind.projected(1.0))
+        np.testing.assert_allclose(g.matrix, exact.matrix, atol=0.02)
+
+    def test_local_swap_gram_entries_match_single_pair_law(self):
+        # 50 shots keep the estimator's upward bias visible; the Gram entries
+        # and single-pair runs must share it, not just the exact value
+        xs = self.xs[:4]
+        kind, shots, seeds = KernelKind.projected(1.0), 50, 1000
+        states = [embed(self.spec, x) for x in xs]
+        iu = np.triu_indices(4, k=1)
+        grams = np.array([
+            gram(self.spec, xs, kind, EstimatorSpec("local_swap", shots, seed)).matrix[iu]
+            for seed in range(seeds)
+        ])
+        rng = np.random.default_rng(42)
+        pairs = np.array([
+            [
+                estimate_projected(states[i], states[j], EstimatorSpec("local_swap", shots), rng)
+                for i, j in zip(*iu)
+            ]
+            for _ in range(seeds)
+        ])
+        se = np.sqrt((grams.var(axis=0, ddof=1) + pairs.var(axis=0, ddof=1)) / seeds)
+        assert np.all(np.abs(grams.mean(axis=0) - pairs.mean(axis=0)) < 5.0 * se)
+
     def test_incompatible_estimator_kernel_pairs(self):
         with pytest.raises(ValueError, match="incompatible"):
             gram(self.spec, self.xs, KernelKind.fidelity(), EstimatorSpec("tomography"))
@@ -220,6 +270,18 @@ class TestRectangularKernelMatrix:
         g = gram(self.spec, self.xs, KernelKind.fidelity(), est)
         k = kernel_matrix(self.spec, self.xs, self.xs, KernelKind.fidelity(), est)
         assert not np.array_equal(np.triu(k, 1), np.triu(g.matrix, 1))
+
+    @pytest.mark.parametrize(
+        "kind, strategy",
+        [(KernelKind.fidelity(), "loschmidt"), (KernelKind.projected(1.0), "tomography")],
+    )
+    def test_estimated_rows_do_not_depend_on_other_rows(self, kind, strategy):
+        est = EstimatorSpec(strategy, shots=32, seed=9)
+        full = kernel_matrix(self.spec, self.xs, self.ys, kind, est)
+        row = kernel_matrix(
+            self.spec, self.xs[2:3], self.ys, kind, est, seed_offset=(1 << 20) + 2
+        )
+        np.testing.assert_array_equal(row, full[2:3])
 
     def test_estimator_compatibility_enforced(self):
         with pytest.raises(ValueError, match="incompatible"):
