@@ -3,13 +3,12 @@
 The package simulates qubit feature maps, evaluates fidelity and projected
 kernels exactly or through shot-based estimators, and checks the measured
 statistics against analytic concentration, expressivity, entanglement, and
-noise bounds.  Hot state-evolution loops run through numba when available;
-set ``QKONC_BACKEND=numpy`` to force the pure-numpy fallback.
+noise bounds.  Batched statevector updates run as vectorized numpy
+primitives in ``qkonc._accel``.
 """
 
 __version__ = "0.1.0"
 
-from ._accel import active_backend
 from .core import (
     BlochVector,
     DensityMatrix,

@@ -1,12 +1,4 @@
-"""Numerical hot paths with a numba-jitted fast backend and a pure-numpy fallback.
-
-Every operation here exists twice: a vectorized numpy implementation and a
-loop-based twin that numba compiles. The active backend is chosen at import
-time from the ``QKONC_BACKEND`` environment variable:
-
-* ``QKONC_BACKEND=numba``  -- require the jitted backend (error if numba is missing)
-* ``QKONC_BACKEND=numpy``  -- force the pure-numpy fallback
-* unset                    -- numba when importable, numpy otherwise
+"""Numerical hot paths for batches of statevectors, written in numpy.
 
 State batches are C-contiguous ``(m, 2**n)`` complex128 arrays using the
 little-endian qubit convention: qubit ``k`` is bit ``k`` of the amplitude
@@ -16,35 +8,13 @@ place; the remaining functions return fresh arrays.
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 
 import numpy as np
 
-_requested = os.environ.get("QKONC_BACKEND", "").strip().lower()
-if _requested not in ("", "numba", "numpy"):
-    raise ValueError(
-        f"QKONC_BACKEND must be 'numba' or 'numpy', got {_requested!r}"
-    )
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAS_NUMBA = False
-    if _requested == "numba":
-        raise ImportError("QKONC_BACKEND=numba but numba is not importable")
-
-ACTIVE_BACKEND = "numba" if (HAS_NUMBA and _requested != "numpy") else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# numpy implementations
-# ---------------------------------------------------------------------------
-
-
-def _apply_1q_uniform_np(states, g00, g01, g10, g11, target):
+def apply_1q_uniform(states, g00, g01, g10, g11, target):
+    """Apply the gate ``[[g00, g01], [g10, g11]]`` to qubit ``target`` of every row."""
     m, dim = states.shape
     low = 1 << target
     v = states.reshape(m, dim >> (target + 1), 2, low)
@@ -54,7 +24,8 @@ def _apply_1q_uniform_np(states, g00, g01, g10, g11, target):
     v[:, :, 1, :] = g10 * a + g11 * b
 
 
-def _apply_1q_rows_np(states, gates, target):
+def apply_1q_rows(states, gates, target):
+    """Apply the 2x2 gate ``gates[r]`` to qubit ``target`` of row ``r``."""
     m, dim = states.shape
     low = 1 << target
     v = states.reshape(m, dim >> (target + 1), 2, low)
@@ -68,20 +39,24 @@ def _apply_1q_rows_np(states, gates, target):
     v[:, :, 1, :] = g10 * a + g11 * b
 
 
-def _apply_phase_np(states, mask):
+def apply_phase(states, mask):
+    """Multiply every row by the diagonal ``mask``."""
     states *= mask
 
 
-def _apply_perm_np(states, src):
+def apply_perm(states, src):
+    """Permute the amplitudes of every row: ``new[:, i] = old[:, src[i]]``."""
     states[:] = states[:, src]
 
 
-def _pair_absq_np(bra, ket):
+def pair_absq(bra, ket):
+    """Row-wise overlap ``|<bra_r|ket_r>|**2``."""
     t = np.einsum("ij,ij->i", bra.conj(), ket)
     return (t.real * t.real + t.imag * t.imag).astype(np.float64)
 
 
-def _bloch_batch_np(states, num_qubits):
+def bloch_batch(states, num_qubits):
+    """Single-qubit Bloch vectors of every row, shape ``(m, num_qubits, 3)``."""
     m, dim = states.shape
     out = np.empty((m, num_qubits, 3), dtype=np.float64)
     for k in range(num_qubits):
@@ -98,155 +73,31 @@ def _bloch_batch_np(states, num_qubits):
     return out
 
 
-def _product_cos2_np(x, y):
+def product_cos2(x, y):
+    """Row-wise tensor-Ry fidelity ``prod_k cos^2((x_k - y_k) / 2)``."""
     c = np.cos(0.5 * (x - y))
     return np.prod(c * c, axis=1)
 
 
-# ---------------------------------------------------------------------------
-# loop twins (numba-compiled when available)
-# ---------------------------------------------------------------------------
-
-
-def _apply_1q_uniform_loop(states, g00, g01, g10, g11, target):
-    m, dim = states.shape
-    low = 1 << target
-    step = low << 1
-    for r in range(m):
-        for base in range(0, dim, step):
-            for i in range(base, base + low):
-                a = states[r, i]
-                b = states[r, i + low]
-                states[r, i] = g00 * a + g01 * b
-                states[r, i + low] = g10 * a + g11 * b
-
-
-def _apply_1q_rows_loop(states, gates, target):
-    m, dim = states.shape
-    low = 1 << target
-    step = low << 1
-    for r in range(m):
-        g00 = gates[r, 0, 0]
-        g01 = gates[r, 0, 1]
-        g10 = gates[r, 1, 0]
-        g11 = gates[r, 1, 1]
-        for base in range(0, dim, step):
-            for i in range(base, base + low):
-                a = states[r, i]
-                b = states[r, i + low]
-                states[r, i] = g00 * a + g01 * b
-                states[r, i + low] = g10 * a + g11 * b
-
-
-def _apply_phase_loop(states, mask):
-    m, dim = states.shape
-    for r in range(m):
-        for i in range(dim):
-            states[r, i] = states[r, i] * mask[i]
-
-
-def _apply_perm_loop(states, src):
-    m, dim = states.shape
-    buf = np.empty(dim, dtype=np.complex128)
-    for r in range(m):
-        for i in range(dim):
-            buf[i] = states[r, src[i]]
-        for i in range(dim):
-            states[r, i] = buf[i]
-
-
-def _pair_absq_loop(bra, ket):
-    m, dim = bra.shape
-    out = np.empty(m, dtype=np.float64)
-    for r in range(m):
-        acc = 0.0 + 0.0j
-        for i in range(dim):
-            acc += np.conj(bra[r, i]) * ket[r, i]
-        out[r] = acc.real * acc.real + acc.imag * acc.imag
-    return out
-
-
-def _bloch_batch_loop(states, num_qubits):
-    m, dim = states.shape
-    out = np.empty((m, num_qubits, 3), dtype=np.float64)
-    for r in range(m):
-        for k in range(num_qubits):
-            low = 1 << k
-            step = low << 1
-            tre = 0.0
-            tim = 0.0
-            zac = 0.0
-            for base in range(0, dim, step):
-                for i in range(base, base + low):
-                    a = states[r, i]
-                    b = states[r, i + low]
-                    t = np.conj(a) * b
-                    tre += t.real
-                    tim += t.imag
-                    zac += (a.real * a.real + a.imag * a.imag) - (
-                        b.real * b.real + b.imag * b.imag
-                    )
-            out[r, k, 0] = 2.0 * tre
-            out[r, k, 1] = 2.0 * tim
-            out[r, k, 2] = zac
-    return out
-
-
-def _product_cos2_loop(x, y):
-    m, d = x.shape
-    out = np.empty(m, dtype=np.float64)
-    for r in range(m):
-        acc = 1.0
-        for k in range(d):
-            c = np.cos(0.5 * (x[r, k] - y[r, k]))
-            acc *= c * c
-        out[r] = acc
-    return out
-
-
-_NUMPY_IMPLS = {
-    "apply_1q_uniform": _apply_1q_uniform_np,
-    "apply_1q_rows": _apply_1q_rows_np,
-    "apply_phase": _apply_phase_np,
-    "apply_perm": _apply_perm_np,
-    "pair_absq": _pair_absq_np,
-    "bloch_batch": _bloch_batch_np,
-    "product_cos2": _product_cos2_np,
+# Name -> primitive table; perfbench/tracer.py reads it to find the primitives it wraps.
+IMPLEMENTATIONS = {
+    "numpy": {
+        f.__name__: f
+        for f in (
+            apply_1q_uniform,
+            apply_1q_rows,
+            apply_phase,
+            apply_perm,
+            pair_absq,
+            bloch_batch,
+            product_cos2,
+        )
+    }
 }
 
-if HAS_NUMBA:
-    _jit = njit(cache=True, nogil=True)
-    _NUMBA_IMPLS = {
-        "apply_1q_uniform": _jit(_apply_1q_uniform_loop),
-        "apply_1q_rows": _jit(_apply_1q_rows_loop),
-        "apply_phase": _jit(_apply_phase_loop),
-        "apply_perm": _jit(_apply_perm_loop),
-        "pair_absq": _jit(_pair_absq_loop),
-        "bloch_batch": _jit(_bloch_batch_loop),
-        "product_cos2": _jit(_product_cos2_loop),
-    }
-else:  # pragma: no cover
-    _NUMBA_IMPLS = None
-
-IMPLEMENTATIONS = {"numpy": _NUMPY_IMPLS, "numba": _NUMBA_IMPLS}
-
-_active = IMPLEMENTATIONS[ACTIVE_BACKEND]
-apply_1q_uniform = _active["apply_1q_uniform"]
-apply_1q_rows = _active["apply_1q_rows"]
-apply_phase = _active["apply_phase"]
-apply_perm = _active["apply_perm"]
-pair_absq = _active["pair_absq"]
-bloch_batch = _active["bloch_batch"]
-product_cos2 = _active["product_cos2"]
-
-
-def active_backend() -> str:
-    """Name of the backend selected at import time ("numba" or "numpy")."""
-    return ACTIVE_BACKEND
-
 
 # ---------------------------------------------------------------------------
-# cached mask / permutation builders (cheap, shared by both backends)
+# cached mask / permutation builders
 # ---------------------------------------------------------------------------
 
 

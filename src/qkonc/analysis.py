@@ -18,11 +18,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from . import _accel
 from .core import (
     StateVector,
+    bloch_vectors,
     haar_random_states,
     trace_norm,
     _as_dm_array,
@@ -315,9 +315,7 @@ def bound_entanglement(a: StateVector, b: StateVector, gamma: float = 1.0) -> En
     """
     if a.num_qubits != b.num_qubits:
         raise ValueError("states act on different qubit counts")
-    ca = _accel.bloch_batch(a.amplitudes.reshape(1, -1).copy(), a.num_qubits)[0]
-    cb = _accel.bloch_batch(b.amplitudes.reshape(1, -1).copy(), b.num_qubits)[0]
-    bound = 2.0 * math.log(2.0) * gamma * gamma_s_from_bloch(ca, cb)
+    bound = 2.0 * math.log(2.0) * gamma * gamma_s_from_bloch(bloch_vectors(a), bloch_vectors(b))
     dev = abs(1.0 - projected_kernel(a, b, gamma))
     return EntanglementBound(bound, dev)
 
@@ -338,7 +336,9 @@ def bound_global_measurement(num_qubits: int, eps=0.0) -> float:
 
 def binomial_pvalue(successes: int, shots: int, null_p: float) -> float:
     """Exact two-sided binomial-test p-value."""
-    return float(stats.binomtest(successes, shots, null_p).pvalue)
+    from scipy.stats import binomtest
+
+    return float(binomtest(successes, shots, null_p).pvalue)
 
 
 def record_pvalue(record, null_p: float) -> float:

@@ -4,7 +4,7 @@ Usage: ``qkonc <experiment> --config cfg.json [--seed S] [--out DIR] [--threads 
 
 Every experiment reads a JSON config, runs a sweep, and writes CSV data files
 plus a ``manifest.json`` (config echo + SHA-256, master seed, seed rule,
-package version, active backend, wall time, output file hashes).
+package version, thread count, wall time, output file hashes).
 
 Determinism: the generator of sweep point ``(i, j, ...)`` is
 ``numpy.random.default_rng(SeedSequence((master_seed, i, j, ...)))``, so
@@ -29,7 +29,6 @@ import click
 import numpy as np
 
 from . import __version__
-from ._accel import ACTIVE_BACKEND
 from .analysis import (
     beta_haar,
     beta_haar_projected,
@@ -625,7 +624,6 @@ def run_experiment(name: str, config: dict, seed=None, out=".", threads=None) ->
             "kernel matrices v2: per-row SeedSequence((estimator_seed, row_offset + row))"
         ),
         "package_version": __version__,
-        "backend": ACTIVE_BACKEND,
         "threads": threads,
         "wall_time_s": wall,
         "outputs": [
@@ -662,7 +660,7 @@ def _register(name: str):
         manifest = run_experiment(_name, config, seed=seed, out=out, threads=threads)
         click.echo(
             f"{_name}: wrote {len(manifest['outputs'])} file(s) to {out} "
-            f"(seed {manifest['master_seed']}, backend {manifest['backend']})"
+            f"(seed {manifest['master_seed']})"
         )
 
     cmd.__name__ = f"cmd_{name.replace('-', '_')}"

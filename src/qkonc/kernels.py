@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _accel
-from .core import StateVector, fidelity, hs_inner, reduce_to_qubit
+from .core import StateVector, bloch_vectors, fidelity, hs_inner, reduce_to_qubit
 from .embeddings import EmbeddingSpec, embed_batch
 from .estimators import EstimatorSpec, projected_estimate_from_bloch, sample_fidelity
 
@@ -67,9 +67,7 @@ def projected_sq_distance(a, b) -> float:
             diff = reduce_to_qubit(a, k).matrix - reduce_to_qubit(b, k).matrix
             d += float(np.sum(diff.real**2 + diff.imag**2))
         return d
-    ca = _accel.bloch_batch(a.amplitudes.reshape(1, -1).copy(), a.num_qubits)[0]
-    cb = _accel.bloch_batch(b.amplitudes.reshape(1, -1).copy(), b.num_qubits)[0]
-    return 0.5 * float(np.sum((ca - cb) ** 2))
+    return 0.5 * float(np.sum((bloch_vectors(a) - bloch_vectors(b)) ** 2))
 
 
 def projected_kernel(a, b, gamma: float = 1.0) -> float:

@@ -1,11 +1,16 @@
 """Experiment runner: manifests, CSV schemas, reproducibility, CLI surface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import qkonc
 from qkonc.cli import config_hash, main, point_rng, run_experiment
 
 MANIFEST_KEYS = {
@@ -15,7 +20,6 @@ MANIFEST_KEYS = {
     "master_seed",
     "seed_rule",
     "package_version",
-    "backend",
     "threads",
     "wall_time_s",
     "outputs",
@@ -58,7 +62,7 @@ class TestManifest:
         assert manifest["master_seed"] == 7
         assert manifest["config"] == cfg
         assert manifest["config_sha256"] == config_hash(cfg)
-        assert manifest["backend"] in ("numpy", "numba")
+        assert "backend" not in manifest
         assert manifest["threads"] == 1
         assert manifest["wall_time_s"] >= 0.0
         assert manifest["outputs"][0]["file"] == "variance_scan.csv"
@@ -478,3 +482,11 @@ class TestCommandLine:
         runner = CliRunner()
         result = runner.invoke(main, ["gram", "--config", "/nonexistent.json"])
         assert result.exit_code != 0
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        code = "import sys, qkonc.cli; print('scipy.stats' in sys.modules)"
+        src = str(Path(qkonc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "False"

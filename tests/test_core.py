@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qkonc import _accel
 from qkonc.core import (
     BlochVector,
     DensityMatrix,
@@ -225,6 +226,28 @@ class TestGateApplication:
         np.testing.assert_allclose(
             evolved.matrix, np.outer(after, after.conj()), atol=1e-12
         )
+
+
+class TestGateHelpers:
+    def test_cz_masks_are_signs(self):
+        mask = _accel.cz_pair_mask(3, 0, 2)
+        assert mask.shape == (8,)
+        assert set(np.unique(mask)) == {-1.0, 1.0}
+        neg = [i for i in range(8) if mask[i] == -1.0]
+        assert neg == [5, 7]  # both bit0 and bit2 set
+
+    def test_cnot_perm_is_involution(self):
+        perm = _accel.cnot_pair_perm(4, 1, 3)
+        assert np.array_equal(perm[perm], np.arange(16))
+
+    def test_cnot_ladder_composition_order(self):
+        # ladder = CNOT(0,1) then CNOT(1,2); applying via the fused source
+        # permutation must match applying the two pair permutations in order.
+        states = np.eye(8, dtype=np.complex128)
+        fused = states[:, _accel.cnot_ladder_perm(3)]
+        step = states[:, _accel.cnot_pair_perm(3, 0, 1)]
+        step = step[:, _accel.cnot_pair_perm(3, 1, 2)]
+        assert np.array_equal(fused, step)
 
 
 class TestInnerProductsAndNorms:
