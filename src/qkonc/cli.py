@@ -43,7 +43,7 @@ from .analysis import (
     simulate_distinguish,
 )
 from .datasets import Dataset, gen_hypercube, gen_uniform, load_csv, save_csv
-from .embeddings import EmbeddingSpec
+from .embeddings import EmbeddingSpec, layer_decomposition
 from .estimators import EstimatorSpec
 from .kernels import (
     KernelKind,
@@ -60,7 +60,7 @@ from .learning import (
     train_svm,
     predict,
 )
-from .noise import PauliNoiseParams, noise_bounds, noisy_embed
+from .noise import NOISE_MAX_QUBITS, PauliNoiseParams, noise_bounds, noisy_embed
 from .core import maximally_mixed, schatten2_distance
 
 
@@ -226,12 +226,25 @@ def _run_noise_scan(cfg, master_seed, outdir, threads):
     pairs = int(cfg.get("pairs", 2))
     low = float(cfg.get("low", -math.pi))
     high = float(cfg.get("high", math.pi))
+    if not 1 <= n <= NOISE_MAX_QUBITS:
+        raise click.ClickException(f"noise-scan: 'qubits' = {n} is outside 1..{NOISE_MAX_QUBITS}")
+    if pairs < 1 or any(l < 1 for l in layer_list):
+        raise click.ClickException(f"noise-scan: 'pairs' = {pairs} and every 'layers' entry must be >= 1")
+    try:
+        layer_decomposition(_spec_from(cfg, n, 1), np.zeros(n))
+    except ValueError as exc:
+        raise click.ClickException(f"noise-scan: {exc}") from None
+    try:
+        noise = [PauliNoiseParams(q, q, q) for q in q_values]
+        if any(params.q >= 1.0 for params in noise):
+            raise ValueError("every entry must be < 1")
+    except ValueError as exc:
+        raise click.ClickException(f"noise-scan: 'q_values' = {q_values}: {exc}") from None
     points = [(i, j) for i in range(len(q_values)) for j in range(len(layer_list))]
 
     def work(pt):
         i, j = pt
-        q, layers = q_values[i], layer_list[j]
-        params = PauliNoiseParams(q, q, q)
+        params, layers = noise[i], layer_list[j]
         spec = _spec_from(cfg, n, layers)
         rng = point_rng(master_seed, i, j)
         mixed = maximally_mixed(n)
@@ -249,7 +262,7 @@ def _run_noise_scan(cfg, master_seed, outdir, threads):
             sdist += schatten2_distance(ra, mixed)
         return [
             n,
-            q,
+            q_values[i],
             layers,
             pairs,
             fdev / pairs,
@@ -280,7 +293,7 @@ def _run_noise_scan(cfg, master_seed, outdir, threads):
         ],
         rows,
     )
-    return [path], {}
+    return [path], {"noisy_state_engine": "v2: layer unitary + in-place Pauli channel"}
 
 
 def _run_gram(cfg, master_seed, outdir, threads):

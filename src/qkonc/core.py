@@ -19,9 +19,6 @@ HERM_ATOL = 1e-8
 EIG_FLOOR = -1e-9
 MAX_UNITARY_QUBITS = 8
 
-_PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-_PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
-_PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0)
 
 

@@ -58,10 +58,6 @@ class EmbeddingSpec:
             raise ValueError(f"unknown entangler {self.entangler!r}")
 
     @property
-    def input_dim(self) -> int:
-        return self.num_qubits
-
-    @property
     def theta_dim(self) -> int:
         return self.num_qubits if self.family == "parameterized" else 0
 

@@ -13,13 +13,14 @@ for sigma in {X, Y, Z}, with characteristic strength q = max |q_sigma|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import (
     DensityMatrix,
     apply_gate_batch,
+    computational_basis_state,
     maximally_mixed,
     sandwiched_renyi2_vs_maxmixed,
     schatten2_distance,
@@ -78,45 +79,38 @@ class PauliNoiseParams:
         return choi
 
 
-def _channel_one_qubit_raw(mat: np.ndarray, probs: np.ndarray, qubit: int) -> np.ndarray:
-    dim = mat.shape[0]
-    bit = 1 << qubit
-    idx = np.arange(dim)
-    flip = idx ^ bit
-    zsign = 1.0 - 2.0 * ((idx >> qubit) & 1)
-    flipped = mat[np.ix_(flip, flip)]
-    ysign = np.equal.outer((idx >> qubit) & 1, (idx >> qubit) & 1) * 2.0 - 1.0
-    return (
-        probs[0] * mat
-        + probs[1] * flipped
-        + probs[2] * ysign * flipped
-        + probs[3] * np.outer(zsign, zsign) * mat
-    )
+def _pauli_channel_inplace(mat: np.ndarray, params: PauliNoiseParams, qubits) -> None:
+    # On bit k, rho is a 2x2 block matrix [[A, B], [C, D]] and the channel maps
+    #   A, D <- A - t, D + t            with t = (1 - q_z)/2 (A - D)
+    #   B, C <- q_x B - t, q_x C + t    with t = (q_x - q_y)/2 (B - C)
+    # ``mat`` must be C-contiguous so that the reshape is a view.
+    n = mat.shape[0].bit_length() - 1
+    for k in qubits:
+        if not 0 <= k < n:
+            raise ValueError(f"qubit {k} out of range")
+        lo, hi = 1 << k, 1 << (n - k - 1)
+        v = mat.reshape(hi, 2, lo, hi, 2, lo)
+        a, b = v[:, 0, :, :, 0, :], v[:, 0, :, :, 1, :]
+        c, d = v[:, 1, :, :, 0, :], v[:, 1, :, :, 1, :]
+        t = a - d
+        t *= 0.5 * (1.0 - params.qz)
+        a -= t
+        d += t
+        np.subtract(b, c, out=t)
+        t *= 0.5 * (params.qx - params.qy)
+        b *= params.qx
+        b -= t
+        c *= params.qx
+        c += t
 
 
 def apply_local_pauli_channel(
     rho: DensityMatrix, params: PauliNoiseParams, qubits=None
 ) -> DensityMatrix:
     """Apply the single-qubit Pauli channel to each listed qubit (default: all)."""
-    targets = range(rho.num_qubits) if qubits is None else qubits
     mat = rho.matrix.copy()
-    probs = params.kraus_probabilities()
-    for k in targets:
-        if not 0 <= k < rho.num_qubits:
-            raise ValueError(f"qubit {k} out of range")
-        mat = _channel_one_qubit_raw(mat, probs, k)
+    _pauli_channel_inplace(mat, params, range(rho.num_qubits) if qubits is None else qubits)
     return DensityMatrix(rho.num_qubits, mat)
-
-
-def _apply_gate_raw(mat: np.ndarray, gate, num_qubits: int) -> np.ndarray:
-    # G rho G^dag in two passes: rows of `cols` are the columns of rho, so the
-    # first pass gives A = G rho; the second pass runs on the columns of
-    # A^dag (= rows of conj(A)) and yields G A^dag = G rho G^dag.
-    cols = np.ascontiguousarray(mat.T)
-    apply_gate_batch(cols, gate, num_qubits)
-    half = np.ascontiguousarray(cols.T.conj())
-    apply_gate_batch(half, gate, num_qubits)
-    return half.T
 
 
 def noisy_embed(
@@ -131,23 +125,25 @@ def noisy_embed(
         raise ValueError(
             f"density-matrix noise simulation is limited to {max_qubits} qubits"
         )
-    layers = layer_decomposition(spec, x, theta=theta)
     n = spec.num_qubits
     dim = 1 << n
+    # x is re-uploaded, so every data layer is the same U(x): build the
+    # one-layer circuit (the theta layer first for "parameterized") once.
+    # Row j of a batch that starts as the identity ends as U|j>: it is U^T.
+    unitaries = []
+    for gates in layer_decomposition(replace(spec, layers=1), x, theta=theta):
+        batch = np.eye(dim, dtype=np.complex128)
+        for gate in gates:
+            apply_gate_batch(batch, gate, n)
+        unitaries.append(batch.T)
+    if spec.family in ("hardware_efficient", "parameterized"):
+        unitaries += unitaries[-1:] * (spec.layers - 1)
     mat = np.zeros((dim, dim), dtype=np.complex128)
     mat[0, 0] = 1.0
-    probs = params.kraus_probabilities()
-
-    def channel(m):
-        for k in range(n):
-            m = _channel_one_qubit_raw(m, probs, k)
-        return m
-
-    mat = channel(mat)
-    for layer in layers:
-        for gate in layer:
-            mat = _apply_gate_raw(mat, gate, n)
-        mat = channel(mat)
+    _pauli_channel_inplace(mat, params, range(n))
+    for u in unitaries:
+        mat = u @ mat @ u.conj().T
+        _pauli_channel_inplace(mat, params, range(n))
     return DensityMatrix(n, mat)
 
 
@@ -214,9 +210,7 @@ def noise_bounds(
         raise ValueError("bounds require q < 1 (strictly noisy channel)")
     dim = 1 << num_qubits
     if rho0 is None:
-        mat = np.zeros((dim, dim), dtype=np.complex128)
-        mat[0, 0] = 1.0
-        rho0 = DensityMatrix(num_qubits, mat)
+        rho0 = computational_basis_state(num_qubits)
     mixed = maximally_mixed(num_qubits)
     dist2 = schatten2_distance(rho0, mixed)
     s2 = sandwiched_renyi2_vs_maxmixed(rho0)

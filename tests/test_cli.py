@@ -184,6 +184,54 @@ class TestNoiseScan:
         assert np.all(rows[:, 6] <= rows[:, 7] + 1e-12)
         assert np.all(rows[:, 8] <= rows[:, 9] + 1e-12)
 
+    CFG = {
+        "family": "hardware_efficient",
+        "qubits": 3,
+        "q_values": [0.8, 0.95],
+        "layers": [1, 2, 3],
+        "pairs": 2,
+    }
+
+    def test_thread_count_does_not_change_bytes(self, tmp_path):
+        run_experiment("noise-scan", self.CFG, seed=5, out=tmp_path / "a", threads=1)
+        run_experiment("noise-scan", self.CFG, seed=5, out=tmp_path / "b", threads=3)
+        assert (tmp_path / "a" / "noise_scan.csv").read_bytes() == (
+            tmp_path / "b" / "noise_scan.csv"
+        ).read_bytes()
+
+    def test_manifest_names_noisy_state_engine(self, tmp_path):
+        manifest = run_experiment("noise-scan", self.CFG, seed=5, out=tmp_path)
+        assert manifest["noisy_state_engine"] == "v2: layer unitary + in-place Pauli channel"
+        assert "noisy_state_engine" not in run_experiment(
+            "bounds", {"qubits": [2]}, seed=5, out=tmp_path / "bounds"
+        )
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("family", "haar"),
+            ("family", "parameterized"),
+            ("qubits", 0),
+            ("qubits", 7),
+            ("pairs", 0),
+            ("layers", [1, 0]),
+            ("q_values", [0.9, 1.0]),
+            ("q_values", [-0.5]),
+        ],
+    )
+    def test_bad_config_is_rejected_before_any_work(self, tmp_path, key, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**self.CFG, key: value}))
+        outdir = tmp_path / "out"
+        result = CliRunner().invoke(
+            main, ["noise-scan", "--config", str(cfg_path), "--out", str(outdir)]
+        )
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
+        assert result.output.startswith("Error: noise-scan:")
+        assert key in result.output
+        assert not (outdir / "noise_scan.csv").exists()
+
 
 class TestGram:
     def test_outputs_and_zero_ratio(self, tmp_path):

@@ -7,12 +7,13 @@ import pytest
 
 from qkonc.core import (
     DensityMatrix,
+    apply_gate_dm,
     computational_basis_state,
     maximally_mixed,
     reduce_to_qubit,
     schatten2_distance,
 )
-from qkonc.embeddings import EmbeddingSpec, embed
+from qkonc.embeddings import EmbeddingSpec, embed, layer_decomposition
 from qkonc.kernels import fidelity_kernel, projected_kernel
 from qkonc.noise import (
     NOISE_MAX_QUBITS,
@@ -166,6 +167,45 @@ class TestNoisyEmbedding:
 
         c = bloch_vector(reduce_to_qubit(rho, 0))
         assert c.z == pytest.approx(0.8**4, abs=1e-13)
+
+    @pytest.mark.parametrize(
+        "family, entangler, with_theta",
+        [
+            ("tensor_ry", "cz", False),
+            ("single_layer_rot", "cz", False),
+            ("hardware_efficient", "cz", False),
+            ("hardware_efficient", "cnot", False),
+            ("parameterized", "cz", True),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "params",
+        [PauliNoiseParams(0.9, 0.9, 0.9), PauliNoiseParams(0.7, 0.5, 0.4)],
+        ids=["depolarizing", "anisotropic"],
+    )
+    def test_matches_gate_by_gate_kraus_oracle(self, family, entangler, with_theta, params):
+        # reference: every gate as G rho G^dag, then the explicit 4-term Kraus
+        # sum on every qubit before the first layer and after each layer
+        rng = np.random.default_rng(7)
+        probs = params.kraus_probabilities()
+        for n in (1, 2, 3, 4):
+            for layers in (1, 3):
+                spec = EmbeddingSpec(n, family, layers=layers, entangler=entangler)
+                x = rng.uniform(-np.pi, np.pi, n)
+                theta = rng.uniform(0.0, 2.0 * np.pi, n) if with_theta else None
+
+                def channel(mat):
+                    for k in range(n):
+                        mat = kraus_oracle_channel(mat, probs, k, n)
+                    return DensityMatrix(n, mat)
+
+                rho = channel(pure_dm(computational_basis_state(n)).matrix)
+                for layer in layer_decomposition(spec, x, theta=theta):
+                    for gate in layer:
+                        rho = apply_gate_dm(rho, gate)
+                    rho = channel(rho.matrix)
+                got = noisy_embed(spec, x, params, theta=theta)
+                np.testing.assert_allclose(got.matrix, rho.matrix, rtol=0.0, atol=1e-12)
 
     def test_qubit_cap(self):
         n = NOISE_MAX_QUBITS + 1
