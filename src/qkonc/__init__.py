@@ -7,7 +7,7 @@ noise bounds.  Batched statevector updates run as vectorized numpy
 primitives in ``qkonc._accel``.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .core import (
     BlochVector,
@@ -52,14 +52,11 @@ from .estimators import (
 from .kernels import (
     GramMatrix,
     KernelKind,
-    closed_form_product_fidelity,
-    closed_form_product_fidelity_batch,
-    closed_form_product_projected,
-    closed_form_product_projected_batch,
     fidelity_kernel,
     gram,
     kernel_matrix,
     product_bloch_vectors,
+    product_kernel,
     projected_kernel,
     projected_sq_distance,
 )

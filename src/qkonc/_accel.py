@@ -73,12 +73,6 @@ def bloch_batch(states, num_qubits):
     return out
 
 
-def product_cos2(x, y):
-    """Row-wise tensor-Ry fidelity ``prod_k cos^2((x_k - y_k) / 2)``."""
-    c = np.cos(0.5 * (x - y))
-    return np.prod(c * c, axis=1)
-
-
 # Name -> primitive table; perfbench/tracer.py reads it to find the primitives it wraps.
 IMPLEMENTATIONS = {
     "numpy": {
@@ -90,7 +84,6 @@ IMPLEMENTATIONS = {
             apply_perm,
             pair_absq,
             bloch_batch,
-            product_cos2,
         )
     }
 }

@@ -28,11 +28,7 @@ from .core import (
     _as_dm_array,
 )
 from .embeddings import EmbeddingSpec, embed_batch
-from .kernels import (
-    KernelKind,
-    closed_form_product_projected_batch,
-    projected_kernel,
-)
+from .kernels import KernelKind, product_kernel, projected_kernel
 
 
 def beta_haar(num_qubits: int) -> float:
@@ -96,13 +92,12 @@ def _chunk_kappas(
     high: float,
     theta,
 ) -> list[np.ndarray]:
+    if spec.family == "tensor_ry":
+        xs, ys = _sample_inputs(spec, count, rng, low, high)
+        return [product_kernel(xs, ys, kind) for kind in kinds]
     if spec.family == "haar":
         a = haar_random_states(spec.num_qubits, count, rng)
         b = haar_random_states(spec.num_qubits, count, rng)
-        xs = ys = None
-    elif spec.family == "tensor_ry":
-        xs, ys = _sample_inputs(spec, count, rng, low, high)
-        a = b = None
     else:
         xs, ys = _sample_inputs(spec, count, rng, low, high)
         a = embed_batch(spec, xs, theta=theta)
@@ -111,12 +106,6 @@ def _chunk_kappas(
     out = []
     bloch = {}
     for kind in kinds:
-        if spec.family == "tensor_ry":
-            if kind.variant == "fidelity":
-                out.append(_accel.product_cos2(xs, ys))
-            else:
-                out.append(closed_form_product_projected_batch(xs, ys, kind.gamma))
-            continue
         if kind.variant == "fidelity":
             out.append(_accel.pair_absq(a, b))
         else:

@@ -47,9 +47,9 @@ from .embeddings import EmbeddingSpec, layer_decomposition
 from .estimators import EstimatorSpec
 from .kernels import (
     KernelKind,
-    closed_form_product_fidelity_batch,
     fidelity_kernel,
     gram,
+    product_kernel,
     projected_kernel,
 )
 from .learning import (
@@ -150,6 +150,21 @@ def _dataset_from(cfg: dict, rng: np.random.Generator) -> Dataset:
 # ---------------------------------------------------------------------------
 
 
+def _noise_params(experiment: str, key: str, qs: list[float]) -> list[PauliNoiseParams]:
+    """PauliNoiseParams(q, q, q) for each q of config key ``key``; the decay
+    bounds need a strictly noisy channel, so every q must be < 1."""
+    noise = []
+    for q in qs:
+        try:
+            params = PauliNoiseParams(q, q, q)
+            if params.q >= 1.0:
+                raise ValueError("q must be < 1")
+        except ValueError as exc:
+            raise click.ClickException(f"{experiment}: {key!r} holds {q}: {exc}") from None
+        noise.append(params)
+    return noise
+
+
 def _run_variance_scan(cfg, master_seed, outdir, threads):
     kinds = _kernel_kinds(cfg)
     qubits = [int(n) for n in cfg.get("qubits", [2, 3, 4])]
@@ -234,12 +249,7 @@ def _run_noise_scan(cfg, master_seed, outdir, threads):
         layer_decomposition(_spec_from(cfg, n, 1), np.zeros(n))
     except ValueError as exc:
         raise click.ClickException(f"noise-scan: {exc}") from None
-    try:
-        noise = [PauliNoiseParams(q, q, q) for q in q_values]
-        if any(params.q >= 1.0 for params in noise):
-            raise ValueError("every entry must be < 1")
-    except ValueError as exc:
-        raise click.ClickException(f"noise-scan: 'q_values' = {q_values}: {exc}") from None
+    noise = _noise_params("noise-scan", "q_values", q_values)
     points = [(i, j) for i in range(len(q_values)) for j in range(len(layer_list))]
 
     def work(pt):
@@ -437,7 +447,7 @@ def _run_indistinguishability(cfg, master_seed, outdir, threads):
             rng = point_rng(master_seed, i, j)
             xs = rng.uniform(low, high, (pairs, n))
             ys = rng.uniform(low, high, (pairs, n))
-            kappa = closed_form_product_fidelity_batch(xs, ys)
+            kappa = product_kernel(xs, ys, KernelKind.fidelity())
             counts = rng.binomial(shots, kappa)
             return [n, shots, pairs, float(np.mean(counts == 0)), master_seed]
 
@@ -455,7 +465,7 @@ def _run_indistinguishability(cfg, master_seed, outdir, threads):
             rng = point_rng(master_seed, i)
             xs = rng.uniform(low, high, (pairs, n))
             ys = rng.uniform(low, high, (pairs, n))
-            kappa = closed_form_product_fidelity_batch(xs, ys)
+            kappa = product_kernel(xs, ys, KernelKind.fidelity())
             counts = rng.binomial(shots, 0.5 * (1.0 + kappa))
             pvals = np.array(
                 [_cached_pvalue(int(k), shots, 500_000) for k in counts]
@@ -551,7 +561,9 @@ def _run_bounds(cfg, master_seed, outdir, threads):
     gamma = float(cfg.get("gamma", 1.0))
     eps = float(cfg.get("eps", 0.0))
     q = float(cfg.get("q", 0.95))
-    params = PauliNoiseParams(q, q, q)
+    if layers < 1:
+        raise click.ClickException(f"bounds: 'layers' = {layers} must be >= 1")
+    (params,) = _noise_params("bounds", "q", [q])
     rows = []
     for n in qubits:
         mean, second, var = product_ry_moments(n)

@@ -297,22 +297,21 @@ def purity(rho) -> float:
 
 def reduce_to_qubit(obj, qubit: int) -> DensityMatrix:
     """Partial trace down to one qubit."""
-    if isinstance(obj, StateVector):
-        n = obj.num_qubits
-        if not 0 <= qubit < n:
-            raise ValueError(f"qubit {qubit} out of range")
-        low = 1 << qubit
-        v = obj.amplitudes.reshape(obj.dim >> (qubit + 1), 2, low)
-        red = np.einsum("hbl,hcl->bc", v, v.conj())
-    else:
-        mat, n = _as_dm_array(obj)
-        if not 0 <= qubit < n:
-            raise ValueError(f"qubit {qubit} out of range")
-        low = 1 << qubit
-        hi = (1 << n) >> (qubit + 1)
-        arr = mat.reshape(hi, 2, low, hi, 2, low)
-        red = np.einsum("hblhcl->bc", arr)
-    return DensityMatrix(1, red)
+    return DensityMatrix(1, _reduced_matrix(obj, qubit))
+
+
+def _reduced_matrix(obj, qubit: int) -> np.ndarray:
+    """The 2x2 array of ``reduce_to_qubit(obj, qubit)``, built without validation."""
+    pure = isinstance(obj, StateVector)
+    mat, n = (obj.amplitudes, obj.num_qubits) if pure else _as_dm_array(obj)
+    if not 0 <= qubit < n:
+        raise ValueError(f"qubit {qubit} out of range")
+    low = 1 << qubit
+    hi = (1 << n) >> (qubit + 1)
+    if pure:
+        v = mat.reshape(hi, 2, low)
+        return np.einsum("hbl,hcl->bc", v, v.conj())
+    return np.einsum("hblhcl->bc", mat.reshape(hi, 2, low, hi, 2, low))
 
 
 def bloch_vector(rho: DensityMatrix) -> BlochVector:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import closed_form_product_fidelity_batch
+from .kernels import KernelKind, product_kernel
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,13 +74,7 @@ def engineered_labels(inputs, anchors, weights) -> np.ndarray:
     weights = np.asarray(weights, dtype=np.float64)
     if anchors.shape[0] != weights.shape[0]:
         raise ValueError("one weight per anchor required")
-    out = np.zeros(inputs.shape[0])
-    for j in range(anchors.shape[0]):
-        rep = np.broadcast_to(anchors[j], inputs.shape)
-        out += weights[j] * closed_form_product_fidelity_batch(
-            np.ascontiguousarray(rep), inputs
-        )
-    return out
+    return product_kernel(inputs[:, None], anchors[None], KernelKind.fidelity()) @ weights
 
 
 def save_csv(dataset: Dataset, path) -> None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _accel
-from .core import StateVector, bloch_vectors, fidelity, hs_inner, reduce_to_qubit
+from .core import StateVector, _reduced_matrix, bloch_vectors, fidelity, hs_inner
 from .embeddings import EmbeddingSpec, embed_batch
 from .estimators import EstimatorSpec, projected_estimate_from_bloch, sample_fidelity
 
@@ -64,7 +64,7 @@ def projected_sq_distance(a, b) -> float:
     if not (isinstance(a, StateVector) and isinstance(b, StateVector)):
         d = 0.0
         for k in range(a.num_qubits):
-            diff = reduce_to_qubit(a, k).matrix - reduce_to_qubit(b, k).matrix
+            diff = _reduced_matrix(a, k) - _reduced_matrix(b, k)
             d += float(np.sum(diff.real**2 + diff.imag**2))
         return d
     return 0.5 * float(np.sum((bloch_vectors(a) - bloch_vectors(b)) ** 2))
@@ -79,31 +79,29 @@ def projected_kernel(a, b, gamma: float = 1.0) -> float:
 # ---------------------------------------------------------------------------
 
 
-def closed_form_product_fidelity(x, y) -> float:
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    return float(_accel.product_cos2(x, y)[0])
+def product_kernel(xs, ys, kind: KernelKind) -> np.ndarray:
+    """Tensor-Ry kernel over the broadcast of ``xs`` and ``ys`` (shape ``(..., n)``).
 
-
-def closed_form_product_fidelity_batch(xs, ys) -> np.ndarray:
-    xs = np.ascontiguousarray(xs, dtype=np.float64)
-    ys = np.ascontiguousarray(ys, dtype=np.float64)
-    return _accel.product_cos2(xs, ys)
-
-
-def closed_form_product_projected(x, y, gamma: float = 1.0) -> float:
-    return float(closed_form_product_projected_batch(
-        np.atleast_2d(x), np.atleast_2d(y), gamma
-    )[0])
-
-
-def closed_form_product_projected_batch(xs, ys, gamma: float = 1.0) -> np.ndarray:
-    # Ry(x)|0> has Bloch vector (sin x, 0, cos x), so each qubit contributes
-    # ||rho_k - rho'_k||_2^2 = 1 - cos(x_k - x'_k).
+    A loop over the qubits multiplies in one cos^2 factor (fidelity) or adds
+    one 1 - cos term (projected) per step, in place in a buffer of the
+    broadcast shape: pass ``(m, n)`` against ``(m, n)`` for row-wise pairs,
+    ``xs[:, None]`` against ``ys[None]`` for an (m, m') matrix.
+    """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
-    d = np.sum(1.0 - np.cos(xs - ys), axis=1)
-    return np.exp(-gamma * d)
+    if xs.shape[-1] != ys.shape[-1]:
+        raise ValueError(f"inputs of widths {xs.shape[-1]} and {ys.shape[-1]}")
+    fid = kind.variant == "fidelity"
+    shape = np.broadcast_shapes(xs.shape[:-1], ys.shape[:-1])
+    out, term = np.full(shape, 1.0 if fid else 0.0), np.empty(shape)
+    for k in range(xs.shape[-1]):
+        np.subtract(xs[..., k], ys[..., k], out=term)
+        if fid:
+            term *= 0.5
+            out *= np.square(np.cos(term, out=term), out=term)
+        else:  # Bloch vectors (sin x, 0, cos x): ||rho_k - rho'_k||_2^2 = 1 - cos(x_k - x'_k)
+            out += np.subtract(1.0, np.cos(term, out=term), out=term)
+    return out if fid else np.exp(-kind.gamma * out, out=out)
 
 
 def product_bloch_vectors(xs) -> np.ndarray:
@@ -164,17 +162,19 @@ class GramMatrix:
         return GramMatrix(np.array(rows), kind, est)
 
 
+def _points(spec: EmbeddingSpec, xs) -> np.ndarray:
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim != 2 or xs.shape[1] != spec.num_qubits:
+        raise ValueError(f"expected (m, {spec.num_qubits}) inputs, got {xs.shape}")
+    return xs
+
+
 def _exact_kernel_matrix(
     spec: EmbeddingSpec, xs: np.ndarray, ys: np.ndarray | None, kind: KernelKind, theta
 ) -> np.ndarray:
     """Exact kernel values between two point sets (ys=None means xs vs xs)."""
     if spec.family == "tensor_ry":
-        b = xs if ys is None else ys
-        diff = xs[:, None, :] - b[None, :, :]
-        if kind.variant == "fidelity":
-            c = np.cos(0.5 * diff)
-            return np.prod(c * c, axis=2)
-        return np.exp(-kind.gamma * np.sum(1.0 - np.cos(diff), axis=2))
+        return product_kernel(xs[:, None], (xs if ys is None else ys)[None], kind)
     psi_a = embed_batch(spec, xs, theta=theta)
     psi_b = psi_a if ys is None else embed_batch(spec, ys, theta=theta)
     if kind.variant == "fidelity":
@@ -243,9 +243,7 @@ def gram(
     (loschmidt and swap estimate fidelity kernels; tomography and local_swap
     estimate projected kernels).
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[1] != spec.num_qubits:
-        raise ValueError(f"expected (m, {spec.num_qubits}) inputs, got {xs.shape}")
+    xs = _points(spec, xs)
     npts = xs.shape[0]
     if estimator is None or estimator.strategy == "exact":
         upper = _exact_kernel_matrix(spec, xs, None, kind, theta)
@@ -272,8 +270,8 @@ def kernel_matrix(
     Estimated row i draws from SeedSequence((seed, seed_offset + i)), so it
     never collides with the square Gram rows of the same seed.
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
+    xs = _points(spec, xs)
+    ys = _points(spec, ys)
     if estimator is None or estimator.strategy == "exact":
         return _exact_kernel_matrix(spec, xs, ys, kind, theta)
     return _sampled_kernel_matrix(spec, xs, ys, kind, estimator, theta, seed_offset)

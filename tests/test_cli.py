@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +77,14 @@ class TestManifest:
         m2 = run_experiment("variance-scan", cfg, seed=9, out=tmp_path / "b")
         assert m2["master_seed"] == 9
         assert m1["outputs"][0]["sha256"] != m2["outputs"][0]["sha256"]
+
+    def test_package_version_matches_pyproject(self, tmp_path):
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with open(pyproject, "rb") as fh:
+            version = tomllib.load(fh)["project"]["version"]
+        assert version == qkonc.__version__
+        manifest = run_experiment("bounds", {"qubits": [2]}, seed=1, out=tmp_path)
+        assert manifest["package_version"] == version
 
     def test_unknown_experiment(self, tmp_path):
         with pytest.raises(ValueError, match="unknown experiment"):
@@ -479,6 +488,19 @@ class TestShotsBudgetAndBounds:
         i = header.index("beta_haar")
         assert rows[0, i] == pytest.approx(beta_haar(2), abs=1e-15)
         assert rows[1, i] == pytest.approx(beta_haar(4), abs=1e-15)
+
+    @pytest.mark.parametrize("key, value", [("q", 1.0), ("q", 1.5), ("layers", 0)])
+    def test_bad_bounds_config_is_rejected(self, tmp_path, key, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"qubits": [2], key: value}))
+        outdir = tmp_path / "out"
+        result = CliRunner().invoke(
+            main, ["bounds", "--config", str(cfg_path), "--out", str(outdir)]
+        )
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
+        assert result.output.startswith(f"Error: bounds: '{key}'")
+        assert not (outdir / "bounds.csv").exists()
 
 
 class TestCommandLine:

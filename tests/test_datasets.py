@@ -13,7 +13,7 @@ from qkonc.datasets import (
     load_csv,
     save_csv,
 )
-from qkonc.kernels import closed_form_product_fidelity
+from qkonc.kernels import KernelKind, product_kernel
 
 
 class TestDatasetContainer:
@@ -77,7 +77,7 @@ class TestEngineeredLabels:
         want = np.array(
             [
                 sum(
-                    w * closed_form_product_fidelity(a, x)
+                    w * product_kernel(a, x, KernelKind.fidelity())
                     for a, w in zip(anchors, weights)
                 )
                 for x in inputs

@@ -1,27 +1,27 @@
 """Kernel functions and Gram assembly: symmetry, PSD, closed forms, CSV I/O."""
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qkonc.core import DensityMatrix, maximally_mixed
+from qkonc.core import DensityMatrix, maximally_mixed, reduce_to_qubit
 from qkonc.embeddings import EmbeddingSpec, embed
 from qkonc.estimators import EstimatorSpec, estimate_projected, sample_fidelity
 from qkonc.kernels import (
     GramMatrix,
     KernelKind,
-    closed_form_product_fidelity,
-    closed_form_product_fidelity_batch,
-    closed_form_product_projected,
-    closed_form_product_projected_batch,
     fidelity_kernel,
     gram,
     kernel_matrix,
     product_bloch_vectors,
+    product_kernel,
     projected_kernel,
     projected_sq_distance,
 )
+from qkonc.noise import PauliNoiseParams, noisy_embed
 
 
 class TestKernelKind:
@@ -72,6 +72,17 @@ class TestKernelValues:
             projected_kernel(a, b, gamma=0.7), abs=1e-13
         )
 
+    def test_density_matrix_distance_sums_reduced_state_distances(self):
+        spec = EmbeddingSpec(3, "hardware_efficient", layers=2)
+        params = PauliNoiseParams(0.7, 0.5, 0.4)
+        ra = noisy_embed(spec, [0.3, -1.2, 2.0], params)
+        rb = noisy_embed(spec, [1.1, 0.4, -2.5], params)
+        want = 0.0
+        for k in range(3):
+            diff = reduce_to_qubit(ra, k).matrix - reduce_to_qubit(rb, k).matrix
+            want += float(np.sum(diff.real**2 + diff.imag**2))
+        assert projected_sq_distance(ra, rb) == want
+
     def test_projected_upper_bounds_via_distance(self):
         rng = np.random.default_rng(42)
         spec = EmbeddingSpec(3, "hardware_efficient", layers=2)
@@ -90,6 +101,14 @@ class TestKernelValues:
             projected_sq_distance(a, b)
 
 
+def _reference_product_kernels(xs, ys, gamma):
+    # the tensor-Ry closed forms as written before product_kernel: one
+    # (..., n) difference array, np.prod / np.sum over its last axis
+    diff = np.asarray(xs) - np.asarray(ys)
+    c = np.cos(0.5 * diff)
+    return np.prod(c * c, axis=-1), np.exp(-gamma * np.sum(1.0 - np.cos(diff), axis=-1))
+
+
 class TestClosedForms:
     def test_fidelity_matches_statevector(self):
         rng = np.random.default_rng(42)
@@ -97,7 +116,7 @@ class TestClosedForms:
         for _ in range(5):
             x, y = rng.uniform(-np.pi, np.pi, (2, 4))
             want = fidelity_kernel(embed(spec, x), embed(spec, y))
-            assert closed_form_product_fidelity(x, y) == pytest.approx(want, abs=1e-13)
+            assert product_kernel(x, y, KernelKind.fidelity()) == pytest.approx(want, abs=1e-13)
 
     def test_projected_matches_statevector(self):
         rng = np.random.default_rng(42)
@@ -105,7 +124,7 @@ class TestClosedForms:
         for _ in range(5):
             x, y = rng.uniform(-np.pi, np.pi, (2, 4))
             want = projected_kernel(embed(spec, x), embed(spec, y), gamma=1.3)
-            assert closed_form_product_projected(x, y, gamma=1.3) == pytest.approx(
+            assert product_kernel(x, y, KernelKind.projected(1.3)) == pytest.approx(
                 want, abs=1e-13
             )
 
@@ -113,21 +132,44 @@ class TestClosedForms:
         rng = np.random.default_rng(42)
         xs = rng.uniform(-np.pi, np.pi, (8, 5))
         ys = rng.uniform(-np.pi, np.pi, (8, 5))
-        fb = closed_form_product_fidelity_batch(xs, ys)
-        pb = closed_form_product_projected_batch(xs, ys, gamma=0.9)
-        for i in range(8):
-            assert fb[i] == pytest.approx(
-                closed_form_product_fidelity(xs[i], ys[i]), abs=1e-14
+        for kind in (KernelKind.fidelity(), KernelKind.projected(0.9)):
+            rows = product_kernel(xs, ys, kind)
+            assert rows.shape == (8,)
+            for i in range(8):
+                assert rows[i] == product_kernel(xs[i], ys[i], kind)
+
+    @pytest.mark.parametrize("n", [3, 12, 40])
+    @pytest.mark.parametrize("near_orthogonal", [False, True])
+    def test_matches_reference_formulas(self, n, near_orthogonal):
+        rng = np.random.default_rng(n)
+        xs = rng.uniform(-np.pi, np.pi, (9, n))
+        ys = rng.uniform(-np.pi, np.pi, (7, n))
+        if near_orthogonal:
+            ys = xs[:7] + np.pi + rng.normal(0.0, 1e-3, (7, n))
+        for a, b in ((xs[:7], ys), (xs[:, None], ys[None])):
+            fid, proj = _reference_product_kernels(a, b, 1.3)
+            np.testing.assert_array_equal(product_kernel(a, b, KernelKind.fidelity()), fid)
+            np.testing.assert_allclose(
+                product_kernel(a, b, KernelKind.projected(1.3)), proj, rtol=0.0, atol=1e-12
             )
-            assert pb[i] == pytest.approx(
-                closed_form_product_projected(xs[i], ys[i], gamma=0.9), abs=1e-14
-            )
+
+    def test_matrix_diagonal_equals_row_wise_form(self):
+        rng = np.random.default_rng(42)
+        xs, ys = rng.uniform(-np.pi, np.pi, (2, 11, 40))
+        for kind in (KernelKind.fidelity(), KernelKind.projected(0.7)):
+            matrix = product_kernel(xs[:, None], ys[None], kind)
+            assert matrix.shape == (11, 11)
+            np.testing.assert_array_equal(np.diag(matrix), product_kernel(xs, ys, kind))
+
+    def test_width_mismatch(self):
+        with pytest.raises(ValueError, match="widths"):
+            product_kernel(np.zeros((3, 4)), np.zeros((3, 5)), KernelKind.fidelity())
 
     def test_closed_forms_scale_past_statevector_range(self):
         rng = np.random.default_rng(42)
         x, y = rng.uniform(-np.pi, np.pi, (2, 100))
-        kf = closed_form_product_fidelity(x, y)
-        kp = closed_form_product_projected(x, y)
+        kf = product_kernel(x, y, KernelKind.fidelity())
+        kp = product_kernel(x, y, KernelKind.projected())
         assert 0.0 <= kf < 1e-10  # concentrates fast at n=100
         assert 0.0 < kp < 1.0
 
@@ -162,7 +204,7 @@ class TestGramMatrices:
     def test_tensor_ry_gram_uses_closed_form(self):
         spec = EmbeddingSpec(3, "tensor_ry")
         g = gram(spec, self.xs, KernelKind.fidelity())
-        want = closed_form_product_fidelity(self.xs[0], self.xs[2])
+        want = product_kernel(self.xs[0], self.xs[2], KernelKind.fidelity())
         assert g.matrix[0, 2] == pytest.approx(want, abs=1e-13)
 
     def test_estimated_gram_is_deterministic_per_seed(self):
@@ -289,6 +331,33 @@ class TestRectangularKernelMatrix:
                 self.spec, self.xs, self.ys, KernelKind.projected(1.0),
                 EstimatorSpec("loschmidt"),
             )
+
+    @pytest.mark.parametrize(
+        "xs_shape, ys_shape, bad",
+        [((3, 4), (2, 1), "(2, 1)"), ((3, 3), (3, 3), "(3, 3)"), ((3, 4), (4,), "(4,)")],
+    )
+    def test_inputs_must_be_m_by_num_qubits(self, xs_shape, ys_shape, bad):
+        # the tensor_ry closed form broadcasts, so without the check the first
+        # two cases would return a kernel matrix
+        spec = EmbeddingSpec(4, "tensor_ry")
+        with pytest.raises(ValueError, match=re.escape(f"expected (m, 4) inputs, got {bad}")):
+            kernel_matrix(spec, np.zeros(xs_shape), np.ones(ys_shape), KernelKind.fidelity())
+
+    def test_tensor_ry_matrix_memory_is_quadratic_not_cubic(self):
+        # 64 qubits, 200 x 200 points: an (m, m', n) float64 temporary alone
+        # would take 64 * m * m' * 8 bytes (20 MB); the per-qubit loop keeps a
+        # few (m, m') buffers
+        m = 200
+        spec = EmbeddingSpec(64, "tensor_ry")
+        rng = np.random.default_rng(42)
+        xs, ys = rng.uniform(-np.pi, np.pi, (2, m, 64))
+        tracemalloc.start()
+        try:
+            kernel_matrix(spec, xs, ys, KernelKind.fidelity())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * m * m * 8
 
 
 class TestGramCsvRoundtrip:
