@@ -3,8 +3,15 @@
 Usage: ``qkonc <experiment> --config cfg.json [--seed S] [--out DIR] [--threads T]``
 
 Every experiment reads a JSON config, runs a sweep, and writes CSV data files
-plus a ``manifest.json`` (config echo + SHA-256, master seed, seed rule,
-package version, thread count, wall time, output file hashes).
+plus a ``manifest.json`` (config echo + SHA-256, the config resolved against
+the experiment's defaults, master seed, seed rule, package version, thread
+count, wall time, output file hashes).
+
+Each experiment declares every key it reads, with its default, in one table
+where its runner is registered (``_experiment``). ``_resolve`` checks a config
+against that table before any work: an unknown key, a value of the wrong
+type or an out-of-range value stops the run with a ``click.ClickException``
+that names the key.
 
 Determinism: the generator of sweep point ``(i, j, ...)`` is
 ``numpy.random.default_rng(SeedSequence((master_seed, i, j, ...)))``, so
@@ -30,36 +37,15 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
-    beta_haar,
-    beta_haar_projected,
-    binomial_pvalue,
-    bound_expressivity,
-    concentration_scan,
-    distinguish_success_bound,
-    expressivity_epsilon,
-    kta_alignment_constant,
-    product_ry_moments,
-    shots_budget,
-    simulate_distinguish,
+    beta_haar, beta_haar_projected, binomial_pvalue, bound_expressivity, concentration_scan,
+    distinguish_success_bound, expressivity_epsilon, kta_alignment_constant, product_ry_moments,
+    shots_budget, simulate_distinguish,
 )
 from .datasets import Dataset, gen_hypercube, gen_uniform, load_csv, save_csv
-from .embeddings import EmbeddingSpec, layer_decomposition
+from .embeddings import EmbeddingSpec
 from .estimators import EstimatorSpec
-from .kernels import (
-    KernelKind,
-    fidelity_kernel,
-    gram,
-    product_kernel,
-    projected_kernel,
-)
-from .learning import (
-    generalization_experiment,
-    kernel_target_alignment,
-    kta_variance_over_theta,
-    train_krr,
-    train_svm,
-    predict,
-)
+from .kernels import KernelKind, fidelity_kernel, gram, product_kernel, projected_kernel
+from .learning import generalization_experiment, kta_variance_over_theta, predict, train_krr, train_svm
 from .noise import NOISE_MAX_QUBITS, PauliNoiseParams, noise_bounds, noisy_embed
 from .core import maximally_mixed, schatten2_distance
 
@@ -104,120 +90,196 @@ def _map_points(points, fn, threads: int):
         return list(ex.map(fn, points))
 
 
-def _kernel_kinds(cfg: dict) -> list[KernelKind]:
-    gamma = float(cfg.get("gamma", 1.0))
-    names = cfg.get("kernels", ["fidelity", "projected"])
-    return [KernelKind(name, gamma) for name in names]
-
-
-def _estimator_from(cfg, master_seed: int) -> EstimatorSpec | None:
-    if not cfg:
-        return None
-    return EstimatorSpec(
-        cfg.get("strategy", "exact"),
-        int(cfg.get("shots", 1000)),
-        int(cfg.get("seed", master_seed)),
-    )
-
-
-def _spec_from(cfg: dict, num_qubits: int, layers: int | None = None) -> EmbeddingSpec:
-    return EmbeddingSpec(
-        num_qubits=num_qubits,
-        family=cfg.get("family", "hardware_efficient"),
-        layers=int(layers if layers is not None else cfg.get("layers", 1)),
-        entangler=cfg.get("entangler", "cz"),
-        seed=int(cfg.get("family_seed", 0)),
-    )
-
-
-def _dataset_from(cfg: dict, rng: np.random.Generator) -> Dataset:
-    source = cfg.get("source", "uniform")
-    if source == "csv":
-        return load_csv(cfg["path"])
-    count = int(cfg.get("count", 10))
-    dim = int(cfg.get("dim", cfg.get("qubits", 2)))
-    if source == "hypercube":
-        return gen_hypercube(count, dim, rng)
-    if source == "uniform":
-        low = float(cfg.get("low", -math.pi))
-        high = float(cfg.get("high", math.pi))
-        return gen_uniform(count, dim, rng, low, high)
-    raise click.ClickException(f"unknown dataset source {source!r}")
-
-
 # ---------------------------------------------------------------------------
-# experiment runners (each returns a list of written paths + manifest extras)
+# config tables and their resolution
 # ---------------------------------------------------------------------------
 
+_EMBEDDING = {"family": "hardware_efficient", "layers": 1, "entangler": "cz", "family_seed": 0}
+_INPUT_RANGE = {"low": -math.pi, "high": math.pi}
+# strategy "exact" computes exact kernel values; seed None is the master seed
+_ESTIMATOR = {"strategy": "exact", "shots": 1000, "seed": None}
 
-def _noise_params(experiment: str, key: str, qs: list[float]) -> list[PauliNoiseParams]:
-    """PauliNoiseParams(q, q, q) for each q of config key ``key``; the decay
-    bounds need a strictly noisy channel, so every q must be < 1."""
-    noise = []
-    for q in qs:
+
+def _one_of(*choices):
+    def check(value):
+        if value not in choices:
+            raise ValueError(f"expected one of {list(choices)}")
+
+    return check
+
+
+def _positive(value):
+    if value < 1:
+        raise ValueError("must be >= 1")
+
+
+def _check_dataset(dataset: dict) -> None:
+    if dataset["source"] == "csv":
+        if dataset["path"] is None:
+            raise ValueError("source 'csv' needs a 'path'")
+        load_csv(dataset["path"])
+
+
+def _check_q(q: float) -> None:
+    noise_bounds(PauliNoiseParams(q, q, q), 1, 1)  # a channel with q < 1
+
+
+# key -> check of a resolved value (of each element of a list). A check raises
+# ValueError, TypeError or OSError, mostly by building the library object the
+# value configures, so the library's own validation runs before any work.
+_CHECKS = {
+    "qubits": lambda n: EmbeddingSpec(n, "tensor_ry"),
+    "layers": lambda layers: EmbeddingSpec(1, "tensor_ry", layers),
+    "family": lambda family: EmbeddingSpec(1, family),
+    "entangler": lambda entangler: EmbeddingSpec(1, "tensor_ry", entangler=entangler),
+    "kernel": KernelKind,
+    "kernels": KernelKind,
+    "gamma": lambda gamma: KernelKind("fidelity", gamma),
+    "q": _check_q,
+    "q_values": _check_q,
+    "seed": int,
+    "estimator": lambda est: EstimatorSpec(est["strategy"], est["shots"]),
+    "dataset": _check_dataset,
+    "source": _one_of("csv", "hypercube", "uniform"),
+    "algorithm": _one_of("krr", "svm"),
+    "ridge_sign": _one_of("minus", "plus"),
+    **dict.fromkeys(["pairs", "samples", "count", "points", "num_thetas", "trials"], _positive),
+    **dict.fromkeys(["repeats", "num_test", "train_sizes"], _positive),
+}
+
+
+def _reject(name: str, key: str, why: str) -> click.ClickException:
+    return click.ClickException(f"{name}: {key!r} {why}")
+
+
+def _convert(value, default):
+    """``value`` as the type of ``default`` (for a list, of its elements)."""
+    if default is None:
+        return value
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            raise TypeError("expected a list")
+        return [_convert(v, default[0]) for v in value]
+    if isinstance(value, (list, dict)) or isinstance(value, str) != isinstance(default, str):
+        raise TypeError(f"expected {type(default).__name__}")
+    return type(default)(value)
+
+
+def _resolve(name: str, table: dict, cfg, prefix: str = "") -> dict:
+    """Config ``cfg`` of experiment ``name`` checked against ``table``, with
+    the defaults filled in. Every key of ``cfg`` must be in ``table``. Each
+    value is converted to the type of its default (for a list, of its
+    elements); a ``None`` default passes the value through, a dict default is
+    a sub-table resolved the same way, and a ``mode`` key whose default is a
+    dict of tables adds the table of the given mode (the first is the
+    default). Each value then passes its ``_CHECKS`` entry. Every failure is a
+    ``click.ClickException`` that names the key.
+    """
+    if not isinstance(cfg, dict):
+        raise _reject(name, prefix[:-1] or "config", "is not a JSON object")
+    modes = table.get("mode")
+    if isinstance(modes, dict):
+        mode = cfg.get("mode", next(iter(modes)))
+        if not isinstance(mode, str) or mode not in modes:
+            raise _reject(name, "mode", f"= {mode!r} is an unknown mode, expected one of {list(modes)}")
+        table = {**table, "mode": mode, **modes[mode]}
+    for key in cfg:
+        if key not in table:
+            raise _reject(name, prefix + key, f"is not a known key; the keys are {list(table)}")
+    resolved = {}
+    for key, default in table.items():
+        value = cfg.get(key, default)
         try:
-            params = PauliNoiseParams(q, q, q)
-            if params.q >= 1.0:
-                raise ValueError("q must be < 1")
-        except ValueError as exc:
-            raise click.ClickException(f"{experiment}: {key!r} holds {q}: {exc}") from None
-        noise.append(params)
-    return noise
+            sub = isinstance(default, dict)
+            value = _resolve(name, default, value, f"{prefix}{key}.") if sub else _convert(value, default)
+            if value is not None and key in _CHECKS:
+                for v in value if isinstance(value, list) else [value]:
+                    _CHECKS[key](v)
+        except (TypeError, ValueError, OSError) as exc:
+            shown = "" if isinstance(value, dict) else f" = {value!r}"
+            raise _reject(name, prefix + key, f"{shown}: {exc}") from None
+        resolved[key] = value
+    return resolved
 
 
+# ---------------------------------------------------------------------------
+# experiment runners: runner(resolved cfg, master_seed, outdir, threads)
+# returns the written paths and the manifest extras
+# ---------------------------------------------------------------------------
+
+_EXPERIMENTS: dict[str, tuple] = {}
+
+
+def _experiment(name: str, table: dict):
+    """Register a runner as experiment ``name``, reading configs resolved
+    against ``table`` plus the master ``seed``."""
+
+    def register(runner):
+        _EXPERIMENTS[name] = (runner, {"seed": 0, **table})
+        return runner
+
+    return register
+
+
+def _no_theta(name: str, family: str) -> None:
+    if family == "parameterized":
+        raise _reject(name, "family", f"= 'parameterized' needs a theta vector, which {name} does not draw")
+
+
+def _dataset(d: dict, dim: int, master_seed: int) -> Dataset:
+    """The points of a resolved ``dataset`` sub-table, ``dim`` features wide."""
+    if d["source"] == "csv":
+        return load_csv(d["path"])
+    rng = point_rng(master_seed, 0)
+    if d["source"] == "hypercube":
+        return gen_hypercube(d["count"], dim, rng)
+    return gen_uniform(d["count"], dim, rng, d["low"], d["high"])
+
+
+@_experiment("variance-scan", {
+    "qubits": [2, 3, 4], **_EMBEDDING, "layers": [1], "kernels": ["fidelity", "projected"],
+    "gamma": 1.0, "pairs": 100_000, **_INPUT_RANGE,
+})
 def _run_variance_scan(cfg, master_seed, outdir, threads):
-    kinds = _kernel_kinds(cfg)
-    qubits = [int(n) for n in cfg.get("qubits", [2, 3, 4])]
-    layer_list = [int(l) for l in cfg.get("layers", [1])]
-    pairs = int(cfg.get("pairs", 100_000))
-    low = float(cfg.get("low", -math.pi))
-    high = float(cfg.get("high", math.pi))
+    _no_theta("variance-scan", cfg["family"])
+    kinds = [KernelKind(name, cfg["gamma"]) for name in cfg["kernels"]]
+    qubits, layer_list, pairs = cfg["qubits"], cfg["layers"], cfg["pairs"]
     points = [(i, j) for i in range(len(qubits)) for j in range(len(layer_list))]
 
     def work(pt):
         i, j = pt
-        spec = _spec_from(cfg, qubits[i], layer_list[j])
+        spec = EmbeddingSpec(qubits[i], cfg["family"], layer_list[j], cfg["entangler"], cfg["family_seed"])
         reports = concentration_scan(
-            spec, kinds, pairs, point_rng(master_seed, i, j), low, high
+            spec, kinds, pairs, point_rng(master_seed, i, j), cfg["low"], cfg["high"]
         )
-        row = [qubits[i], layer_list[j], pairs]
-        for rep in reports:
-            row += [rep.mean, rep.variance]
-        row.append(master_seed)
-        return row
+        moments = [v for rep in reports for v in (rep.mean, rep.variance)]
+        return [qubits[i], layer_list[j], pairs, *moments, master_seed]
 
     rows = _map_points(points, work, threads)
-    header = ["n", "layers", "pairs"]
-    for kind in kinds:
-        header += [f"mean_{kind.variant}", f"var_{kind.variant}"]
-    header.append("seed")
+    header = ["n", "layers", "pairs", *(f"{s}_{k.variant}" for k in kinds for s in ("mean", "var")), "seed"]
     path = outdir / "variance_scan.csv"
     write_csv(path, header, rows)
     return [path], {}
 
 
+@_experiment("expressivity", {
+    "qubits": [2, 3, 4], **_EMBEDDING, "layers": [1, 4, 16, 64], "gamma": 1.0, "samples": 4000,
+    **_INPUT_RANGE,
+})
 def _run_expressivity(cfg, master_seed, outdir, threads):
-    gamma = float(cfg.get("gamma", 1.0))
-    qubits = [int(n) for n in cfg.get("qubits", [2, 3, 4])]
-    layer_list = [int(l) for l in cfg.get("layers", [1, 4, 16, 64])]
-    samples = int(cfg.get("samples", 4000))
-    low = float(cfg.get("low", -math.pi))
-    high = float(cfg.get("high", math.pi))
+    _no_theta("expressivity", cfg["family"])
+    qubits, layer_list, samples, gamma = cfg["qubits"], cfg["layers"], cfg["samples"], cfg["gamma"]
     points = [(i, j) for i in range(len(qubits)) for j in range(len(layer_list))]
 
     def work(pt):
         i, j = pt
-        spec = _spec_from(cfg, qubits[i], layer_list[j])
-        est = expressivity_epsilon(
-            spec, samples, point_rng(master_seed, i, j), low, high
-        )
         n = qubits[i]
+        spec = EmbeddingSpec(n, cfg["family"], layer_list[j], cfg["entangler"], cfg["family_seed"])
+        est = expressivity_epsilon(
+            spec, samples, point_rng(master_seed, i, j), cfg["low"], cfg["high"]
+        )
         return [
-            n,
-            layer_list[j],
-            samples,
-            est.value,
-            est.mc_error,
+            n, layer_list[j], samples, est.value, est.mc_error,
             bound_expressivity(n, KernelKind.fidelity(), est.value),
             bound_expressivity(n, KernelKind.projected(gamma), est.value),
             master_seed,
@@ -233,29 +295,25 @@ def _run_expressivity(cfg, master_seed, outdir, threads):
     return [path], {}
 
 
+@_experiment("noise-scan", {
+    "qubits": 4, **_EMBEDDING, "layers": list(range(1, 31)), "q_values": [0.9, 0.95, 0.98],
+    "gamma": 1.0, "pairs": 2, **_INPUT_RANGE,
+})
 def _run_noise_scan(cfg, master_seed, outdir, threads):
-    n = int(cfg.get("qubits", 4))
-    gamma = float(cfg.get("gamma", 1.0))
-    q_values = [float(q) for q in cfg.get("q_values", [0.9, 0.95, 0.98])]
-    layer_list = [int(l) for l in cfg.get("layers", list(range(1, 31)))]
-    pairs = int(cfg.get("pairs", 2))
-    low = float(cfg.get("low", -math.pi))
-    high = float(cfg.get("high", math.pi))
-    if not 1 <= n <= NOISE_MAX_QUBITS:
-        raise click.ClickException(f"noise-scan: 'qubits' = {n} is outside 1..{NOISE_MAX_QUBITS}")
-    if pairs < 1 or any(l < 1 for l in layer_list):
-        raise click.ClickException(f"noise-scan: 'pairs' = {pairs} and every 'layers' entry must be >= 1")
-    try:
-        layer_decomposition(_spec_from(cfg, n, 1), np.zeros(n))
-    except ValueError as exc:
-        raise click.ClickException(f"noise-scan: {exc}") from None
-    noise = _noise_params("noise-scan", "q_values", q_values)
+    n, family, gamma, pairs = cfg["qubits"], cfg["family"], cfg["gamma"], cfg["pairs"]
+    q_values, layer_list, low, high = cfg["q_values"], cfg["layers"], cfg["low"], cfg["high"]
+    if n > NOISE_MAX_QUBITS:
+        raise _reject("noise-scan", "qubits", f"= {n} is outside 1..{NOISE_MAX_QUBITS}")
+    if family == "haar":
+        raise _reject("noise-scan", "family", "= 'haar' has no gate layers to add noise to")
+    _no_theta("noise-scan", family)
+    noise = [PauliNoiseParams(q, q, q) for q in q_values]
     points = [(i, j) for i in range(len(q_values)) for j in range(len(layer_list))]
 
     def work(pt):
         i, j = pt
         params, layers = noise[i], layer_list[j]
-        spec = _spec_from(cfg, n, layers)
+        spec = EmbeddingSpec(n, family, layers, cfg["entangler"], cfg["family_seed"])
         rng = point_rng(master_seed, i, j)
         mixed = maximally_mixed(n)
         bnd = noise_bounds(params, n, layers, gamma)
@@ -271,16 +329,10 @@ def _run_noise_scan(cfg, master_seed, outdir, threads):
             pdev += abs(1.0 - kp)
             sdist += schatten2_distance(ra, mixed)
         return [
-            n,
-            q_values[i],
-            layers,
-            pairs,
-            fdev / pairs,
-            bnd.fidelity_deviation,
-            pdev / pairs,
-            bnd.projected_deviation,
-            sdist / pairs,
-            bnd.state_distance,
+            n, q_values[i], layers, pairs,
+            fdev / pairs, bnd.fidelity_deviation,
+            pdev / pairs, bnd.projected_deviation,
+            sdist / pairs, bnd.state_distance,
             master_seed,
         ]
 
@@ -289,32 +341,31 @@ def _run_noise_scan(cfg, master_seed, outdir, threads):
     write_csv(
         path,
         [
-            "n",
-            "q",
-            "layers",
-            "pairs",
-            "fidelity_dev",
-            "fidelity_bound",
-            "projected_dev",
-            "projected_bound",
-            "state_dist",
-            "state_bound",
-            "seed",
+            "n", "q", "layers", "pairs", "fidelity_dev", "fidelity_bound",
+            "projected_dev", "projected_bound", "state_dist", "state_bound", "seed",
         ],
         rows,
     )
     return [path], {"noisy_state_engine": "v2: layer unitary + in-place Pauli channel"}
 
 
+@_experiment("gram", {
+    "qubits": 4, **_EMBEDDING, "kernel": "fidelity", "gamma": 1.0, "estimator": _ESTIMATOR,
+    # dataset qubits None: the top-level qubits
+    "dataset": {"source": "uniform", "count": 10, "qubits": None, **_INPUT_RANGE, "path": None},
+})
 def _run_gram(cfg, master_seed, outdir, threads):
     del threads
-    n = int(cfg.get("qubits", 4))
-    spec = _spec_from(cfg, n)
-    kind = KernelKind(cfg.get("kernel", "fidelity"), float(cfg.get("gamma", 1.0)))
-    est = _estimator_from(cfg.get("estimator"), master_seed)
-    data_cfg = dict(cfg.get("dataset", {}))
-    data_cfg.setdefault("qubits", n)
-    ds = _dataset_from(data_cfg, point_rng(master_seed, 0))
+    n, est = cfg["qubits"], cfg["estimator"]
+    _no_theta("gram", cfg["family"])
+    spec = EmbeddingSpec(n, cfg["family"], cfg["layers"], cfg["entangler"], cfg["family_seed"])
+    kind = KernelKind(cfg["kernel"], cfg["gamma"])
+    est = None if est["strategy"] == "exact" else EstimatorSpec(
+        est["strategy"], est["shots"], master_seed if est["seed"] is None else int(est["seed"])
+    )
+    ds = _dataset(cfg["dataset"], cfg["dataset"]["qubits"] or n, master_seed)
+    if ds.dim != n:
+        raise _reject("gram", "dataset", f"points have {ds.dim} features, but 'qubits' = {n}")
     gm = gram(spec, ds.inputs, kind, estimator=est)
     gram_path = outdir / "gram.csv"
     gm.to_csv(gram_path)
@@ -324,44 +375,39 @@ def _run_gram(cfg, master_seed, outdir, threads):
     return [gram_path, points_path], {"zero_ratio": zero_ratio}
 
 
+@_experiment("train", {
+    **_EMBEDDING, "kernel": "fidelity", "gamma": 1.0, "estimator": _ESTIMATOR,
+    "dataset": {"source": "hypercube", "count": 10, "qubits": 3, **_INPUT_RANGE, "path": None},
+    "theta": None,  # None: drawn uniformly from [0, 2 pi) for the parameterized family
+    "algorithm": "krr", "lambda": 0.0, "ridge_sign": "minus",
+})
 def _run_train(cfg, master_seed, outdir, threads):
     del threads
-    data_cfg = dict(cfg.get("dataset", {"source": "hypercube", "count": 10, "qubits": 3}))
-    ds = _dataset_from(data_cfg, point_rng(master_seed, 0))
+    ds = _dataset(cfg["dataset"], cfg["dataset"]["qubits"], master_seed)
     if ds.labels is None:
-        raise click.ClickException("training needs a labeled dataset")
-    n = ds.dim
-    spec = _spec_from(cfg, n)
-    kind = KernelKind(cfg.get("kernel", "fidelity"), float(cfg.get("gamma", 1.0)))
-    est = _estimator_from(cfg.get("estimator"), master_seed)
-    theta = cfg.get("theta")
-    if spec.family == "parameterized":
-        theta = (
-            point_rng(master_seed, 1).uniform(0.0, 2.0 * math.pi, n)
-            if theta is None
-            else np.asarray(theta, dtype=np.float64)
-        )
-    algorithm = cfg.get("algorithm", "krr")
+        raise _reject("train", "dataset", "has no labels to train on")
+    n, est, theta = ds.dim, cfg["estimator"], cfg["theta"]
+    spec = EmbeddingSpec(n, cfg["family"], cfg["layers"], cfg["entangler"], cfg["family_seed"])
+    kind = KernelKind(cfg["kernel"], cfg["gamma"])
+    est = None if est["strategy"] == "exact" else EstimatorSpec(
+        est["strategy"], est["shots"], master_seed if est["seed"] is None else int(est["seed"])
+    )
+    if spec.family != "parameterized" and theta is not None:
+        raise _reject("train", "theta", f"is set, but family {spec.family!r} takes no parameters")
+    if spec.family == "parameterized" and theta is None:
+        theta = point_rng(master_seed, 1).uniform(0.0, 2.0 * math.pi, n)
     extras = {}
-    if algorithm == "krr":
+    if cfg["algorithm"] == "krr":
         model, fit = train_krr(
-            spec,
-            ds.inputs,
-            ds.labels,
-            kind,
-            lam=float(cfg.get("lambda", 0.0)),
-            estimator=est,
-            theta=theta,
-            sign=cfg.get("ridge_sign", "minus"),
+            spec, ds.inputs, ds.labels, kind,
+            lam=cfg["lambda"], estimator=est, theta=theta, sign=cfg["ridge_sign"],
         )
         extras["condition_number"] = fit.condition_number
-    elif algorithm == "svm":
+    else:
         model, fit = train_svm(spec, ds.inputs, ds.labels, kind, estimator=est, theta=theta)
         extras.update(
             iterations=fit.iterations, objective=fit.objective, converged=fit.converged
         )
-    else:
-        raise click.ClickException(f"unknown algorithm {algorithm!r}")
 
     model_path = outdir / "model.json"
     with open(model_path, "w", newline="\n") as fh:
@@ -377,18 +423,15 @@ def _run_train(cfg, master_seed, outdir, threads):
     return [model_path, pred_path], extras
 
 
+@_experiment("generalization", {
+    "qubits": 40, "train_sizes": [10, 25, 50, 75, 100, 125, 150], "num_test": 20, "shots": 1000,
+    "lambda": 0.0, "repeats": 10, "low": 0.0, "high": 2.0 * math.pi,
+})
 def _run_generalization(cfg, master_seed, outdir, threads):
-    sizes = tuple(int(s) for s in cfg.get("train_sizes", [10, 25, 50, 75, 100, 125, 150]))
-    repeats = int(cfg.get("repeats", 10))
+    sizes, repeats = tuple(cfg["train_sizes"]), cfg["repeats"]
     kwargs = dict(
-        num_qubits=int(cfg.get("qubits", 40)),
-        train_sizes=sizes,
-        num_test=int(cfg.get("num_test", 20)),
-        shots=int(cfg.get("shots", 1000)),
-        lam=float(cfg.get("lambda", 0.0)),
-        repeats=1,
-        low=float(cfg.get("low", 0.0)),
-        high=float(cfg.get("high", 2.0 * math.pi)),
+        num_qubits=cfg["qubits"], train_sizes=sizes, num_test=cfg["num_test"], shots=cfg["shots"],
+        lam=cfg["lambda"], repeats=1, low=cfg["low"], high=cfg["high"],
     )
 
     results = _map_points(
@@ -430,15 +473,35 @@ def _cached_pvalue(successes: int, shots: int, null_ppm: int) -> float:
     return binomial_pvalue(successes, shots, null_ppm / 1e6)
 
 
-def _run_indistinguishability(cfg, master_seed, outdir, threads):
-    mode = cfg.get("mode", "zero_ratio")
-    qubits = [int(n) for n in cfg.get("qubits", list(range(6, 15)))]
-    pairs = int(cfg.get("pairs", 1000))
-    low = float(cfg.get("low", -math.pi))
-    high = float(cfg.get("high", math.pi))
+_QUBIT_PAIRS = {"qubits": list(range(6, 15)), "pairs": 1000, **_INPUT_RANGE}
 
-    if mode == "zero_ratio":
-        shot_grid = [int(s) for s in cfg.get("shots", [1000, 10_000, 100_000])]
+
+@_experiment("indistinguishability", {"mode": {
+    "zero_ratio": {**_QUBIT_PAIRS, "shots": [1000, 10_000, 100_000]},
+    "swap_test": {**_QUBIT_PAIRS, "shots": 10_000, "alpha": 0.01},
+    "decision": {"shots": [1, 10, 100], "eps": [0.0, 0.01, 0.1], "trials": 100_000, "p0": 0.5},
+}})
+def _run_indistinguishability(cfg, master_seed, outdir, threads):
+    if cfg["mode"] == "decision":
+        shot_grid, eps_grid, trials = cfg["shots"], cfg["eps"], cfg["trials"]
+        points = [(i, j) for i in range(len(shot_grid)) for j in range(len(eps_grid))]
+
+        def work(pt):
+            i, j = pt
+            shots, eps = shot_grid[i], eps_grid[j]
+            success = simulate_distinguish(
+                shots, eps, trials, point_rng(master_seed, i, j), cfg["p0"]
+            )
+            return [shots, eps, trials, success, distinguish_success_bound(shots, eps), master_seed]
+
+        rows = _map_points(points, work, threads)
+        path = outdir / "decision.csv"
+        write_csv(path, ["shots", "eps", "trials", "success", "bound", "seed"], rows)
+        return [path], {}
+
+    qubits, pairs, low, high = cfg["qubits"], cfg["pairs"], cfg["low"], cfg["high"]
+    if cfg["mode"] == "zero_ratio":
+        shot_grid = cfg["shots"]
         points = [(i, j) for i in range(len(qubits)) for j in range(len(shot_grid))]
 
         def work(pt):
@@ -456,74 +519,45 @@ def _run_indistinguishability(cfg, master_seed, outdir, threads):
         write_csv(path, ["n", "shots", "pairs", "zero_ratio", "seed"], rows)
         return [path], {}
 
-    if mode == "swap_test":
-        shots = int(cfg.get("shots", 10_000))
-        alpha = float(cfg.get("alpha", 0.01))
+    shots, alpha = cfg["shots"], cfg["alpha"]
 
-        def work(i):
-            n = qubits[i]
-            rng = point_rng(master_seed, i)
-            xs = rng.uniform(low, high, (pairs, n))
-            ys = rng.uniform(low, high, (pairs, n))
-            kappa = product_kernel(xs, ys, KernelKind.fidelity())
-            counts = rng.binomial(shots, 0.5 * (1.0 + kappa))
-            pvals = np.array(
-                [_cached_pvalue(int(k), shots, 500_000) for k in counts]
-            )
-            return [n, shots, pairs, alpha, float(np.mean(pvals < alpha)), master_seed]
+    def work(i):
+        n = qubits[i]
+        rng = point_rng(master_seed, i)
+        xs = rng.uniform(low, high, (pairs, n))
+        ys = rng.uniform(low, high, (pairs, n))
+        kappa = product_kernel(xs, ys, KernelKind.fidelity())
+        counts = rng.binomial(shots, 0.5 * (1.0 + kappa))
+        pvals = np.array(
+            [_cached_pvalue(int(k), shots, 500_000) for k in counts]
+        )
+        return [n, shots, pairs, alpha, float(np.mean(pvals < alpha)), master_seed]
 
-        rows = _map_points(list(range(len(qubits))), work, threads)
-        path = outdir / "swap_success.csv"
-        write_csv(path, ["n", "shots", "pairs", "alpha", "success_ratio", "seed"], rows)
-        return [path], {}
-
-    if mode == "decision":
-        shot_grid = [int(s) for s in cfg.get("shots", [1, 10, 100])]
-        eps_grid = [float(e) for e in cfg.get("eps", [0.0, 0.01, 0.1])]
-        trials = int(cfg.get("trials", 100_000))
-        p0 = float(cfg.get("p0", 0.5))
-        points = [(i, j) for i in range(len(shot_grid)) for j in range(len(eps_grid))]
-
-        def work(pt):
-            i, j = pt
-            shots, eps = shot_grid[i], eps_grid[j]
-            success = simulate_distinguish(
-                shots, eps, trials, point_rng(master_seed, i, j), p0
-            )
-            return [shots, eps, trials, success, distinguish_success_bound(shots, eps), master_seed]
-
-        rows = _map_points(points, work, threads)
-        path = outdir / "decision.csv"
-        write_csv(path, ["shots", "eps", "trials", "success", "bound", "seed"], rows)
-        return [path], {}
-
-    raise click.ClickException(f"unknown mode {mode!r}")
+    rows = _map_points(list(range(len(qubits))), work, threads)
+    path = outdir / "swap_success.csv"
+    write_csv(path, ["n", "shots", "pairs", "alpha", "success_ratio", "seed"], rows)
+    return [path], {}
 
 
+@_experiment("kta-scan", {
+    "qubits": [2, 3, 4, 5, 6], **_EMBEDDING, "family": "parameterized", "kernel": "fidelity",
+    "gamma": 1.0, "points": 10, "num_thetas": 500,
+})
 def _run_kta_scan(cfg, master_seed, outdir, threads):
-    qubits = [int(n) for n in cfg.get("qubits", [2, 3, 4, 5, 6])]
-    npts = int(cfg.get("points", 10))
-    num_thetas = int(cfg.get("num_thetas", 500))
-    kind = KernelKind(cfg.get("kernel", "fidelity"), float(cfg.get("gamma", 1.0)))
+    qubits, npts, num_thetas = cfg["qubits"], cfg["points"], cfg["num_thetas"]
+    if cfg["family"] != "parameterized":
+        raise _reject("kta-scan", "family", f"= {cfg['family']!r} has no parameters to vary")
+    kind = KernelKind(cfg["kernel"], cfg["gamma"])
 
     def work(i):
         n = qubits[i]
         rng = point_rng(master_seed, i)
         ds = gen_hypercube(npts, n, rng)
-        spec = EmbeddingSpec(
-            n,
-            cfg.get("family", "parameterized"),
-            layers=int(cfg.get("layers", 1)),
-            entangler=cfg.get("entangler", "cz"),
-        )
+        spec = EmbeddingSpec(n, cfg["family"], cfg["layers"], cfg["entangler"], cfg["family_seed"])
         scan = kta_variance_over_theta(spec, ds.inputs, ds.labels, num_thetas, rng, kind)
         ksum = float(np.sum(scan.kernel_variances))
         return [
-            n,
-            npts,
-            num_thetas,
-            scan.ta_variance,
-            ksum,
+            n, npts, num_thetas, scan.ta_variance, ksum,
             kta_alignment_constant(npts, "statement") * ksum,
             kta_alignment_constant(npts, "proof") * ksum,
             master_seed,
@@ -539,110 +573,72 @@ def _run_kta_scan(cfg, master_seed, outdir, threads):
     return [path], {}
 
 
+# variances None: the tensor-Ry kernel variance at each qubit count
+@_experiment("shots-budget", {"qubits": [2, 4, 6, 8], "precision": 1.0, "fail_prob": 0.05, "variances": None})
 def _run_shots_budget(cfg, master_seed, outdir, threads):
     del threads
-    qubits = [int(n) for n in cfg.get("qubits", [2, 4, 6, 8])]
-    precision = float(cfg.get("precision", 1.0))
-    fail_prob = float(cfg.get("fail_prob", 0.05))
-    variances = cfg.get("variances")
+    qubits, variances = cfg["qubits"], cfg["variances"]
+    if variances is not None and (not isinstance(variances, list) or len(variances) != len(qubits)):
+        raise _reject("shots-budget", "variances", f"= {variances!r} is not one variance per 'qubits' entry")
     rows = []
     for i, n in enumerate(qubits):
         var = float(variances[i]) if variances else product_ry_moments(n)[2]
-        rows.append([n, var, shots_budget(var, precision, fail_prob), master_seed])
+        rows.append([n, var, shots_budget(var, cfg["precision"], cfg["fail_prob"]), master_seed])
     path = outdir / "shots_budget.csv"
     write_csv(path, ["n", "variance", "shots", "seed"], rows)
     return [path], {}
 
 
+@_experiment("bounds", {"qubits": [2, 4, 6, 8], "layers": 10, "gamma": 1.0, "eps": 0.0, "q": 0.95})
 def _run_bounds(cfg, master_seed, outdir, threads):
     del threads
-    qubits = [int(n) for n in cfg.get("qubits", [2, 4, 6, 8])]
-    layers = int(cfg.get("layers", 10))
-    gamma = float(cfg.get("gamma", 1.0))
-    eps = float(cfg.get("eps", 0.0))
-    q = float(cfg.get("q", 0.95))
-    if layers < 1:
-        raise click.ClickException(f"bounds: 'layers' = {layers} must be >= 1")
-    (params,) = _noise_params("bounds", "q", [q])
+    layers, gamma, eps, q = cfg["layers"], cfg["gamma"], cfg["eps"], cfg["q"]
+    params = PauliNoiseParams(q, q, q)
     rows = []
-    for n in qubits:
+    for n in cfg["qubits"]:
         mean, second, var = product_ry_moments(n)
         nb = noise_bounds(params, n, layers, gamma)
-        rows.append(
-            [
-                n,
-                layers,
-                q,
-                gamma,
-                eps,
-                beta_haar(n),
-                beta_haar_projected(n),
-                bound_expressivity(n, KernelKind.fidelity(), eps),
-                bound_expressivity(n, KernelKind.projected(gamma), eps),
-                nb.fidelity_deviation,
-                nb.projected_deviation,
-                nb.state_distance,
-                mean,
-                var,
-                master_seed,
-            ]
-        )
+        rows.append([
+            n, layers, q, gamma, eps, beta_haar(n), beta_haar_projected(n),
+            bound_expressivity(n, KernelKind.fidelity(), eps),
+            bound_expressivity(n, KernelKind.projected(gamma), eps),
+            nb.fidelity_deviation, nb.projected_deviation, nb.state_distance,
+            mean, var, master_seed,
+        ])
     path = outdir / "bounds.csv"
     write_csv(
         path,
         [
-            "n",
-            "layers",
-            "q",
-            "gamma",
-            "eps",
-            "beta_haar",
-            "beta_haar_projected",
-            "bound_expressivity_fidelity",
-            "bound_expressivity_projected",
-            "noise_fidelity_bound",
-            "noise_projected_bound",
-            "noise_state_bound",
-            "product_mean",
-            "product_variance",
-            "seed",
+            "n", "layers", "q", "gamma", "eps", "beta_haar", "beta_haar_projected",
+            "bound_expressivity_fidelity", "bound_expressivity_projected",
+            "noise_fidelity_bound", "noise_projected_bound", "noise_state_bound",
+            "product_mean", "product_variance", "seed",
         ],
         rows,
     )
     return [path], {}
 
 
-_RUNNERS = {
-    "variance-scan": _run_variance_scan,
-    "expressivity": _run_expressivity,
-    "noise-scan": _run_noise_scan,
-    "gram": _run_gram,
-    "train": _run_train,
-    "generalization": _run_generalization,
-    "indistinguishability": _run_indistinguishability,
-    "kta-scan": _run_kta_scan,
-    "shots-budget": _run_shots_budget,
-    "bounds": _run_bounds,
-}
-
-
 def run_experiment(name: str, config: dict, seed=None, out=".", threads=None) -> dict:
     """Programmatic entry point; returns the manifest dictionary."""
-    if name not in _RUNNERS:
+    if name not in _EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}")
+    runner, table = _EXPERIMENTS[name]
+    cfg = _resolve(name, table, config)
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
-    master_seed = int(seed if seed is not None else config.get("seed", 0))
+    master_seed = int(seed if seed is not None else cfg["seed"])
     if threads is None:
         threads = int(os.environ.get("QKONC_THREADS", "1"))
     threads = max(1, int(threads))
     start = time.monotonic()
-    outputs, extras = _RUNNERS[name](config, master_seed, outdir, threads)
+    outputs, extras = runner(cfg, master_seed, outdir, threads)
     wall = time.monotonic() - start
     manifest = {
         "experiment": name,
         "config": config,
         "config_sha256": config_hash(config),
+        "resolved_config": cfg,
         "master_seed": master_seed,
         "seed_rule": (
             "numpy SeedSequence((master_seed, *sweep_indices)); shot-estimated "
@@ -651,9 +647,7 @@ def run_experiment(name: str, config: dict, seed=None, out=".", threads=None) ->
         "package_version": __version__,
         "threads": threads,
         "wall_time_s": wall,
-        "outputs": [
-            {"file": p.name, "sha256": _sha256_file(p)} for p in outputs
-        ],
+        "outputs": [{"file": p.name, "sha256": _sha256_file(p)} for p in outputs],
     }
     manifest.update(extras)
     with open(outdir / "manifest.json", "w", newline="\n") as fh:
@@ -692,7 +686,7 @@ def _register(name: str):
     return cmd
 
 
-for _name in _RUNNERS:
+for _name in _EXPERIMENTS:
     _register(_name)
 
 
