@@ -37,15 +37,35 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
-    beta_haar, beta_haar_projected, binomial_pvalue, bound_expressivity, concentration_scan,
-    distinguish_success_bound, expressivity_epsilon, kta_alignment_constant, product_ry_moments,
-    shots_budget, simulate_distinguish,
+    beta_haar,
+    beta_haar_projected,
+    binomial_pvalue,
+    bound_expressivity,
+    concentration_scan,
+    distinguish_success_bound,
+    expressivity_epsilon,
+    kta_alignment_constant,
+    product_ry_moments,
+    shots_budget,
+    simulate_distinguish,
 )
 from .datasets import Dataset, gen_hypercube, gen_uniform, load_csv, save_csv
 from .embeddings import EmbeddingSpec
 from .estimators import EstimatorSpec
-from .kernels import KernelKind, fidelity_kernel, gram, product_kernel, projected_kernel
-from .learning import generalization_experiment, kta_variance_over_theta, predict, train_krr, train_svm
+from .kernels import (
+    KernelKind,
+    fidelity_kernel,
+    gram,
+    product_kernel,
+    projected_kernel,
+)
+from .learning import (
+    generalization_experiment,
+    kta_variance_over_theta,
+    train_krr,
+    train_svm,
+    predict,
+)
 from .noise import NOISE_MAX_QUBITS, PauliNoiseParams, noise_bounds, noisy_embed
 from .core import maximally_mixed, schatten2_distance
 
@@ -114,10 +134,8 @@ def _positive(value):
 
 
 def _check_dataset(dataset: dict) -> None:
-    if dataset["source"] == "csv":
-        if dataset["path"] is None:
-            raise ValueError("source 'csv' needs a 'path'")
-        load_csv(dataset["path"])
+    if dataset["source"] == "csv" and dataset["path"] is None:
+        raise ValueError("source 'csv' needs a 'path'")
 
 
 def _check_q(q: float) -> None:
@@ -125,8 +143,8 @@ def _check_q(q: float) -> None:
 
 
 # key -> check of a resolved value (of each element of a list). A check raises
-# ValueError, TypeError or OSError, mostly by building the library object the
-# value configures, so the library's own validation runs before any work.
+# ValueError or TypeError, mostly by building the library object the value
+# configures, so the library's own validation runs before any work.
 _CHECKS = {
     "qubits": lambda n: EmbeddingSpec(n, "tensor_ry"),
     "layers": lambda layers: EmbeddingSpec(1, "tensor_ry", layers),
@@ -138,13 +156,15 @@ _CHECKS = {
     "q": _check_q,
     "q_values": _check_q,
     "seed": int,
+    "theta": float,
+    "variances": float,
     "estimator": lambda est: EstimatorSpec(est["strategy"], est["shots"]),
     "dataset": _check_dataset,
     "source": _one_of("csv", "hypercube", "uniform"),
     "algorithm": _one_of("krr", "svm"),
     "ridge_sign": _one_of("minus", "plus"),
     **dict.fromkeys(["pairs", "samples", "count", "points", "num_thetas", "trials"], _positive),
-    **dict.fromkeys(["repeats", "num_test", "train_sizes"], _positive),
+    **dict.fromkeys(["repeats", "num_test", "train_sizes", "shots"], _positive),
 }
 
 
@@ -195,9 +215,9 @@ def _resolve(name: str, table: dict, cfg, prefix: str = "") -> dict:
             if value is not None and key in _CHECKS:
                 for v in value if isinstance(value, list) else [value]:
                     _CHECKS[key](v)
-        except (TypeError, ValueError, OSError) as exc:
-            shown = "" if isinstance(value, dict) else f" = {value!r}"
-            raise _reject(name, prefix + key, f"{shown}: {exc}") from None
+        except (TypeError, ValueError) as exc:
+            why = f"{exc}" if isinstance(value, dict) else f"= {value!r}: {exc}"
+            raise _reject(name, prefix + key, why) from None
         resolved[key] = value
     return resolved
 
@@ -226,10 +246,29 @@ def _no_theta(name: str, family: str) -> None:
         raise _reject(name, "family", f"= 'parameterized' needs a theta vector, which {name} does not draw")
 
 
-def _dataset(d: dict, dim: int, master_seed: int) -> Dataset:
+def _embedding(cfg: dict, n: int, layers: int) -> EmbeddingSpec:
+    """The ``n``-qubit embedding of a config resolved against ``_EMBEDDING``."""
+    return EmbeddingSpec(n, cfg["family"], layers, cfg["entangler"], cfg["family_seed"])
+
+
+def _estimator(name: str, est: dict, kind: KernelKind, master_seed: int) -> EstimatorSpec | None:
+    """The estimator of a resolved ``estimator`` sub-table; None for ``exact``."""
+    if est["strategy"] == "exact":
+        return None
+    if (est["strategy"] in ("loschmidt", "swap")) != (kind.variant == "fidelity"):
+        why = f"strategy {est['strategy']!r} does not estimate the {kind.variant} kernel"
+        raise _reject(name, "estimator", why)
+    seed = master_seed if est["seed"] is None else int(est["seed"])
+    return EstimatorSpec(est["strategy"], est["shots"], seed)
+
+
+def _dataset(name: str, d: dict, dim: int, master_seed: int) -> Dataset:
     """The points of a resolved ``dataset`` sub-table, ``dim`` features wide."""
     if d["source"] == "csv":
-        return load_csv(d["path"])
+        try:
+            return load_csv(d["path"])
+        except (OSError, ValueError) as exc:
+            raise _reject(name, "dataset", f"path {d['path']!r} does not load: {exc}") from None
     rng = point_rng(master_seed, 0)
     if d["source"] == "hypercube":
         return gen_hypercube(d["count"], dim, rng)
@@ -244,19 +283,27 @@ def _run_variance_scan(cfg, master_seed, outdir, threads):
     _no_theta("variance-scan", cfg["family"])
     kinds = [KernelKind(name, cfg["gamma"]) for name in cfg["kernels"]]
     qubits, layer_list, pairs = cfg["qubits"], cfg["layers"], cfg["pairs"]
+    if pairs < 2:
+        raise _reject("variance-scan", "pairs", f"= {pairs} is too few for a variance, need >= 2")
     points = [(i, j) for i in range(len(qubits)) for j in range(len(layer_list))]
 
     def work(pt):
         i, j = pt
-        spec = EmbeddingSpec(qubits[i], cfg["family"], layer_list[j], cfg["entangler"], cfg["family_seed"])
+        spec = _embedding(cfg, qubits[i], layer_list[j])
         reports = concentration_scan(
             spec, kinds, pairs, point_rng(master_seed, i, j), cfg["low"], cfg["high"]
         )
-        moments = [v for rep in reports for v in (rep.mean, rep.variance)]
-        return [qubits[i], layer_list[j], pairs, *moments, master_seed]
+        row = [qubits[i], layer_list[j], pairs]
+        for rep in reports:
+            row += [rep.mean, rep.variance]
+        row.append(master_seed)
+        return row
 
     rows = _map_points(points, work, threads)
-    header = ["n", "layers", "pairs", *(f"{s}_{k.variant}" for k in kinds for s in ("mean", "var")), "seed"]
+    header = ["n", "layers", "pairs"]
+    for kind in kinds:
+        header += [f"mean_{kind.variant}", f"var_{kind.variant}"]
+    header.append("seed")
     path = outdir / "variance_scan.csv"
     write_csv(path, header, rows)
     return [path], {}
@@ -273,13 +320,17 @@ def _run_expressivity(cfg, master_seed, outdir, threads):
 
     def work(pt):
         i, j = pt
-        n = qubits[i]
-        spec = EmbeddingSpec(n, cfg["family"], layer_list[j], cfg["entangler"], cfg["family_seed"])
+        spec = _embedding(cfg, qubits[i], layer_list[j])
         est = expressivity_epsilon(
             spec, samples, point_rng(master_seed, i, j), cfg["low"], cfg["high"]
         )
+        n = qubits[i]
         return [
-            n, layer_list[j], samples, est.value, est.mc_error,
+            n,
+            layer_list[j],
+            samples,
+            est.value,
+            est.mc_error,
             bound_expressivity(n, KernelKind.fidelity(), est.value),
             bound_expressivity(n, KernelKind.projected(gamma), est.value),
             master_seed,
@@ -313,7 +364,7 @@ def _run_noise_scan(cfg, master_seed, outdir, threads):
     def work(pt):
         i, j = pt
         params, layers = noise[i], layer_list[j]
-        spec = EmbeddingSpec(n, family, layers, cfg["entangler"], cfg["family_seed"])
+        spec = _embedding(cfg, n, layers)
         rng = point_rng(master_seed, i, j)
         mixed = maximally_mixed(n)
         bnd = noise_bounds(params, n, layers, gamma)
@@ -329,10 +380,16 @@ def _run_noise_scan(cfg, master_seed, outdir, threads):
             pdev += abs(1.0 - kp)
             sdist += schatten2_distance(ra, mixed)
         return [
-            n, q_values[i], layers, pairs,
-            fdev / pairs, bnd.fidelity_deviation,
-            pdev / pairs, bnd.projected_deviation,
-            sdist / pairs, bnd.state_distance,
+            n,
+            q_values[i],
+            layers,
+            pairs,
+            fdev / pairs,
+            bnd.fidelity_deviation,
+            pdev / pairs,
+            bnd.projected_deviation,
+            sdist / pairs,
+            bnd.state_distance,
             master_seed,
         ]
 
@@ -341,8 +398,17 @@ def _run_noise_scan(cfg, master_seed, outdir, threads):
     write_csv(
         path,
         [
-            "n", "q", "layers", "pairs", "fidelity_dev", "fidelity_bound",
-            "projected_dev", "projected_bound", "state_dist", "state_bound", "seed",
+            "n",
+            "q",
+            "layers",
+            "pairs",
+            "fidelity_dev",
+            "fidelity_bound",
+            "projected_dev",
+            "projected_bound",
+            "state_dist",
+            "state_bound",
+            "seed",
         ],
         rows,
     )
@@ -356,14 +422,12 @@ def _run_noise_scan(cfg, master_seed, outdir, threads):
 })
 def _run_gram(cfg, master_seed, outdir, threads):
     del threads
-    n, est = cfg["qubits"], cfg["estimator"]
+    n = cfg["qubits"]
     _no_theta("gram", cfg["family"])
-    spec = EmbeddingSpec(n, cfg["family"], cfg["layers"], cfg["entangler"], cfg["family_seed"])
+    spec = _embedding(cfg, n, cfg["layers"])
     kind = KernelKind(cfg["kernel"], cfg["gamma"])
-    est = None if est["strategy"] == "exact" else EstimatorSpec(
-        est["strategy"], est["shots"], master_seed if est["seed"] is None else int(est["seed"])
-    )
-    ds = _dataset(cfg["dataset"], cfg["dataset"]["qubits"] or n, master_seed)
+    est = _estimator("gram", cfg["estimator"], kind, master_seed)
+    ds = _dataset("gram", cfg["dataset"], cfg["dataset"]["qubits"] or n, master_seed)
     if ds.dim != n:
         raise _reject("gram", "dataset", f"points have {ds.dim} features, but 'qubits' = {n}")
     gm = gram(spec, ds.inputs, kind, estimator=est)
@@ -383,24 +447,30 @@ def _run_gram(cfg, master_seed, outdir, threads):
 })
 def _run_train(cfg, master_seed, outdir, threads):
     del threads
-    ds = _dataset(cfg["dataset"], cfg["dataset"]["qubits"], master_seed)
+    ds = _dataset("train", cfg["dataset"], cfg["dataset"]["qubits"], master_seed)
     if ds.labels is None:
         raise _reject("train", "dataset", "has no labels to train on")
-    n, est, theta = ds.dim, cfg["estimator"], cfg["theta"]
-    spec = EmbeddingSpec(n, cfg["family"], cfg["layers"], cfg["entangler"], cfg["family_seed"])
+    n, theta = ds.dim, cfg["theta"]
+    spec = _embedding(cfg, n, cfg["layers"])
     kind = KernelKind(cfg["kernel"], cfg["gamma"])
-    est = None if est["strategy"] == "exact" else EstimatorSpec(
-        est["strategy"], est["shots"], master_seed if est["seed"] is None else int(est["seed"])
-    )
+    est = _estimator("train", cfg["estimator"], kind, master_seed)
     if spec.family != "parameterized" and theta is not None:
         raise _reject("train", "theta", f"is set, but family {spec.family!r} takes no parameters")
     if spec.family == "parameterized" and theta is None:
         theta = point_rng(master_seed, 1).uniform(0.0, 2.0 * math.pi, n)
+    elif theta is not None and (not isinstance(theta, list) or len(theta) != n):
+        raise _reject("train", "theta", f"= {theta!r} is not one angle per dataset feature ({n})")
     extras = {}
     if cfg["algorithm"] == "krr":
         model, fit = train_krr(
-            spec, ds.inputs, ds.labels, kind,
-            lam=cfg["lambda"], estimator=est, theta=theta, sign=cfg["ridge_sign"],
+            spec,
+            ds.inputs,
+            ds.labels,
+            kind,
+            lam=cfg["lambda"],
+            estimator=est,
+            theta=theta,
+            sign=cfg["ridge_sign"],
         )
         extras["condition_number"] = fit.condition_number
     else:
@@ -430,8 +500,14 @@ def _run_train(cfg, master_seed, outdir, threads):
 def _run_generalization(cfg, master_seed, outdir, threads):
     sizes, repeats = tuple(cfg["train_sizes"]), cfg["repeats"]
     kwargs = dict(
-        num_qubits=cfg["qubits"], train_sizes=sizes, num_test=cfg["num_test"], shots=cfg["shots"],
-        lam=cfg["lambda"], repeats=1, low=cfg["low"], high=cfg["high"],
+        num_qubits=cfg["qubits"],
+        train_sizes=sizes,
+        num_test=cfg["num_test"],
+        shots=cfg["shots"],
+        lam=cfg["lambda"],
+        repeats=1,
+        low=cfg["low"],
+        high=cfg["high"],
     )
 
     results = _map_points(
@@ -540,8 +616,8 @@ def _run_indistinguishability(cfg, master_seed, outdir, threads):
 
 
 @_experiment("kta-scan", {
-    "qubits": [2, 3, 4, 5, 6], **_EMBEDDING, "family": "parameterized", "kernel": "fidelity",
-    "gamma": 1.0, "points": 10, "num_thetas": 500,
+    "qubits": [2, 3, 4, 5, 6], "family": "parameterized", "layers": 1, "entangler": "cz",
+    "kernel": "fidelity", "gamma": 1.0, "points": 10, "num_thetas": 500,
 })
 def _run_kta_scan(cfg, master_seed, outdir, threads):
     qubits, npts, num_thetas = cfg["qubits"], cfg["points"], cfg["num_thetas"]
@@ -553,11 +629,15 @@ def _run_kta_scan(cfg, master_seed, outdir, threads):
         n = qubits[i]
         rng = point_rng(master_seed, i)
         ds = gen_hypercube(npts, n, rng)
-        spec = EmbeddingSpec(n, cfg["family"], cfg["layers"], cfg["entangler"], cfg["family_seed"])
+        spec = EmbeddingSpec(n, cfg["family"], cfg["layers"], cfg["entangler"])
         scan = kta_variance_over_theta(spec, ds.inputs, ds.labels, num_thetas, rng, kind)
         ksum = float(np.sum(scan.kernel_variances))
         return [
-            n, npts, num_thetas, scan.ta_variance, ksum,
+            n,
+            npts,
+            num_thetas,
+            scan.ta_variance,
+            ksum,
             kta_alignment_constant(npts, "statement") * ksum,
             kta_alignment_constant(npts, "proof") * ksum,
             master_seed,
@@ -593,26 +673,51 @@ def _run_shots_budget(cfg, master_seed, outdir, threads):
 def _run_bounds(cfg, master_seed, outdir, threads):
     del threads
     layers, gamma, eps, q = cfg["layers"], cfg["gamma"], cfg["eps"], cfg["q"]
+    if eps < 0:
+        raise _reject("bounds", "eps", f"= {eps} is not an expressivity, which is >= 0")
     params = PauliNoiseParams(q, q, q)
     rows = []
     for n in cfg["qubits"]:
         mean, second, var = product_ry_moments(n)
         nb = noise_bounds(params, n, layers, gamma)
-        rows.append([
-            n, layers, q, gamma, eps, beta_haar(n), beta_haar_projected(n),
-            bound_expressivity(n, KernelKind.fidelity(), eps),
-            bound_expressivity(n, KernelKind.projected(gamma), eps),
-            nb.fidelity_deviation, nb.projected_deviation, nb.state_distance,
-            mean, var, master_seed,
-        ])
+        rows.append(
+            [
+                n,
+                layers,
+                q,
+                gamma,
+                eps,
+                beta_haar(n),
+                beta_haar_projected(n),
+                bound_expressivity(n, KernelKind.fidelity(), eps),
+                bound_expressivity(n, KernelKind.projected(gamma), eps),
+                nb.fidelity_deviation,
+                nb.projected_deviation,
+                nb.state_distance,
+                mean,
+                var,
+                master_seed,
+            ]
+        )
     path = outdir / "bounds.csv"
     write_csv(
         path,
         [
-            "n", "layers", "q", "gamma", "eps", "beta_haar", "beta_haar_projected",
-            "bound_expressivity_fidelity", "bound_expressivity_projected",
-            "noise_fidelity_bound", "noise_projected_bound", "noise_state_bound",
-            "product_mean", "product_variance", "seed",
+            "n",
+            "layers",
+            "q",
+            "gamma",
+            "eps",
+            "beta_haar",
+            "beta_haar_projected",
+            "bound_expressivity_fidelity",
+            "bound_expressivity_projected",
+            "noise_fidelity_bound",
+            "noise_projected_bound",
+            "noise_state_bound",
+            "product_mean",
+            "product_variance",
+            "seed",
         ],
         rows,
     )
@@ -647,7 +752,9 @@ def run_experiment(name: str, config: dict, seed=None, out=".", threads=None) ->
         "package_version": __version__,
         "threads": threads,
         "wall_time_s": wall,
-        "outputs": [{"file": p.name, "sha256": _sha256_file(p)} for p in outputs],
+        "outputs": [
+            {"file": p.name, "sha256": _sha256_file(p)} for p in outputs
+        ],
     }
     manifest.update(extras)
     with open(outdir / "manifest.json", "w", newline="\n") as fh:

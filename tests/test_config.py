@@ -105,6 +105,7 @@ class TestResolver:
             ("gram", {"dataset": {"sorce": "hypercube"}}, "sorce"),
             ("gram", {"estimator": {"strategy": "loschmidt", "shot": 5}}, "shot"),
             ("gram", {"dataset": {"dim": 3}}, "dim"),
+            ("kta-scan", {"family_seed": 1}, "family_seed"),
         ],
     )
     def test_misspelled_key_is_rejected(self, tmp_path, experiment, cfg, key):
@@ -143,8 +144,18 @@ class TestResolver:
             ("train", {"dataset": {"source": "uniform"}}, "dataset"),
             ("train", {"algorithm": "lasso"}, "algorithm"),
             ("train", {"theta": [0.1, 0.2, 0.3]}, "theta"),
+            ("train", {"family": "parameterized", "theta": [0.1, 0.2]}, "theta"),
+            ("train", {"family": "parameterized", "theta": ["a", "b", "c"]}, "theta"),
+            ("train", {"kernel": "projected", "estimator": {"strategy": "loschmidt"}}, "estimator"),
+            ("gram", {"estimator": {"strategy": "tomography"}}, "estimator"),
+            ("gram", {"dataset": {"source": "csv", "path": "no/such/points.csv"}}, "dataset"),
+            ("generalization", {"qubits": 4, "train_sizes": [5], "shots": 0}, "shots"),
+            ("indistinguishability", {"shots": [10, 0]}, "shots"),
+            ("variance-scan", {"pairs": 1}, "pairs"),
             ("shots-budget", {"qubits": [2, 4], "variances": [0.1]}, "variances"),
+            ("shots-budget", {"qubits": [2], "variances": ["x"]}, "variances"),
             ("bounds", {"gamma": "1"}, "gamma"),
+            ("bounds", {"eps": -1}, "eps"),
         ],
     )
     def test_bad_value_fails_early_naming_the_key(self, tmp_path, experiment, cfg, key):
