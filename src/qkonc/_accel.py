@@ -24,21 +24,6 @@ def apply_1q_uniform(states, g00, g01, g10, g11, target):
     v[:, :, 1, :] = g10 * a + g11 * b
 
 
-def apply_1q_rows(states, gates, target):
-    """Apply the 2x2 gate ``gates[r]`` to qubit ``target`` of row ``r``."""
-    m, dim = states.shape
-    low = 1 << target
-    v = states.reshape(m, dim >> (target + 1), 2, low)
-    a = v[:, :, 0, :].copy()
-    b = v[:, :, 1, :].copy()
-    g00 = gates[:, 0, 0].reshape(m, 1, 1)
-    g01 = gates[:, 0, 1].reshape(m, 1, 1)
-    g10 = gates[:, 1, 0].reshape(m, 1, 1)
-    g11 = gates[:, 1, 1].reshape(m, 1, 1)
-    v[:, :, 0, :] = g00 * a + g01 * b
-    v[:, :, 1, :] = g10 * a + g11 * b
-
-
 def apply_phase(states, mask):
     """Multiply every row by the diagonal ``mask``."""
     states *= mask
@@ -59,33 +44,21 @@ def bloch_batch(states, num_qubits):
     """Single-qubit Bloch vectors of every row, shape ``(m, num_qubits, 3)``."""
     m, dim = states.shape
     out = np.empty((m, num_qubits, 3), dtype=np.float64)
+    bra = states.conj()
+    prob = states.real * states.real + states.imag * states.imag
     for k in range(num_qubits):
-        low = 1 << k
-        v = states.reshape(m, dim >> (k + 1), 2, low)
-        a = v[:, :, 0, :]
-        b = v[:, :, 1, :]
-        t = np.einsum("ijk,ijk->i", a.conj(), b)
+        shape = (m, dim >> (k + 1), 2, 1 << k)
+        t = np.einsum("ijk,ijk->i", bra.reshape(shape)[:, :, 0, :], states.reshape(shape)[:, :, 1, :])
         out[:, k, 0] = 2.0 * t.real
         out[:, k, 1] = 2.0 * t.imag
-        out[:, k, 2] = np.einsum("ijk,ijk->i", a, a.conj()).real - np.einsum(
-            "ijk,ijk->i", b, b.conj()
-        ).real
+        p = prob.reshape(shape)
+        out[:, k, 2] = np.einsum("ijk->i", p[:, :, 0, :]) - np.einsum("ijk->i", p[:, :, 1, :])
     return out
 
 
 # Name -> primitive table; perfbench/tracer.py reads it to find the primitives it wraps.
 IMPLEMENTATIONS = {
-    "numpy": {
-        f.__name__: f
-        for f in (
-            apply_1q_uniform,
-            apply_1q_rows,
-            apply_phase,
-            apply_perm,
-            pair_absq,
-            bloch_batch,
-        )
-    }
+    "numpy": {f.__name__: f for f in (apply_1q_uniform, apply_phase, apply_perm, pair_absq, bloch_batch)}
 }
 
 

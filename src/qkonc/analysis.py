@@ -27,7 +27,7 @@ from .core import (
     trace_norm,
     _as_dm_array,
 )
-from .embeddings import EmbeddingSpec, embed_batch
+from .embeddings import EmbeddingSpec, _block_rows, embed_batch
 from .kernels import KernelKind, product_kernel, projected_kernel
 
 
@@ -96,25 +96,30 @@ def _chunk_kappas(
         xs, ys = _sample_inputs(spec, count, rng, low, high)
         return [product_kernel(xs, ys, kind) for kind in kinds]
     if spec.family == "haar":
-        a = haar_random_states(spec.num_qubits, count, rng)
-        b = haar_random_states(spec.num_qubits, count, rng)
+        n = spec.num_qubits
+        blocks = [(haar_random_states(n, count, rng), haar_random_states(n, count, rng))]
     else:
+        # the chunk's inputs are drawn at once; its states are embedded and
+        # reduced in row blocks, which bounds memory at any pair count
         xs, ys = _sample_inputs(spec, count, rng, low, high)
-        a = embed_batch(spec, xs, theta=theta)
-        b = embed_batch(spec, ys, theta=theta)
+        step = _block_rows(spec.num_qubits)
+        blocks = (
+            (embed_batch(spec, xs[i : i + step], theta), embed_batch(spec, ys[i : i + step], theta))
+            for i in range(0, count, step)
+        )
 
-    out = []
-    bloch = {}
-    for kind in kinds:
-        if kind.variant == "fidelity":
-            out.append(_accel.pair_absq(a, b))
-        else:
-            if "a" not in bloch:
-                bloch["a"] = _accel.bloch_batch(a, spec.num_qubits)
-                bloch["b"] = _accel.bloch_batch(b, spec.num_qubits)
-            d = 0.5 * np.sum((bloch["a"] - bloch["b"]) ** 2, axis=(1, 2))
-            out.append(np.exp(-kind.gamma * d))
-    return out
+    out = [[] for _ in kinds]
+    for a, b in blocks:
+        diff = None
+        for acc, kind in zip(out, kinds):
+            if kind.variant == "fidelity":
+                acc.append(_accel.pair_absq(a, b))
+                continue
+            if diff is None:
+                diff = _accel.bloch_batch(a, spec.num_qubits) - _accel.bloch_batch(b, spec.num_qubits)
+            d = 0.5 * np.sum(diff**2, axis=(1, 2))
+            acc.append(np.exp(-kind.gamma * d))
+    return [np.concatenate(acc) for acc in out]
 
 
 def concentration_scan(

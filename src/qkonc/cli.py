@@ -560,6 +560,8 @@ _QUBIT_PAIRS = {"qubits": list(range(6, 15)), "pairs": 1000, **_INPUT_RANGE}
 def _run_indistinguishability(cfg, master_seed, outdir, threads):
     if cfg["mode"] == "decision":
         shot_grid, eps_grid, trials = cfg["shots"], cfg["eps"], cfg["trials"]
+        if not 0.0 < cfg["p0"] < 1.0 or not all(0.0 <= cfg["p0"] + e <= 1.0 for e in eps_grid):
+            raise _reject("indistinguishability", "p0", f"= {cfg['p0']!r} is not in (0, 1) with p0 + eps in [0, 1]")
         points = [(i, j) for i in range(len(shot_grid)) for j in range(len(eps_grid))]
 
         def work(pt):

@@ -20,6 +20,7 @@ n-qubit pure state, always starting from |0...0>:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,57 +101,62 @@ def layer_decomposition(spec: EmbeddingSpec, x, theta=None) -> list[list[Gate]]:
         layer += [Gate.h(k) for k in range(n)]
         layer += [Gate.rz(x[k], k) for k in range(n)]
         return [layer]
-    if spec.family == "hardware_efficient":
+    if spec.family in ("hardware_efficient", "parameterized"):
         ent = _entangler_gates(spec)
-        return [
-            [Gate.rx(x[k], k) for k in range(n)] + ent for _ in range(spec.layers)
-        ]
-    if spec.family == "parameterized":
-        ent = _entangler_gates(spec)
-        layers = [[Gate.ry(theta[k], k) for k in range(n)]]
-        layers += [
-            [Gate.rx(x[k], k) for k in range(n)] + ent for _ in range(spec.layers)
-        ]
-        return layers
+        data = [[Gate.rx(x[k], k) for k in range(n)] + ent for _ in range(spec.layers)]
+        return data if theta is None else [[Gate.ry(theta[k], k) for k in range(n)]] + data
     raise ValueError(f"no gate decomposition for the {spec.family!r} family")
 
 
 # ---------------------------------------------------------------------------
 # batched state preparation
 # ---------------------------------------------------------------------------
+# A layer puts one gate on every qubit, so on the (2**(n-h), 2**h) view S of
+# a row (the low h = n // 2 qubits on the last axis) it is A_hi @ S @ A_lo^T,
+# where A_lo and A_hi are the row's Kronecker factors of the two halves. The
+# first layer acts on |0...0>, so it is the Kronecker product of each qubit's
+# first gate column. Rows run in blocks of ``_block_rows(n)``.
 
 
-def _rows_rx(col: np.ndarray) -> np.ndarray:
-    m = col.shape[0]
-    g = np.empty((m, 2, 2), dtype=np.complex128)
-    c = np.cos(0.5 * col)
-    s = np.sin(0.5 * col)
-    g[:, 0, 0] = c
-    g[:, 0, 1] = -1j * s
-    g[:, 1, 0] = -1j * s
-    g[:, 1, 1] = c
-    return g
+def _block_rows(num_qubits: int) -> int:
+    """Rows per block: about 2**16 amplitudes, and at least one row."""
+    return max(1, (1 << 16) >> num_qubits)
 
 
-def _rows_ry(col: np.ndarray) -> np.ndarray:
-    m = col.shape[0]
-    g = np.empty((m, 2, 2), dtype=np.complex128)
-    c = np.cos(0.5 * col)
-    s = np.sin(0.5 * col)
-    g[:, 0, 0] = c
-    g[:, 0, 1] = -s
-    g[:, 1, 0] = s
-    g[:, 1, 1] = c
-    return g
+def _first_columns(spec: EmbeddingSpec, xs: np.ndarray, theta) -> np.ndarray:
+    """(m, n, 2, 1) state of every qubit after the gates before the first entangler."""
+    c, s = np.cos(0.5 * xs), np.sin(0.5 * xs)
+    if spec.family == "tensor_ry":  # Ry(x)|0>
+        pair = (c, s)
+    elif spec.family == "hardware_efficient":  # Rx(x)|0>
+        pair = (c, -1j * s)
+    elif spec.family == "parameterized":  # Rx(x) Ry(theta)|0>
+        ct, st = np.cos(0.5 * theta), np.sin(0.5 * theta)
+        pair = (c * ct - 1j * (s * st), c * st - 1j * (s * ct))
+    else:  # single_layer_rot: Rz(x) H Ry(x) Rx(x)|0>, written out elementwise
+        cc, ss, cs, r = c * c, s * s, c * s, math.sqrt(0.5)
+        pair = ((c - 1j * s) * ((cc + cs) + 1j * (ss - cs)) * r, (c + 1j * s) * ((cc - cs) + 1j * (ss + cs)) * r)
+    out = np.empty(xs.shape + (2, 1), dtype=np.complex128)
+    out[..., 0, 0], out[..., 1, 0] = pair
+    return out
 
 
-def _rows_rz(col: np.ndarray) -> np.ndarray:
-    m = col.shape[0]
-    g = np.zeros((m, 2, 2), dtype=np.complex128)
-    p = np.exp(-0.5j * col)
-    g[:, 0, 0] = p
-    g[:, 1, 1] = np.conj(p)
-    return g
+def _kron_rows(factors: np.ndarray) -> np.ndarray:
+    """Row-wise Kronecker product of the matrices ``factors[:, k]`` over k,
+    with k = 0 the least significant."""
+    out = np.ones((len(factors), 1, 1), dtype=np.complex128)
+    for k in range(factors.shape[1]):
+        f = factors[:, k]
+        out = (f[:, :, None, :, None] * out[:, None, :, None]).reshape(len(f), 2 * out.shape[1], -1)
+    return out
+
+
+def _matmul_rows_last(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """``out[..., r] = a[..., r] @ b[..., r]`` with the rows on the last axis,
+    as one broadcast multiply-add per contraction index."""
+    np.multiply(a[:, 0, None], b[None, 0], out=out)
+    for k in range(1, a.shape[1]):
+        out += a[:, k, None] * b[None, k]
 
 
 def _apply_entangler_batch(spec: EmbeddingSpec, states: np.ndarray) -> None:
@@ -169,7 +175,10 @@ def _haar_rng_for(spec: EmbeddingSpec, x: np.ndarray) -> np.random.Generator:
 
 
 def embed_batch(spec: EmbeddingSpec, xs, theta=None) -> np.ndarray:
-    """Embed ``m`` feature vectors at once; returns a (m, 2**n) state batch."""
+    """Embed ``m`` feature vectors at once; returns a (m, 2**n) state batch.
+
+    Each row's amplitudes depend on that row alone, bit for bit.
+    """
     if spec.num_qubits > MAX_STATEVECTOR_QUBITS:
         raise ValueError(
             f"statevector embedding is limited to {MAX_STATEVECTOR_QUBITS} qubits; "
@@ -191,38 +200,41 @@ def embed_batch(spec: EmbeddingSpec, xs, theta=None) -> np.ndarray:
             out[r] = z / np.linalg.norm(z)
         return out
 
-    states = np.zeros((m, 1 << n), dtype=np.complex128)
-    states[:, 0] = 1.0
-
-    if spec.family == "tensor_ry":
-        for k in range(n):
-            _accel.apply_1q_rows(states, _rows_ry(xs[:, k]), k)
-        return states
-
-    if spec.family == "single_layer_rot":
-        for k in range(n):
-            _accel.apply_1q_rows(states, _rows_rx(xs[:, k]), k)
-        for k in range(n):
-            _accel.apply_1q_rows(states, _rows_ry(xs[:, k]), k)
-        h = Gate.h(0).matrix_1q()
-        for k in range(n):
-            _accel.apply_1q_uniform(states, h[0, 0], h[0, 1], h[1, 0], h[1, 1], k)
-        for k in range(n):
-            _accel.apply_1q_rows(states, _rows_rz(xs[:, k]), k)
-        return states
-
-    if spec.family == "parameterized":
-        for k in range(n):
-            g = Gate.ry(theta[k], k).matrix_1q()
-            _accel.apply_1q_uniform(states, g[0, 0], g[0, 1], g[1, 0], g[1, 1], k)
-
-    # hardware-efficient layers (also the data block of "parameterized")
-    rx_rows = [_rows_rx(xs[:, k]) for k in range(n)]
-    for _ in range(spec.layers):
-        for k in range(n):
-            _accel.apply_1q_rows(states, rx_rows[k], k)
-        _apply_entangler_batch(spec, states)
-    return states
+    h = n // 2
+    entangled = spec.family in ("hardware_efficient", "parameterized")
+    later = spec.layers - 1 if entangled else 0
+    cols = _first_columns(spec, xs, theta)
+    out = np.empty((m, 1 << n), dtype=np.complex128)
+    step = _block_rows(n)
+    # Up to 4 qubits the factors are at most 4x4, and one BLAS call per row
+    # costs more than the product, so those layers run with the rows last.
+    rows_last = n <= 4
+    tmp = np.empty(min(step, m) << n, dtype=np.complex128) if later else None
+    for lo in range(0, m, step):
+        block = out[lo : lo + step]
+        b, rows = len(block), slice(lo, lo + len(block))
+        state = block.reshape(b, 1 << (n - h), 1 << h)
+        np.multiply(_kron_rows(cols[rows, h:]), _kron_rows(cols[rows, :h]).swapaxes(1, 2), out=state)
+        if entangled:
+            _apply_entangler_batch(spec, block)
+        if not later:
+            continue
+        # x is re-uploaded, so every later layer has the same factors
+        c, s = np.cos(0.5 * xs[rows]), -1j * np.sin(0.5 * xs[rows])
+        gates = np.stack([c, s, s, c], axis=-1).reshape(b, n, 2, 2)
+        a_lo_t, a_hi = _kron_rows(gates[:, :h].swapaxes(2, 3)), _kron_rows(gates[:, h:])
+        if rows_last:
+            state, a_lo_t, a_hi = (np.ascontiguousarray(np.moveaxis(a, 0, -1)) for a in (state, a_lo_t, a_hi))
+        flat = state.reshape(1 << n, b).T if rows_last else block
+        matmul = _matmul_rows_last if rows_last else np.matmul
+        t = tmp[: b << n].reshape(state.shape)
+        for _ in range(later):
+            matmul(state, a_lo_t, out=t)
+            matmul(a_hi, t, out=state)
+            _apply_entangler_batch(spec, flat)
+        if rows_last:
+            block[...] = flat
+    return out
 
 
 def embed(spec: EmbeddingSpec, x, theta=None) -> StateVector:

@@ -139,8 +139,9 @@ class GramMatrix:
             meta["seed"] = self.estimator.seed
         with open(path, "w", newline="\n") as fh:
             fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
+            line = ",".join(["%.17g"] * self.matrix.shape[1]) + "\n"
             for row in self.matrix:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+                fh.write(line % tuple(row.tolist()))
 
     @staticmethod
     def from_csv(path) -> "GramMatrix":

@@ -2,6 +2,7 @@
 entanglement bounds, measurement statistics, and alignment bounds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,6 +130,20 @@ class TestConcentrationScan:
             for n in (2, 4, 6)
         ]
         assert reps[0].variance > reps[1].variance > reps[2].variance
+
+    def test_memory_is_bounded_at_twelve_qubits(self):
+        # a whole chunk of 1000 pairs would be 2 x 1000 x 2**12 amplitudes
+        # (131 MB); embedded and reduced in row blocks it stays far below
+        spec = EmbeddingSpec(12, "hardware_efficient", layers=2)
+        kinds = [KernelKind.fidelity(), KernelKind.projected(1.0)]
+        tracemalloc.start()
+        try:
+            reports = concentration_scan(spec, kinds, 1000, np.random.default_rng(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert all(0.0 < r.mean < 1.0 for r in reports)
 
     def test_needs_two_pairs(self):
         with pytest.raises(ValueError, match="at least 2"):

@@ -428,6 +428,20 @@ class TestIndistinguishability:
         ]
         assert np.all(rows[:, 3] <= rows[:, 4] + 0.02)
 
+    @pytest.mark.parametrize("p0, eps", [(1.0, [0.0]), (0.0, [0.0]), (0.95, [0.0, 0.1]), (0.5, [-0.6])])
+    def test_bad_decision_p0_is_rejected_before_any_work(self, tmp_path, p0, eps):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"mode": "decision", "p0": p0, "eps": eps, "trials": 10}))
+        outdir = tmp_path / "out"
+        result = CliRunner().invoke(
+            main, ["indistinguishability", "--config", str(cfg_path), "--out", str(outdir)]
+        )
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
+        assert result.output.startswith("Error: indistinguishability:")
+        assert "'p0'" in result.output
+        assert not list(outdir.glob("*.csv"))
+
     def test_unknown_mode(self, tmp_path):
         import click
 

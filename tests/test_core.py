@@ -360,6 +360,17 @@ class TestBlochVectors:
             c = bloch_vector(reduce_to_qubit(state, k))
             np.testing.assert_allclose(coords[k], [c.x, c.y, c.z], atol=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
+    def test_accel_batch_matches_reductions_row_by_row(self, n):
+        rng = np.random.default_rng(n)
+        states = np.stack([random_state(rng, n).amplitudes for _ in range(5)])
+        coords = _accel.bloch_batch(states, n)
+        for r in range(len(states)):
+            assert np.array_equal(coords[r], _accel.bloch_batch(states[r : r + 1], n)[0])
+            for k in range(n):
+                c = bloch_vector(reduce_to_qubit(StateVector(n, states[r]), k))
+                np.testing.assert_allclose(coords[r, k], [c.x, c.y, c.z], atol=1e-12)
+
     def test_requires_single_qubit(self):
         with pytest.raises(ValueError, match="single-qubit"):
             bloch_vector(maximally_mixed(2))

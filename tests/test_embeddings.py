@@ -1,6 +1,7 @@
 """Embedding circuit families checked against gate-by-gate and closed-form oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from qkonc.core import Gate, StateVector, apply_gate, computational_basis_state,
 from qkonc.embeddings import (
     MAX_STATEVECTOR_QUBITS,
     EmbeddingSpec,
+    _block_rows,
     embed,
     embed_batch,
     layer_decomposition,
@@ -270,3 +272,52 @@ class TestBatchEmbedding:
         batch = embed_batch(spec, xs)
         np.testing.assert_allclose(np.linalg.norm(batch, axis=1), 1.0, atol=1e-12)
         StateVector(4, batch[0])  # constructor re-validates
+
+
+GATE_FAMILIES = ["tensor_ry", "single_layer_rot", "hardware_efficient", "parameterized"]
+
+
+class TestKroneckerEngine:
+    """The Kronecker-block engine against the gate-by-gate oracle."""
+
+    @pytest.mark.parametrize("family", GATE_FAMILIES)
+    @pytest.mark.parametrize("entangler", ["cz", "cnot"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 10])
+    def test_matches_gate_oracle(self, family, entangler, n):
+        rng = np.random.default_rng(100 * n + len(family))
+        xs = rng.uniform(-np.pi, np.pi, (2, n))
+        theta = rng.uniform(-np.pi, np.pi, n) if family == "parameterized" else None
+        for layers in (1, 2, 3, 6):
+            spec = EmbeddingSpec(n, family, layers=layers, entangler=entangler)
+            batch = embed_batch(spec, xs, theta=theta)
+            for row, x in zip(batch, xs):
+                want = apply_layers(n, layer_decomposition(spec, x, theta=theta))
+                np.testing.assert_allclose(row, want.amplitudes, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("family", GATE_FAMILIES)
+    @pytest.mark.parametrize("entangler", ["cz", "cnot"])
+    @pytest.mark.parametrize("n", [3, 10])
+    def test_rows_do_not_depend_on_the_batch(self, family, entangler, n):
+        # n = 3 runs its later layers with the rows last, n = 10 through BLAS;
+        # both batches cross a block boundary
+        step = _block_rows(n)
+        rng = np.random.default_rng(n)
+        xs = rng.uniform(-np.pi, np.pi, (step + 3, n))
+        theta = rng.uniform(-np.pi, np.pi, n) if family == "parameterized" else None
+        spec = EmbeddingSpec(n, family, layers=3, entangler=entangler)
+        batch = embed_batch(spec, xs, theta=theta)
+        for r in (0, 1, step - 1, step, step + 2):
+            single = embed_batch(spec, xs[r : r + 1], theta=theta)[0]
+            assert np.array_equal(batch[r], single), r
+        assert np.array_equal(batch, embed_batch(spec, xs, theta=theta))
+
+    @pytest.mark.parametrize("family, layers", [("hardware_efficient", 3), ("single_layer_rot", 1)])
+    def test_memory_stays_near_the_output_size(self, family, layers):
+        xs = np.random.default_rng(5).uniform(-np.pi, np.pi, (400, 12))
+        tracemalloc.start()
+        try:
+            out = embed_batch(EmbeddingSpec(12, family, layers=layers), xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * out.nbytes

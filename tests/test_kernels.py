@@ -393,3 +393,20 @@ class TestGramCsvRoundtrip:
         g.to_csv(p1)
         g.to_csv(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_bytes_match_the_per_value_format(self, tmp_path):
+        mat = np.array(
+            [
+                [1e-300, 0.0, -0.0, np.inf, np.nan],
+                [-np.inf, 5e-324, 1.0 / 3.0, 0.1, 1.0],
+                [2.0**-1074, 1e300, -1e-17, 123456789.123456789, -0.5],
+                [0.25, 1 - 1e-16, np.pi, -np.e, 1e16],
+                [7.0, 1e-5, 3e-310, -2.5e-8, 0.999999999999],
+            ]
+        )
+        g = GramMatrix(mat, KernelKind.projected(0.5))
+        path = tmp_path / "gram.csv"
+        g.to_csv(path)
+        header = "# " + '{"gamma": 0.5, "variant": "projected"}' + "\n"
+        want = header + "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in mat)
+        assert path.read_bytes() == want.encode()
