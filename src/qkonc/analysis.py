@@ -83,6 +83,10 @@ def _sample_inputs(
     return xs, ys
 
 
+# the order of the haar draws, which the variance-scan manifest names
+HAAR_STATE_RULE = "v2: per row block of max(1, 2**16 >> n) pairs, the first states, then the second states"
+
+
 def _chunk_kappas(
     spec: EmbeddingSpec,
     kinds: list[KernelKind],
@@ -95,14 +99,14 @@ def _chunk_kappas(
     if spec.family == "tensor_ry":
         xs, ys = _sample_inputs(spec, count, rng, low, high)
         return [product_kernel(xs, ys, kind) for kind in kinds]
+    # states are made and reduced in row blocks, which bounds memory at any
+    # pair count; haar draws each block's first states, then its second states
+    n, step = spec.num_qubits, _block_rows(spec.num_qubits)
     if spec.family == "haar":
-        n = spec.num_qubits
-        blocks = [(haar_random_states(n, count, rng), haar_random_states(n, count, rng))]
-    else:
-        # the chunk's inputs are drawn at once; its states are embedded and
-        # reduced in row blocks, which bounds memory at any pair count
+        sizes = (min(step, count - i) for i in range(0, count, step))
+        blocks = ((haar_random_states(n, k, rng), haar_random_states(n, k, rng)) for k in sizes)
+    else:  # the chunk's inputs are drawn at once
         xs, ys = _sample_inputs(spec, count, rng, low, high)
-        step = _block_rows(spec.num_qubits)
         blocks = (
             (embed_batch(spec, xs[i : i + step], theta), embed_batch(spec, ys[i : i + step], theta))
             for i in range(0, count, step)

@@ -37,6 +37,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    HAAR_STATE_RULE,
     beta_haar,
     beta_haar_projected,
     binomial_pvalue,
@@ -44,7 +45,7 @@ from .analysis import (
     concentration_scan,
     distinguish_success_bound,
     expressivity_epsilon,
-    kta_alignment_constant,
+    kta_variance_bound,
     product_ry_moments,
     shots_budget,
     simulate_distinguish,
@@ -262,13 +263,50 @@ def _estimator(name: str, est: dict, kind: KernelKind, master_seed: int) -> Esti
     return EstimatorSpec(est["strategy"], est["shots"], seed)
 
 
-def _dataset(name: str, d: dict, dim: int, master_seed: int) -> Dataset:
-    """The points of a resolved ``dataset`` sub-table, ``dim`` features wide."""
+# float64 m x m arrays a kernel run holds at its peak: the kernel values, the
+# assembled matrix and their working copies (measured: 3.5-5.5 under
+# tracemalloc for gram, train and generalization)
+_MATRIX_COPIES = 6
+
+
+def _available_memory() -> int:
+    """Bytes the system can still hand out: MemAvailable of /proc/meminfo,
+    else the free physical pages."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _check_fits(name: str, key: str, family: str, n: int, rows: int, cols: int, concurrent: int = 1) -> None:
+    """Reject ``key`` when ``concurrent`` rows x cols kernel matrices of
+    ``n``-qubit ``family`` points, with their working copies and statevectors
+    (two complex copies per point; tensor_ry has none), do not fit in the
+    memory available now. Runs before the first allocation."""
+    states = 0 if family == "tensor_ry" else 32 * (rows + cols) * 2**n
+    need = concurrent * (8 * _MATRIX_COPIES * rows * cols + states)
+    free = _available_memory()
+    if need > free:
+        why = f"asks for {rows} x {cols} kernel matrices that need about {need / 2**30:.3g} GiB"
+        raise _reject(name, key, f"{why}, more than the {free / 2**30:.3g} GiB available")
+
+
+def _dataset(name: str, d: dict, dim: int, master_seed: int, fits) -> Dataset:
+    """The points of a resolved ``dataset`` sub-table, ``dim`` features wide.
+    ``fits(count, dim)`` checks the point count before the points are drawn
+    (after a CSV is read)."""
     if d["source"] == "csv":
         try:
-            return load_csv(d["path"])
+            ds = load_csv(d["path"])
         except (OSError, ValueError) as exc:
             raise _reject(name, "dataset", f"path {d['path']!r} does not load: {exc}") from None
+        fits(ds.count, ds.dim)
+        return ds
+    fits(d["count"], dim)
     rng = point_rng(master_seed, 0)
     if d["source"] == "hypercube":
         return gen_hypercube(d["count"], dim, rng)
@@ -306,7 +344,7 @@ def _run_variance_scan(cfg, master_seed, outdir, threads):
     header.append("seed")
     path = outdir / "variance_scan.csv"
     write_csv(path, header, rows)
-    return [path], {}
+    return [path], {"haar_state_rule": HAAR_STATE_RULE} if cfg["family"] == "haar" else {}
 
 
 @_experiment("expressivity", {
@@ -427,7 +465,10 @@ def _run_gram(cfg, master_seed, outdir, threads):
     spec = _embedding(cfg, n, cfg["layers"])
     kind = KernelKind(cfg["kernel"], cfg["gamma"])
     est = _estimator("gram", cfg["estimator"], kind, master_seed)
-    ds = _dataset("gram", cfg["dataset"], cfg["dataset"]["qubits"] or n, master_seed)
+    ds = _dataset(
+        "gram", cfg["dataset"], cfg["dataset"]["qubits"] or n, master_seed,
+        lambda m, dim: _check_fits("gram", "dataset.count", spec.family, n, m, m),
+    )
     if ds.dim != n:
         raise _reject("gram", "dataset", f"points have {ds.dim} features, but 'qubits' = {n}")
     gm = gram(spec, ds.inputs, kind, estimator=est)
@@ -447,7 +488,10 @@ def _run_gram(cfg, master_seed, outdir, threads):
 })
 def _run_train(cfg, master_seed, outdir, threads):
     del threads
-    ds = _dataset("train", cfg["dataset"], cfg["dataset"]["qubits"], master_seed)
+    ds = _dataset(
+        "train", cfg["dataset"], cfg["dataset"]["qubits"], master_seed,
+        lambda m, dim: _check_fits("train", "dataset.count", cfg["family"], dim, m, m),
+    )
     if ds.labels is None:
         raise _reject("train", "dataset", "has no labels to train on")
     n, theta = ds.dim, cfg["theta"]
@@ -476,7 +520,13 @@ def _run_train(cfg, master_seed, outdir, threads):
     else:
         model, fit = train_svm(spec, ds.inputs, ds.labels, kind, estimator=est, theta=theta)
         extras.update(
-            iterations=fit.iterations, objective=fit.objective, converged=fit.converged
+            svm_solver=fit.solver,
+            iterations=fit.iterations,
+            objective=fit.objective,
+            converged=fit.converged,
+            kkt_residual=fit.kkt_residual,
+            min_eigenvalue=fit.min_eigenvalue,
+            eigenvalues_clipped=fit.eigenvalues_clipped,
         )
 
     model_path = outdir / "model.json"
@@ -499,6 +549,9 @@ def _run_train(cfg, master_seed, outdir, threads):
 })
 def _run_generalization(cfg, master_seed, outdir, threads):
     sizes, repeats = tuple(cfg["train_sizes"]), cfg["repeats"]
+    n, pool, concurrent = cfg["qubits"], max(sizes), min(threads, repeats)
+    _check_fits("generalization", "train_sizes", "tensor_ry", n, pool, pool, concurrent)
+    _check_fits("generalization", "num_test", "tensor_ry", n, pool + cfg["num_test"], pool, concurrent)
     kwargs = dict(
         num_qubits=cfg["qubits"],
         train_sizes=sizes,
@@ -633,15 +686,14 @@ def _run_kta_scan(cfg, master_seed, outdir, threads):
         ds = gen_hypercube(npts, n, rng)
         spec = EmbeddingSpec(n, cfg["family"], cfg["layers"], cfg["entangler"])
         scan = kta_variance_over_theta(spec, ds.inputs, ds.labels, num_thetas, rng, kind)
-        ksum = float(np.sum(scan.kernel_variances))
         return [
             n,
             npts,
             num_thetas,
             scan.ta_variance,
-            ksum,
-            kta_alignment_constant(npts, "statement") * ksum,
-            kta_alignment_constant(npts, "proof") * ksum,
+            float(np.sum(scan.kernel_variances)),
+            kta_variance_bound(scan.kernel_variances, npts, "statement"),
+            kta_variance_bound(scan.kernel_variances, npts, "proof"),
             master_seed,
         ]
 
@@ -652,7 +704,9 @@ def _run_kta_scan(cfg, master_seed, outdir, threads):
         ["n", "points", "num_thetas", "ta_variance", "kernel_variance_sum", "bound_statement", "bound_proof", "seed"],
         rows,
     )
-    return [path], {}
+    # a violated bound is reported, never clipped
+    violations = sum(row[3] > row[6] for row in rows)
+    return [path], {"checks": {"kta_bound_violations": violations}}
 
 
 # variances None: the tensor-Ry kernel variance at each qubit count

@@ -145,6 +145,29 @@ class TestConcentrationScan:
         assert peak < 32 * 2**20
         assert all(0.0 < r.mean < 1.0 for r in reports)
 
+    def test_haar_memory_is_bounded_at_twelve_qubits(self):
+        # a whole chunk of 2000 pairs would be 2 x 2000 x 2**12 amplitudes
+        # (262 MB); drawn and reduced in row blocks it stays far below
+        spec = EmbeddingSpec(12, "haar")
+        kinds = [KernelKind.fidelity(), KernelKind.projected(1.0)]
+        tracemalloc.start()
+        try:
+            reports = concentration_scan(spec, kinds, 2000, np.random.default_rng(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert all(0.0 < r.mean < 1.0 for r in reports)
+
+    @pytest.mark.parametrize("n", [3, 6, 10])
+    def test_haar_fidelity_mean_is_one_over_dimension(self, n):
+        # Haar pairs: E[kappa] = 1/d, Var[kappa] = (d - 1) / (d^2 (d + 1));
+        # 20000 pairs span several row blocks for n >= 3
+        d, pairs = 2**n, 20000
+        rep = variance_scan(EmbeddingSpec(n, "haar"), KernelKind.fidelity(), pairs, np.random.default_rng(n))
+        sigma = math.sqrt((d - 1) / (d * d * (d + 1)) / pairs)
+        assert abs(rep.mean - 1.0 / d) < 5.0 * sigma
+
     def test_needs_two_pairs(self):
         with pytest.raises(ValueError, match="at least 2"):
             variance_scan(

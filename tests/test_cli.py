@@ -154,6 +154,15 @@ class TestVarianceScan:
             assert row[4] == pytest.approx(var, rel=0.1)
             assert int(row[7]) == 11
 
+    def test_haar_manifest_names_its_state_rule(self, tmp_path):
+        from qkonc.analysis import HAAR_STATE_RULE
+
+        cfg = {"family": "haar", "qubits": [2], "layers": [1], "pairs": 100}
+        manifest = run_experiment("variance-scan", cfg, seed=3, out=tmp_path / "haar")
+        assert manifest["haar_state_rule"] == HAAR_STATE_RULE
+        cfg["family"] = "hardware_efficient"
+        assert "haar_state_rule" not in run_experiment("variance-scan", cfg, seed=3, out=tmp_path / "he")
+
 
 class TestExpressivity:
     def test_schema(self, tmp_path):
@@ -322,6 +331,22 @@ class TestTrain:
         assert manifest["iterations"] >= 1
         assert manifest["objective"] > 0.0
 
+    def test_svm_on_indefinite_shot_estimated_gram(self, tmp_path):
+        cfg = {
+            "family": "hardware_efficient",
+            "layers": 4,
+            "algorithm": "svm",
+            "estimator": {"strategy": "loschmidt", "shots": 100},
+            "dataset": {"source": "hypercube", "count": 60, "qubits": 4},
+        }
+        manifest = run_experiment("train", cfg, seed=8, out=tmp_path)
+        assert manifest["svm_solver"] == "projected_newton_clipped_v1"
+        assert manifest["min_eigenvalue"] < 0.0
+        assert manifest["eigenvalues_clipped"] > 0
+        assert manifest["converged"] is True
+        assert manifest["kkt_residual"] <= 1e-9
+        assert np.isfinite(manifest["train_error_max"])
+
     def test_csv_dataset_source(self, tmp_path):
         from qkonc.datasets import gen_hypercube, save_csv
 
@@ -468,6 +493,65 @@ class TestKtaScan:
         assert np.all(rows[:, 3] <= rows[:, 5])  # variance below stated bound
         assert np.all(rows[:, 6] <= rows[:, 5])  # proof constant is smaller
 
+    def test_manifest_counts_bound_violations(self, tmp_path):
+        cfg = {"qubits": [2, 3], "points": 4, "num_thetas": 40}
+        manifest = run_experiment("kta-scan", cfg, seed=5, out=tmp_path / "a")
+        assert manifest["checks"] == {"kta_bound_violations": 0}
+
+    def test_planted_violation_is_counted_not_clipped(self, tmp_path, monkeypatch):
+        import qkonc.cli
+
+        monkeypatch.setattr(qkonc.cli, "kta_variance_bound", lambda *args: 0.0)
+        cfg = {"qubits": [2, 3], "points": 4, "num_thetas": 40}
+        manifest = run_experiment("kta-scan", cfg, seed=5, out=tmp_path)
+        assert manifest["checks"] == {"kta_bound_violations": 2}
+        rows = np.loadtxt(tmp_path / "kta_scan.csv", delimiter=",", skiprows=1)
+        assert np.all(rows[:, 3] > 0.0) and np.all(rows[:, 6] == 0.0)
+
+
+class TestMemoryCheck:
+    """A point count whose kernel matrices cannot fit is rejected before any work."""
+
+    @pytest.mark.parametrize(
+        "experiment, cfg, key",
+        [
+            ("gram", {"dataset": {"count": 10**8}}, "dataset.count"),
+            ("train", {"dataset": {"count": 10**8}}, "dataset.count"),
+            ("generalization", {"qubits": 4, "train_sizes": [5, 10**8]}, "train_sizes"),
+            ("generalization", {"qubits": 4, "train_sizes": [5], "num_test": 10**13}, "num_test"),
+        ],
+    )
+    def test_count_that_cannot_fit_is_rejected(self, tmp_path, experiment, cfg, key):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        outdir = tmp_path / "out"
+        result = CliRunner().invoke(main, [experiment, "--config", str(cfg_path), "--out", str(outdir)])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
+        assert result.output.startswith(f"Error: {experiment}: '{key}'")
+        assert "GiB available" in result.output
+        assert not outdir.exists() or not list(outdir.iterdir())
+
+    def test_csv_points_are_checked_after_reading(self, tmp_path, monkeypatch):
+        import qkonc.cli
+        from qkonc.datasets import gen_hypercube, save_csv
+
+        data_path = tmp_path / "points.csv"
+        save_csv(gen_hypercube(6, 2, np.random.default_rng(1)), data_path)
+        monkeypatch.setattr(qkonc.cli, "_available_memory", lambda: 1000)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"dataset": {"source": "csv", "path": str(data_path)}}))
+        outdir = tmp_path / "out"
+        result = CliRunner().invoke(main, ["train", "--config", str(cfg_path), "--out", str(outdir)])
+        assert result.exit_code == 1, result.output
+        assert "'dataset.count' asks for 6 x 6 kernel matrices" in result.output
+        assert not list(outdir.iterdir())
+
+    def test_available_memory_is_read(self):
+        from qkonc.cli import _available_memory
+
+        assert _available_memory() > 2**20
+
 
 class TestShotsBudgetAndBounds:
     def test_shots_budget_schema_and_growth(self, tmp_path):
@@ -566,6 +650,14 @@ class TestCommandLine:
         runner = CliRunner()
         result = runner.invoke(main, ["gram", "--config", "/nonexistent.json"])
         assert result.exit_code != 0
+
+    def test_import_leaves_scipy_optimize_and_linalg_unloaded(self):
+        code = "import sys, qkonc.cli; print(sorted(m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules))"
+        src = str(Path(qkonc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]"
 
     def test_import_leaves_scipy_stats_unloaded(self):
         code = "import sys, qkonc.cli; print('scipy.stats' in sys.modules)"

@@ -9,6 +9,7 @@ from qkonc.embeddings import EmbeddingSpec
 from qkonc.estimators import EstimatorSpec
 from qkonc.kernels import KernelKind, gram
 from qkonc.learning import (
+    SVM_SOLVER,
     TrainedModel,
     generalization_experiment,
     kernel_target_alignment,
@@ -105,6 +106,74 @@ class TestSvm:
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             svm_fit(np.eye(3), np.ones(2))
+
+
+def unit_gram(rng, m, rank):
+    """PSD Gram with unit diagonal and rank at most ``rank``."""
+    x = rng.normal(size=(m, rank))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    return x @ x.T
+
+
+def assert_kkt(K, y, a, C, atol=1e-9):
+    """KKT conditions of max sum(a) - a^T Q a / 2 over 0 <= a <= C."""
+    g = 1.0 - (np.outer(y, y) * K) @ a
+    assert np.all((a >= 0.0) & (a <= C))
+    at_low, at_high = a <= atol, a >= C - atol
+    assert np.all(g[at_low] <= atol)
+    assert np.all(g[at_high] >= -atol)
+    assert np.all(np.abs(g[~at_low & ~at_high]) <= atol)
+
+
+class TestSvmSoftMargin:
+    @pytest.mark.parametrize("m", [5, 50, 200])
+    @pytest.mark.parametrize("C", [0.1, 1.0, 10.0])
+    def test_kkt_conditions_on_psd_grams(self, m, C):
+        rng = np.random.default_rng(m)
+        y = np.where(rng.uniform(size=m) < 0.5, 1.0, -1.0)
+        for rank in sorted({m, max(1, m // 4)}):  # full rank and singular
+            K = unit_gram(rng, m, rank)
+            fit = svm_fit(K, y, C=C)
+            assert fit.converged
+            assert fit.kkt_residual <= 1e-9
+            assert_kkt(K, y, fit.coefficients, C)
+
+    def test_two_point_closed_form(self):
+        # K = [[1, r], [r, 1]], y = (1, -1): a = 1 / (1 - r) while it is <= C
+        K = np.array([[1.0, 0.5], [0.5, 1.0]])
+        y = np.array([1.0, -1.0])
+        np.testing.assert_allclose(svm_fit(K, y, C=10.0).coefficients, 2.0, atol=1e-12)
+        np.testing.assert_allclose(svm_fit(K, y, C=1.0).coefficients, 1.0, atol=1e-12)
+
+    def test_indefinite_gram_is_repaired(self):
+        rng = np.random.default_rng(5)
+        m = 40
+        A = rng.uniform(-1.0, 1.0, (m, m))
+        K = 0.5 * (A + A.T)
+        np.fill_diagonal(K, 1.0)
+        y = np.where(rng.uniform(size=m) < 0.5, 1.0, -1.0)
+        fit = svm_fit(K, y, C=1.0)
+        evals, evecs = np.linalg.eigh(K)
+        assert fit.min_eigenvalue == pytest.approx(evals[0], abs=1e-12)
+        assert fit.min_eigenvalue < 0.0
+        assert fit.eigenvalues_clipped == np.count_nonzero(evals < 0.0) > 0
+        assert fit.converged and fit.kkt_residual <= 1e-9
+        a = fit.coefficients
+        assert np.all(np.isfinite(a)) and np.all((a >= 0.0) & (a <= 1.0))
+        # the optimum of the problem on the clipped Gram
+        K_plus = (evecs * np.maximum(evals, 0.0)) @ evecs.T
+        assert_kkt(K_plus, y, a, 1.0)
+        assert fit.objective == pytest.approx(svm_fit(K_plus, y).objective, abs=1e-9)
+
+    def test_psd_gram_reports_no_clipping(self):
+        fit = svm_fit(2.0 * np.eye(3), np.array([1.0, -1.0, 1.0]))
+        assert fit.min_eigenvalue == 2.0
+        assert fit.eigenvalues_clipped == 0
+        assert fit.solver == SVM_SOLVER
+
+    def test_nonpositive_c_is_rejected(self):
+        with pytest.raises(ValueError, match="C must be positive"):
+            svm_fit(np.eye(2), np.array([1.0, -1.0]), C=0.0)
 
 
 class TestAlignment:
