@@ -7,7 +7,7 @@ noise bounds.  Batched statevector updates run as vectorized numpy
 primitives in ``qkonc._accel``.
 """
 
-__version__ = "0.3.1"
+__version__ = "0.3.2"
 
 from .core import (
     BlochVector,
@@ -67,7 +67,11 @@ from .noise import (
     noise_bounds,
     noisy_embed,
     noisy_fidelity_kernel,
+    noisy_pauli_batch,
     noisy_projected_kernel,
+    pauli_fidelity_kernel,
+    pauli_mixed_distance,
+    pauli_projected_kernel,
 )
 from .analysis import (
     ConcentrationReport,

@@ -4,6 +4,9 @@ State batches are C-contiguous ``(m, 2**n)`` complex128 arrays using the
 little-endian qubit convention: qubit ``k`` is bit ``k`` of the amplitude
 index (stride ``2**k``). All ``apply_*`` functions mutate their batch in
 place; the remaining functions return fresh arrays.
+
+Pauli vectors (``qkonc.noise``) index the 4**n Pauli strings the same way:
+string ``p = sum_k a_k 4**k`` puts ``PAULIS[a_k]`` (I, X, Y, Z) on qubit ``k``.
 """
 
 from __future__ import annotations
@@ -11,6 +14,10 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+
+PAULIS = np.array(
+    [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=np.complex128
+)
 
 
 def apply_1q_uniform(states, g00, g01, g10, g11, target):
@@ -108,3 +115,30 @@ def cnot_ladder_perm(num_qubits: int) -> np.ndarray:
         total = total[_cnot_sources(num_qubits, k, k + 1)]
     total.flags.writeable = False
     return total
+
+
+@lru_cache(maxsize=None)
+def pauli_ladder_map(num_qubits: int, entangler: str) -> tuple[np.ndarray, np.ndarray]:
+    """The CZ or CNOT ladder on Pauli vectors: ``new[:, p] = sign[p] * old[:, src[p]]``.
+
+    Returns ``(src, sign)``. Conjugating a state by the ladder E sends
+    ``c_p = Tr(P_p rho)`` to ``Tr(E^dag P_p E rho)``, and ``E^dag P_p E`` is
+    ``sign[p] P_src[p]``. Gates act on (k, k+1), k = 0 first, as in
+    ``cz_ladder_mask`` and ``cnot_ladder_perm``.
+    """
+    u = np.diag(cz_pair_mask(2, 0, 1)) if entangler == "cz" else np.eye(4)[cnot_pair_perm(2, 0, 1)]
+    # the same map for one gate U over the 16 two-qubit strings, from
+    # expanding each U^dag P_p U in the strings
+    strings = np.einsum("bij,akl->baikjl", PAULIS, PAULIS).reshape(16, 4, 4)
+    coef = np.einsum("qij,pji->pq", strings, u.conj().T @ strings @ u).real / 4.0
+    pair_src = np.argmax(np.abs(coef), axis=1)
+    pair_sign = np.rint(coef[np.arange(16), pair_src])
+    idx = np.arange(1 << (2 * num_qubits), dtype=np.int64)
+    src, sign = idx, np.ones(len(idx))
+    for k in range(num_qubits - 1):
+        pair = (idx >> (2 * k)) & 15
+        step = idx + ((pair_src[pair] - pair) << (2 * k))
+        src, sign = src[step], sign[step] * pair_sign[pair]
+    src.flags.writeable = False
+    sign.flags.writeable = False
+    return src, sign

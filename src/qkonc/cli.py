@@ -55,10 +55,8 @@ from .embeddings import EmbeddingSpec
 from .estimators import EstimatorSpec
 from .kernels import (
     KernelKind,
-    fidelity_kernel,
     gram,
     product_kernel,
-    projected_kernel,
 )
 from .learning import (
     generalization_experiment,
@@ -67,8 +65,15 @@ from .learning import (
     train_svm,
     predict,
 )
-from .noise import NOISE_MAX_QUBITS, PauliNoiseParams, noise_bounds, noisy_embed
-from .core import maximally_mixed, schatten2_distance
+from .noise import (
+    NOISE_MAX_QUBITS,
+    PauliNoiseParams,
+    noise_bounds,
+    noisy_pauli_batch,
+    pauli_fidelity_kernel,
+    pauli_mixed_distance,
+    pauli_projected_kernel,
+)
 
 
 def point_rng(master_seed: int, *indices: int) -> np.random.Generator:
@@ -404,29 +409,20 @@ def _run_noise_scan(cfg, master_seed, outdir, threads):
         params, layers = noise[i], layer_list[j]
         spec = _embedding(cfg, n, layers)
         rng = point_rng(master_seed, i, j)
-        mixed = maximally_mixed(n)
         bnd = noise_bounds(params, n, layers, gamma)
-        fdev = pdev = sdist = 0.0
-        for _ in range(pairs):
-            x = rng.uniform(low, high, n)
-            y = rng.uniform(low, high, n)
-            ra = noisy_embed(spec, x, params)
-            rb = noisy_embed(spec, y, params)
-            kf = fidelity_kernel(ra, rb)
-            kp = projected_kernel(ra, rb, gamma)
-            fdev += abs(kf - bnd.fidelity_mean)
-            pdev += abs(1.0 - kp)
-            sdist += schatten2_distance(ra, mixed)
+        # rows x_0, y_0, x_1, y_1, ...: the draws of one pair after another
+        states = noisy_pauli_batch(spec, [rng.uniform(low, high, n) for _ in range(2 * pairs)], params)
+        a, b = states[0::2], states[1::2]
         return [
             n,
             q_values[i],
             layers,
             pairs,
-            fdev / pairs,
+            np.abs(pauli_fidelity_kernel(a, b) - bnd.fidelity_mean).sum() / pairs,
             bnd.fidelity_deviation,
-            pdev / pairs,
+            np.abs(1.0 - pauli_projected_kernel(a, b, gamma)).sum() / pairs,
             bnd.projected_deviation,
-            sdist / pairs,
+            pauli_mixed_distance(a).sum() / pairs,
             bnd.state_distance,
             master_seed,
         ]
@@ -450,7 +446,7 @@ def _run_noise_scan(cfg, master_seed, outdir, threads):
         ],
         rows,
     )
-    return [path], {"noisy_state_engine": "v2: layer unitary + in-place Pauli channel"}
+    return [path], {"noisy_state_engine": "v3: Pauli-transfer vectors"}
 
 
 @_experiment("gram", {

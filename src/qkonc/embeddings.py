@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _accel
-from .core import Gate, StateVector
+from .core import _HADAMARD, Gate, StateVector
 
 FAMILIES = ("tensor_ry", "single_layer_rot", "hardware_efficient", "parameterized", "haar")
 ENTANGLERS = ("cz", "cnot")
@@ -141,13 +141,44 @@ def _first_columns(spec: EmbeddingSpec, xs: np.ndarray, theta) -> np.ndarray:
     return out
 
 
+def _layer_gates(spec: EmbeddingSpec, xs: np.ndarray, theta) -> list[np.ndarray]:
+    """(m, n, 2, 2) one-qubit gates of every row, one array per distinct layer.
+
+    In application order: the Ry(theta) column first for ``parameterized``,
+    then the data layer, Rx(x) (run ``spec.layers`` times by the entangled
+    families), Ry(x) for ``tensor_ry`` or Rz(x) H Ry(x) Rx(x) for
+    ``single_layer_rot``.
+    """
+    theta = _check_theta(spec, theta)
+    if spec.family == "haar":
+        raise ValueError("no gate decomposition for the 'haar' family")
+    c, s = np.cos(0.5 * xs), np.sin(0.5 * xs)
+    rx = _gates(c, -1j * s, -1j * s, c)
+    if spec.family == "hardware_efficient":
+        return [rx]
+    if spec.family == "parameterized":
+        ct, st = np.cos(0.5 * theta), np.sin(0.5 * theta)
+        return [np.broadcast_to(_gates(ct, -st, st, ct), rx.shape), rx]
+    ry = _gates(c, -s, s, c)
+    if spec.family == "tensor_ry":
+        return [ry]
+    phase = np.exp(-0.5j * xs)
+    return [_gates(phase, 0.0, 0.0, phase.conj()) @ (_HADAMARD @ (ry @ rx))]
+
+
+def _gates(g00, g01, g10, g11) -> np.ndarray:
+    """(..., 2, 2) complex gates from their broadcast entries."""
+    entries = np.broadcast_arrays(g00, g01, g10, g11)
+    return np.stack(entries, axis=-1).astype(np.complex128, copy=False).reshape(entries[0].shape + (2, 2))
+
+
 def _kron_rows(factors: np.ndarray) -> np.ndarray:
     """Row-wise Kronecker product of the matrices ``factors[:, k]`` over k,
     with k = 0 the least significant."""
-    out = np.ones((len(factors), 1, 1), dtype=np.complex128)
+    out = np.ones((len(factors), 1, 1), dtype=factors.dtype)
     for k in range(factors.shape[1]):
         f = factors[:, k]
-        out = (f[:, :, None, :, None] * out[:, None, :, None]).reshape(len(f), 2 * out.shape[1], -1)
+        out = (f[:, :, None, :, None] * out[:, None, :, None]).reshape(len(f), f.shape[1] * out.shape[1], -1)
     return out
 
 
@@ -220,8 +251,7 @@ def embed_batch(spec: EmbeddingSpec, xs, theta=None) -> np.ndarray:
         if not later:
             continue
         # x is re-uploaded, so every later layer has the same factors
-        c, s = np.cos(0.5 * xs[rows]), -1j * np.sin(0.5 * xs[rows])
-        gates = np.stack([c, s, s, c], axis=-1).reshape(b, n, 2, 2)
+        gates = _layer_gates(spec, xs[rows], theta)[-1]
         a_lo_t, a_hi = _kron_rows(gates[:, :h].swapaxes(2, 3)), _kron_rows(gates[:, h:])
         if rows_last:
             state, a_lo_t, a_hi = (np.ascontiguousarray(np.moveaxis(a, 0, -1)) for a in (state, a_lo_t, a_hi))

@@ -7,26 +7,26 @@ channels N with the embedding layers:
 
 so an L-layer embedding suffers L+1 channel applications per state. The
 single-qubit channel is diagonal in the Pauli basis, N(sigma) = q_sigma sigma
-for sigma in {X, Y, Z}, with characteristic strength q = max |q_sigma|.
+for sigma in {X, Y, Z}, with characteristic strength q = max |q_sigma|, so
+states are simulated as real Pauli vectors (``noisy_pauli_batch``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
+from . import _accel
 from .core import (
     DensityMatrix,
-    apply_gate_batch,
+    _as_dm_array,
     computational_basis_state,
-    maximally_mixed,
     sandwiched_renyi2_vs_maxmixed,
-    schatten2_distance,
 )
-from .embeddings import EmbeddingSpec, layer_decomposition
-from .kernels import fidelity_kernel, projected_kernel
+from .embeddings import EmbeddingSpec, _check_x, _kron_rows, _layer_gates
 
 NOISE_MAX_QUBITS = 6
 _B_EXPONENT = 1.0 / (2.0 * math.log(2.0))
@@ -44,7 +44,8 @@ class PauliNoiseParams:
         for name, v in (("qx", self.qx), ("qy", self.qy), ("qz", self.qz)):
             if not -1.0 < v <= 1.0:
                 raise ValueError(f"{name} = {v!r} is outside (-1, 1]")
-        lo = float(np.linalg.eigvalsh(self.choi_matrix())[0])
+        # the Choi matrix's eigenvalues are twice the Kraus weights
+        lo = 2.0 * float(self.kraus_probabilities().min())
         if lo < -1e-12:
             raise ValueError(
                 f"(qx, qy, qz) = {(self.qx, self.qy, self.qz)} is not a channel "
@@ -79,38 +80,154 @@ class PauliNoiseParams:
         return choi
 
 
-def _pauli_channel_inplace(mat: np.ndarray, params: PauliNoiseParams, qubits) -> None:
-    # On bit k, rho is a 2x2 block matrix [[A, B], [C, D]] and the channel maps
-    #   A, D <- A - t, D + t            with t = (1 - q_z)/2 (A - D)
-    #   B, C <- q_x B - t, q_x C + t    with t = (q_x - q_y)/2 (B - C)
-    # ``mat`` must be C-contiguous so that the reshape is a view.
-    n = mat.shape[0].bit_length() - 1
-    for k in qubits:
-        if not 0 <= k < n:
-            raise ValueError(f"qubit {k} out of range")
-        lo, hi = 1 << k, 1 << (n - k - 1)
-        v = mat.reshape(hi, 2, lo, hi, 2, lo)
-        a, b = v[:, 0, :, :, 0, :], v[:, 0, :, :, 1, :]
-        c, d = v[:, 1, :, :, 0, :], v[:, 1, :, :, 1, :]
-        t = a - d
-        t *= 0.5 * (1.0 - params.qz)
-        a -= t
-        d += t
-        np.subtract(b, c, out=t)
-        t *= 0.5 * (params.qx - params.qy)
-        b *= params.qx
-        b -= t
-        c *= params.qx
-        c += t
+# ---------------------------------------------------------------------------
+# Pauli-vector engine
+# ---------------------------------------------------------------------------
+# A state is the real vector c_p = Tr(P_p rho) over the 4**n Pauli strings
+# (``_accel.PAULIS``, p = sum_k a_k 4**k), so rho = sum_p c_p P_p / 2**n.
+# The channel multiplies c_p by prod_k q_{a_k} with q_I = 1. A layer of
+# one-qubit gates is the Kronecker product of their real transfer matrices
+# T_ab = Tr(sigma_a g sigma_b g^dag) / 2, applied as T_hi @ C @ T_lo^T on the
+# (4**(n-h), 4**h) view C of a row (h = n // 2), and an entangler ladder is a
+# signed permutation of the strings. Rows run in blocks of about
+# ``_BLOCK_COEFFICIENTS`` coefficients.
+
+_BLOCK_COEFFICIENTS = 1 << 13
+
+
+def _pauli_product(factors) -> np.ndarray:
+    """The vector prod_k factors[k][a_k] over the Pauli strings (one 4-vector per qubit)."""
+    out = np.ones(1)
+    for f in factors:
+        out = np.kron(f, out)
+    return out
+
+
+@lru_cache(maxsize=32)
+def _channel_diagonal(params: PauliNoiseParams, num_qubits: int) -> np.ndarray:
+    lam = _pauli_product([(1.0, params.qx, params.qy, params.qz)] * num_qubits)
+    lam.flags.writeable = False
+    return lam
+
+
+def _digitwise(vec: np.ndarray, table: np.ndarray, num_qubits: int) -> np.ndarray:
+    # the 4x4 table applied to each base-4 digit of the index, one contraction
+    # per qubit; each step maps the leading digit and moves it last
+    for _ in range(num_qubits):
+        vec = (vec.reshape(4, -1).T @ table).reshape(-1)
+    return vec
+
+
+def _to_pauli(mat: np.ndarray, num_qubits: int) -> np.ndarray:
+    """Pauli vector c_p = Tr(P_p rho) of a 2**n x 2**n hermitian matrix."""
+    n = num_qubits
+    pairs = mat.reshape((2,) * 2 * n).transpose([a for k in range(n) for a in (k, n + k)])
+    # digit (i, j) of qubit k -> a with weight sigma_a[j, i]
+    return _digitwise(pairs.reshape(-1), _accel.PAULIS.transpose(2, 1, 0).reshape(4, 4), n).real
+
+
+def _from_pauli(vec: np.ndarray, num_qubits: int) -> np.ndarray:
+    """The 2**n x 2**n matrix sum_p c_p P_p / 2**n of a Pauli vector."""
+    n = num_qubits
+    pairs = _digitwise(vec, _accel.PAULIS.reshape(4, 4), n).reshape((2,) * 2 * n)
+    return pairs.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)]).reshape(1 << n, 1 << n) / (1 << n)
+
+
+def _transfer(gates: np.ndarray) -> np.ndarray:
+    """(..., 4, 4) Pauli transfer matrices Tr(sigma_a g sigma_b g^dag) / 2 of (..., 2, 2) gates."""
+    p = _accel.PAULIS
+    return 0.5 * np.einsum("aij,...jk,bkl,...il->...ab", p, gates, p, gates.conj()).real
 
 
 def apply_local_pauli_channel(
     rho: DensityMatrix, params: PauliNoiseParams, qubits=None
 ) -> DensityMatrix:
     """Apply the single-qubit Pauli channel to each listed qubit (default: all)."""
-    mat = rho.matrix.copy()
-    _pauli_channel_inplace(mat, params, range(rho.num_qubits) if qubits is None else qubits)
-    return DensityMatrix(rho.num_qubits, mat)
+    n = rho.num_qubits
+    qubits = set(range(n) if qubits is None else qubits)
+    for k in qubits:
+        if not 0 <= k < n:
+            raise ValueError(f"qubit {k} out of range")
+    q = (1.0, params.qx, params.qy, params.qz)
+    lam = _pauli_product([q if k in qubits else (1.0,) * 4 for k in range(n)])
+    return DensityMatrix(n, _from_pauli(_to_pauli(rho.matrix, n) * lam, n))
+
+
+def noisy_pauli_batch(
+    spec: EmbeddingSpec,
+    xs,
+    params: PauliNoiseParams,
+    theta=None,
+    max_qubits: int = NOISE_MAX_QUBITS,
+) -> np.ndarray:
+    """Noisy states of the rows of ``xs`` as a (m, 4**n) batch of Pauli vectors.
+
+    Row r holds c_p = Tr(P_p rho(xs[r])) of the layerwise noise model's state.
+    """
+    n = spec.num_qubits
+    if n > max_qubits:
+        raise ValueError(
+            f"density-matrix noise simulation is limited to {max_qubits} qubits"
+        )
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim != 2 or xs.shape[1] != n:
+        raise ValueError(f"expected (m, {n}) features, got {xs.shape}")
+    transfers = [_transfer(g) for g in _layer_gates(spec, xs, theta)]
+    # x is re-uploaded: the entangled families run their data layer (the last
+    # one) ``spec.layers`` times, each followed by the ladder
+    repeated = spec.family in ("hardware_efficient", "parameterized")
+    ladder = repeated and n > 1
+    lam = _channel_diagonal(params, n)
+    if ladder:  # the ladder and then the channel, as one signed gather
+        src, sign = _accel.pauli_ladder_map(n, spec.entangler)
+        ladder_lam = sign * lam
+    h, size = n // 2, 1 << (2 * n)
+    out = np.empty((len(xs), size))
+    out[:] = _pauli_product([(1.0, 0.0, 0.0, params.qz)] * n)  # N(|0...0><0...0|)
+    step = max(1, _BLOCK_COEFFICIENTS // size)
+    tmp = np.empty(min(step, len(xs)) * size)
+    for lo in range(0, len(xs), step):
+        block = out[lo : lo + step]
+        b = len(block)
+        state = block.reshape(b, size >> (2 * h), 1 << (2 * h))
+        # one scratch buffer: the product's temporary, then the gather's target
+        t, gathered = tmp[: b * size].reshape(state.shape), tmp[: b * size].reshape(b, size)
+        for i, tr in enumerate(transfers):
+            tr = tr[lo : lo + b]
+            t_lo_t, t_hi = _kron_rows(tr[:, :h].swapaxes(2, 3)), _kron_rows(tr[:, h:])
+            last = i == len(transfers) - 1
+            for _ in range(spec.layers if last and repeated else 1):
+                np.matmul(state, t_lo_t, out=t)
+                np.matmul(t_hi, t, out=state)
+                if last and ladder:
+                    np.take(block, src, axis=1, out=gathered)
+                    np.multiply(gathered, ladder_lam, out=block)
+                else:
+                    block *= lam
+    return out
+
+
+def pauli_fidelity_kernel(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
+    """Tr[rho_a rho_b] = sum_p c_a,p c_b,p / 2**n over the last axis."""
+    return np.einsum("...p,...p->...", ca, cb) / math.isqrt(ca.shape[-1])
+
+
+def _bloch_rows(c: np.ndarray) -> np.ndarray:
+    # the weight-one coefficients: qubit k's Bloch vector is c at a * 4**k, a = 1, 2, 3
+    n = (c.shape[-1].bit_length() - 1) // 2
+    return c[..., [[a << (2 * k) for a in (1, 2, 3)] for k in range(n)]]
+
+
+def pauli_projected_kernel(ca: np.ndarray, cb: np.ndarray, gamma: float = 1.0) -> np.ndarray:
+    """exp(-gamma sum_k ||rho_k(a) - rho_k(b)||_2^2), each term half the squared Bloch difference."""
+    diff = _bloch_rows(ca) - _bloch_rows(cb)
+    return np.exp(-gamma * 0.5 * np.sum(diff * diff, axis=(-2, -1)))
+
+
+def pauli_mixed_distance(c: np.ndarray) -> np.ndarray:
+    """||rho - 1/2**n||_2 = sqrt(sum_{p >= 1} c_p**2 / 2**n) over the last axis."""
+    rest = c[..., 1:]
+    return np.sqrt(np.sum(rest * rest, axis=-1) / math.isqrt(c.shape[-1]))
 
 
 def noisy_embed(
@@ -121,30 +238,9 @@ def noisy_embed(
     max_qubits: int = NOISE_MAX_QUBITS,
 ) -> DensityMatrix:
     """Embed under the layerwise noise model; returns the mixed output state."""
-    if spec.num_qubits > max_qubits:
-        raise ValueError(
-            f"density-matrix noise simulation is limited to {max_qubits} qubits"
-        )
-    n = spec.num_qubits
-    dim = 1 << n
-    # x is re-uploaded, so every data layer is the same U(x): build the
-    # one-layer circuit (the theta layer first for "parameterized") once.
-    # Row j of a batch that starts as the identity ends as U|j>: it is U^T.
-    unitaries = []
-    for gates in layer_decomposition(replace(spec, layers=1), x, theta=theta):
-        batch = np.eye(dim, dtype=np.complex128)
-        for gate in gates:
-            apply_gate_batch(batch, gate, n)
-        unitaries.append(batch.T)
-    if spec.family in ("hardware_efficient", "parameterized"):
-        unitaries += unitaries[-1:] * (spec.layers - 1)
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    mat[0, 0] = 1.0
-    _pauli_channel_inplace(mat, params, range(n))
-    for u in unitaries:
-        mat = u @ mat @ u.conj().T
-        _pauli_channel_inplace(mat, params, range(n))
-    return DensityMatrix(n, mat)
+    x = _check_x(spec, x)
+    c = noisy_pauli_batch(spec, x[None], params, theta=theta, max_qubits=max_qubits)[0]
+    return DensityMatrix(spec.num_qubits, _from_pauli(c, spec.num_qubits))
 
 
 def noisy_fidelity_kernel(
@@ -156,9 +252,8 @@ def noisy_fidelity_kernel(
     max_qubits: int = NOISE_MAX_QUBITS,
 ) -> float:
     """Tr[rho_noisy(x) rho_noisy(y)]."""
-    ra = noisy_embed(spec, x, params, theta=theta, max_qubits=max_qubits)
-    rb = noisy_embed(spec, y, params, theta=theta, max_qubits=max_qubits)
-    return fidelity_kernel(ra, rb)
+    c = noisy_pauli_batch(spec, [x, y], params, theta=theta, max_qubits=max_qubits)
+    return float(pauli_fidelity_kernel(c[0], c[1]))
 
 
 def noisy_projected_kernel(
@@ -171,9 +266,8 @@ def noisy_projected_kernel(
     max_qubits: int = NOISE_MAX_QUBITS,
 ) -> float:
     """exp(-gamma sum_k ||rho_k(x) - rho_k(y)||_2^2) on the noisy states."""
-    ra = noisy_embed(spec, x, params, theta=theta, max_qubits=max_qubits)
-    rb = noisy_embed(spec, y, params, theta=theta, max_qubits=max_qubits)
-    return projected_kernel(ra, rb, gamma)
+    c = noisy_pauli_batch(spec, [x, y], params, theta=theta, max_qubits=max_qubits)
+    return float(pauli_projected_kernel(c[0], c[1], gamma))
 
 
 @dataclass(frozen=True)
@@ -211,8 +305,8 @@ def noise_bounds(
     dim = 1 << num_qubits
     if rho0 is None:
         rho0 = computational_basis_state(num_qubits)
-    mixed = maximally_mixed(num_qubits)
-    dist2 = schatten2_distance(rho0, mixed)
+    mat, _ = _as_dm_array(rho0)
+    dist2 = float(np.linalg.norm(mat - np.eye(dim) / dim))
     s2 = sandwiched_renyi2_vs_maxmixed(rho0)
     return NoiseBounds(
         fidelity_mean=1.0 / dim,

@@ -219,7 +219,7 @@ class TestNoiseScan:
 
     def test_manifest_names_noisy_state_engine(self, tmp_path):
         manifest = run_experiment("noise-scan", self.CFG, seed=5, out=tmp_path)
-        assert manifest["noisy_state_engine"] == "v2: layer unitary + in-place Pauli channel"
+        assert manifest["noisy_state_engine"] == "v3: Pauli-transfer vectors"
         assert "noisy_state_engine" not in run_experiment(
             "bounds", {"qubits": [2]}, seed=5, out=tmp_path / "bounds"
         )

@@ -11,6 +11,7 @@ from qkonc.embeddings import (
     MAX_STATEVECTOR_QUBITS,
     EmbeddingSpec,
     _block_rows,
+    _layer_gates,
     embed,
     embed_batch,
     layer_decomposition,
@@ -163,6 +164,33 @@ class TestLayerDecomposition:
     def test_haar_has_no_decomposition(self):
         with pytest.raises(ValueError, match="decomposition"):
             layer_decomposition(EmbeddingSpec(2, "haar"), np.zeros(2))
+
+
+class TestLayerGates:
+    """Each row's per-layer 2x2 gates equal the products of the declared gates."""
+
+    @pytest.mark.parametrize("family", ["tensor_ry", "single_layer_rot", "hardware_efficient", "parameterized"])
+    def test_matches_products_of_declared_gates(self, family):
+        rng = np.random.default_rng(3)
+        n, m = 3, 5
+        spec = EmbeddingSpec(n, family)
+        xs = rng.uniform(-np.pi, np.pi, (m, n))
+        theta = rng.uniform(-np.pi, np.pi, n) if family == "parameterized" else None
+        got = _layer_gates(spec, xs, theta)
+        for r in range(m):
+            layers = layer_decomposition(spec, xs[r], theta=theta)
+            assert len(got) == len(layers)
+            for gates, layer in zip(got, layers):
+                for k in range(n):
+                    want = np.eye(2, dtype=np.complex128)
+                    for gate in layer:
+                        if gate.targets == (k,):
+                            want = gate.matrix_1q() @ want
+                    np.testing.assert_allclose(gates[r, k], want, rtol=0.0, atol=1e-15)
+
+    def test_haar_has_no_gates(self):
+        with pytest.raises(ValueError, match="decomposition"):
+            _layer_gates(EmbeddingSpec(2, "haar"), np.zeros((1, 2)), None)
 
 
 class TestHardwareEfficient:

@@ -5,8 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from qkonc import _accel
+from qkonc.cli import point_rng, run_experiment
 from qkonc.core import (
     DensityMatrix,
+    Gate,
+    apply_gate_batch,
     apply_gate_dm,
     computational_basis_state,
     maximally_mixed,
@@ -18,6 +22,8 @@ from qkonc.kernels import fidelity_kernel, projected_kernel
 from qkonc.noise import (
     NOISE_MAX_QUBITS,
     PauliNoiseParams,
+    _from_pauli,
+    _to_pauli,
     apply_local_pauli_channel,
     noise_bounds,
     noisy_embed,
@@ -40,6 +46,40 @@ def kraus_oracle_channel(rho, probs, qubit, num_qubits):
             op = np.kron(pauli if k == qubit else I2, op)
         out += p * (op @ rho @ op.conj().T)
     return out
+
+
+def pauli_string(p, num_qubits):
+    """Dense P_p: sigma_{a_k} on qubit k for p = sum_k a_k 4**k."""
+    op = np.array([[1.0 + 0.0j]])
+    for k in range(num_qubits):
+        op = np.kron((I2, X, Y, Z)[(p >> (2 * k)) & 3], op)
+    return op
+
+
+def random_dm(rng, num_qubits, rank=3):
+    vecs = rng.normal(size=(rank, 1 << num_qubits)) + 1j * rng.normal(size=(rank, 1 << num_qubits))
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    weights = rng.dirichlet(np.ones(rank))
+    return np.einsum("r,ri,rj->ij", weights, vecs, vecs.conj())
+
+
+def kraus_oracle_embed(spec, x, params, theta=None):
+    """Every gate as G rho G^dag, then the explicit 4-term Kraus sum on every
+    qubit before the first layer and after each layer."""
+    n = spec.num_qubits
+    probs = params.kraus_probabilities()
+
+    def channel(mat):
+        for k in range(n):
+            mat = kraus_oracle_channel(mat, probs, k, n)
+        return DensityMatrix(n, mat)
+
+    rho = channel(pure_dm(computational_basis_state(n)).matrix)
+    for layer in layer_decomposition(spec, x, theta=theta):
+        for gate in layer:
+            rho = apply_gate_dm(rho, gate)
+        rho = channel(rho.matrix)
+    return rho
 
 
 def pure_dm(state):
@@ -138,6 +178,86 @@ class TestChannelApplication:
             )
 
 
+class TestPauliVectors:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_round_trip_and_coefficients(self, n):
+        rho = random_dm(np.random.default_rng(n), n)
+        c = _to_pauli(rho, n)
+        want = [np.trace(pauli_string(p, n) @ rho).real for p in range(4**n)]
+        np.testing.assert_allclose(c, want, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(_from_pauli(c, n), rho, rtol=0.0, atol=1e-15)
+
+    def test_zero_state_is_one_on_identity_and_z_strings(self):
+        n = 3
+        c = _to_pauli(pure_dm(computational_basis_state(n)).matrix, n)
+        iz = [p for p in range(4**n) if all((p >> (2 * k)) & 3 in (0, 3) for k in range(n))]
+        want = np.zeros(4**n)
+        want[iz] = 1.0
+        np.testing.assert_array_equal(c, want)
+
+    @pytest.mark.parametrize("entangler", ["cz", "cnot"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_ladder_map_matches_brute_force(self, entangler, n):
+        # rows of the identity batch end as E|j>, so the batch holds E^T
+        batch = np.eye(1 << n, dtype=np.complex128)
+        make = Gate.cz if entangler == "cz" else Gate.cnot
+        for k in range(n - 1):
+            apply_gate_batch(batch, make(k, k + 1), n)
+        e = batch.T
+        strings = np.array([pauli_string(p, n) for p in range(4**n)])
+        conj = e @ strings @ e.conj().T  # E P_q E^dag
+        transfer = np.einsum("pij,qji->pq", strings, conj).real / (1 << n)
+        src, sign = _accel.pauli_ladder_map(n, entangler)
+        want = np.zeros_like(transfer)
+        want[np.arange(4**n), src] = sign
+        np.testing.assert_allclose(transfer, want, rtol=0.0, atol=1e-12)
+
+
+class TestNoiseScanColumns:
+    CFG = {
+        "qubits": 3,
+        "family": "hardware_efficient",
+        "entangler": "cnot",
+        "q_values": [0.8, 0.95],
+        "layers": [1, 3],
+        "pairs": 3,
+        "gamma": 0.7,
+    }
+
+    def test_rows_match_per_pair_kernels_on_oracle_states(self, tmp_path):
+        run_experiment("noise-scan", self.CFG, seed=11, out=tmp_path)
+        rows = np.loadtxt(tmp_path / "noise_scan.csv", delimiter=",", skiprows=1)
+        n, gamma, pairs = 3, 0.7, 3
+        mixed = maximally_mixed(n)
+        want = []
+        for i, q in enumerate(self.CFG["q_values"]):
+            for j, layers in enumerate(self.CFG["layers"]):
+                params = PauliNoiseParams(q, q, q)
+                spec = EmbeddingSpec(n, "hardware_efficient", layers=layers, entangler="cnot")
+                rng = point_rng(11, i, j)
+                cols = np.zeros(3)
+                for _ in range(pairs):
+                    x = rng.uniform(-np.pi, np.pi, n)
+                    y = rng.uniform(-np.pi, np.pi, n)
+                    ra = kraus_oracle_embed(spec, x, params)
+                    rb = kraus_oracle_embed(spec, y, params)
+                    cols += [
+                        abs(fidelity_kernel(ra, rb) - 1.0 / 2**n),
+                        abs(1.0 - projected_kernel(ra, rb, gamma)),
+                        schatten2_distance(ra, mixed),
+                    ]
+                want.append(cols / pairs)
+        np.testing.assert_allclose(rows[:, [4, 6, 8]], want, rtol=0.0, atol=1e-12)
+
+    def test_no_state_is_validated(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        run_experiment("noise-scan", self.CFG, seed=11, out=tmp_path)
+        assert (tmp_path / "noise_scan.csv").exists()
+
+
 class TestNoisyEmbedding:
     def test_identity_noise_reproduces_pure_state(self):
         rng = np.random.default_rng(42)
@@ -176,6 +296,7 @@ class TestNoisyEmbedding:
             ("hardware_efficient", "cz", False),
             ("hardware_efficient", "cnot", False),
             ("parameterized", "cz", True),
+            ("parameterized", "cnot", True),
         ],
     )
     @pytest.mark.parametrize(
@@ -184,26 +305,14 @@ class TestNoisyEmbedding:
         ids=["depolarizing", "anisotropic"],
     )
     def test_matches_gate_by_gate_kraus_oracle(self, family, entangler, with_theta, params):
-        # reference: every gate as G rho G^dag, then the explicit 4-term Kraus
-        # sum on every qubit before the first layer and after each layer
+        # up to 6 qubits, the size noise-scan runs
         rng = np.random.default_rng(7)
-        probs = params.kraus_probabilities()
-        for n in (1, 2, 3, 4):
+        for n in (1, 2, 3, 4, 5, 6):
             for layers in (1, 3):
                 spec = EmbeddingSpec(n, family, layers=layers, entangler=entangler)
                 x = rng.uniform(-np.pi, np.pi, n)
                 theta = rng.uniform(0.0, 2.0 * np.pi, n) if with_theta else None
-
-                def channel(mat):
-                    for k in range(n):
-                        mat = kraus_oracle_channel(mat, probs, k, n)
-                    return DensityMatrix(n, mat)
-
-                rho = channel(pure_dm(computational_basis_state(n)).matrix)
-                for layer in layer_decomposition(spec, x, theta=theta):
-                    for gate in layer:
-                        rho = apply_gate_dm(rho, gate)
-                    rho = channel(rho.matrix)
+                rho = kraus_oracle_embed(spec, x, params, theta)
                 got = noisy_embed(spec, x, params, theta=theta)
                 np.testing.assert_allclose(got.matrix, rho.matrix, rtol=0.0, atol=1e-12)
 
