@@ -7,7 +7,7 @@ noise bounds.  Batched statevector updates run as vectorized numpy
 primitives in ``qkonc._accel``.
 """
 
-__version__ = "0.3.2"
+__version__ = "0.4.0"
 
 from .core import (
     BlochVector,
@@ -22,33 +22,15 @@ from .core import (
     computational_basis_state,
     fidelity,
     ghz_state,
-    haar_random_state,
     haar_random_states,
-    haar_random_unitary,
     hs_inner,
     maximally_mixed,
-    purity,
     reduce_to_qubit,
-    relative_entropy,
-    sandwiched_renyi2_vs_maxmixed,
     schatten2_distance,
-    trace_distance,
     trace_norm,
 )
 from .embeddings import FAMILIES, EmbeddingSpec, embed, embed_batch, layer_decomposition
-from .estimators import (
-    STRATEGIES,
-    EstimatorSpec,
-    ShotRecord,
-    estimate_fidelity,
-    estimate_loschmidt,
-    estimate_projected,
-    estimate_swap,
-    loschmidt_record,
-    sample_biased_rand_kappa,
-    sample_rand_kappa,
-    swap_record,
-)
+from .estimators import STRATEGIES, EstimatorSpec
 from .kernels import (
     GramMatrix,
     KernelKind,
@@ -63,12 +45,9 @@ from .kernels import (
 from .noise import (
     NoiseBounds,
     PauliNoiseParams,
-    apply_local_pauli_channel,
     noise_bounds,
     noisy_embed,
-    noisy_fidelity_kernel,
     noisy_pauli_batch,
-    noisy_projected_kernel,
     pauli_fidelity_kernel,
     pauli_mixed_distance,
     pauli_projected_kernel,
@@ -89,14 +68,11 @@ from .analysis import (
     expressivity_from_states,
     gamma_s_from_bloch,
     haar_twofold_moment,
-    helstrom_bound,
     kta_alignment_constant,
     kta_variance_bound,
     product_ry_moments,
-    record_pvalue,
     shots_budget,
     simulate_distinguish,
-    variance_scan,
 )
 from .learning import (
     GeneralizationResult,
@@ -112,6 +88,6 @@ from .learning import (
     train_krr,
     train_svm,
 )
-from .datasets import Dataset, engineered_labels, gen_hypercube, gen_uniform, load_csv, save_csv
+from .datasets import Dataset, gen_hypercube, gen_uniform, load_csv, save_csv
 
 __all__ = [name for name in dir() if not name.startswith("_")]

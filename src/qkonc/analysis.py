@@ -25,7 +25,6 @@ from .core import (
     bloch_vectors,
     haar_random_states,
     trace_norm,
-    _as_dm_array,
 )
 from .embeddings import EmbeddingSpec, _block_rows, embed_batch
 from .kernels import KernelKind, product_kernel, projected_kernel
@@ -154,19 +153,6 @@ def concentration_scan(
         )
         for kind, v in zip(kinds, values)
     ]
-
-
-def variance_scan(
-    spec: EmbeddingSpec,
-    kind: KernelKind,
-    pairs: int,
-    rng: np.random.Generator,
-    low: float = -math.pi,
-    high: float = math.pi,
-    theta=None,
-    chunk: int = 1 << 15,
-) -> ConcentrationReport:
-    return concentration_scan(spec, [kind], pairs, rng, low, high, theta, chunk)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +325,6 @@ def binomial_pvalue(successes: int, shots: int, null_p: float) -> float:
     return float(binomtest(successes, shots, null_p).pvalue)
 
 
-def record_pvalue(record, null_p: float) -> float:
-    """Exact binomial test of a ShotRecord against a null success probability."""
-    return binomial_pvalue(record.successes(), record.shots, null_p)
-
-
 def distinguish_success_bound(shots: int, eps: float) -> float:
     """Optimal success probability for telling (p0, 1-p0) from (p0+eps, 1-p0-eps)
     with ``shots`` samples: at most 1/2 + shots |eps| / 2."""
@@ -372,15 +353,6 @@ def simulate_distinguish(
         )
     guess = np.where(llr > 0, True, np.where(llr < 0, False, rng.random(trials) < 0.5))
     return float(np.mean(guess == h))
-
-
-def helstrom_bound(a, b, copies: int = 1) -> float:
-    """Optimal state-discrimination success: 1/2 + copies ||rho - sigma||_1 / 4."""
-    ra, na = _as_dm_array(a)
-    rb, nb = _as_dm_array(b)
-    if na != nb:
-        raise ValueError("states act on different qubit counts")
-    return min(1.0, 0.5 + copies * trace_norm(ra - rb) / 4.0)
 
 
 def shots_budget(

@@ -2,7 +2,7 @@
 
 Qubit convention is little-endian throughout: qubit ``k`` is bit ``k`` of the
 amplitude index, so ``|q_{n-1} ... q_1 q_0>`` has index ``sum_k q_k 2**k`` and
-qubit 0 flips fastest. Entropic quantities use base-2 logarithms (bits).
+qubit 0 flips fastest.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from . import _accel
 STATE_ATOL = 1e-10
 HERM_ATOL = 1e-8
 EIG_FLOOR = -1e-9
-MAX_UNITARY_QUBITS = 8
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0)
 
@@ -290,11 +289,6 @@ def hs_inner(a, b) -> float:
     return float(np.einsum("ij,ji->", ra, rb).real)
 
 
-def purity(rho) -> float:
-    mat, _ = _as_dm_array(rho)
-    return float(np.einsum("ij,ji->", mat, mat).real)
-
-
 def reduce_to_qubit(obj, qubit: int) -> DensityMatrix:
     """Partial trace down to one qubit."""
     return DensityMatrix(1, _reduced_matrix(obj, qubit))
@@ -344,75 +338,9 @@ def trace_norm(mat: np.ndarray) -> float:
     return float(np.sum(np.abs(np.linalg.eigvalsh(mat))))
 
 
-def trace_distance(a, b) -> float:
-    ra, na = _as_dm_array(a)
-    rb, nb = _as_dm_array(b)
-    if na != nb:
-        raise ValueError("states act on different qubit counts")
-    return trace_norm(ra - rb)
-
-
-def _clip_spectrum(vals: np.ndarray, what: str) -> np.ndarray:
-    if float(vals.min(initial=0.0)) < EIG_FLOOR:
-        raise ValueError(f"{what} has eigenvalue {vals.min()!r} below {EIG_FLOOR}")
-    return np.clip(vals, 0.0, None)
-
-
-def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Umegaki relative entropy S(rho || sigma) in bits.
-
-    Returns +inf when rho has support outside the support of sigma.
-    """
-    if rho.num_qubits != sigma.num_qubits:
-        raise ValueError("states act on different qubit counts")
-    rvals, rvecs = np.linalg.eigh(rho.matrix)
-    svals, svecs = np.linalg.eigh(sigma.matrix)
-    rvals = _clip_spectrum(rvals, "rho")
-    svals = _clip_spectrum(svals, "sigma")
-
-    ent = 0.0
-    for lam in rvals:
-        if lam > 0.0:
-            ent += float(lam) * math.log2(float(lam))
-
-    # overlap of rho with eigenvectors of sigma: w_j = <s_j| rho |s_j>
-    w = np.einsum("ij,jk,ki->i", svecs.conj().T, rho.matrix, svecs).real
-    cross = 0.0
-    for wj, sj in zip(w, svals):
-        if sj <= 0.0:
-            if wj > 1e-12:
-                return math.inf
-            continue
-        cross += float(wj) * math.log2(float(sj))
-    return ent - cross
-
-
-def sandwiched_renyi2_vs_maxmixed(rho) -> float:
-    """Sandwiched 2-Renyi relative entropy to the maximally mixed state, in bits.
-
-    Equals log2(2**n * Tr[rho^2]).
-    """
-    mat, n = _as_dm_array(rho)
-    pur = float(np.einsum("ij,ji->", mat, mat).real)
-    return math.log2((1 << n) * pur)
-
-
 # ---------------------------------------------------------------------------
 # Haar sampling
 # ---------------------------------------------------------------------------
-
-
-def haar_random_unitary(num_qubits: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Ginibre matrix."""
-    if num_qubits > MAX_UNITARY_QUBITS:
-        raise ValueError(
-            f"haar_random_unitary supports at most {MAX_UNITARY_QUBITS} qubits"
-        )
-    dim = 1 << num_qubits
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
 
 
 def haar_random_states(num_qubits: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -425,7 +353,3 @@ def haar_random_states(num_qubits: int, count: int, rng: np.random.Generator) ->
     z = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     return np.ascontiguousarray(z, dtype=np.complex128)
-
-
-def haar_random_state(num_qubits: int, rng: np.random.Generator) -> StateVector:
-    return StateVector(num_qubits, haar_random_states(num_qubits, 1, rng)[0])

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelKind, product_kernel
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,17 +63,6 @@ def gen_hypercube(count: int, dim: int, rng: np.random.Generator) -> Dataset:
     half_width = math.pi * 2.0 ** (-1.0 / dim)
     labels = np.where(np.all(np.abs(xs) < half_width, axis=1), 1.0, -1.0)
     return Dataset(xs, labels)
-
-
-def engineered_labels(inputs, anchors, weights) -> np.ndarray:
-    """Regression labels y(x) = sum_j w_j kappa(anchor_j, x) under the
-    tensor-Ry product fidelity kernel (closed form, any dimension)."""
-    inputs = np.asarray(inputs, dtype=np.float64)
-    anchors = np.asarray(anchors, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if anchors.shape[0] != weights.shape[0]:
-        raise ValueError("one weight per anchor required")
-    return product_kernel(inputs[:, None], anchors[None], KernelKind.fidelity()) @ weights
 
 
 def save_csv(dataset: Dataset, path) -> None:

@@ -29,8 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StateVector, bloch_vectors, fidelity
-
 STRATEGIES = ("exact", "loschmidt", "swap", "tomography", "local_swap")
 
 
@@ -49,23 +47,6 @@ class EstimatorSpec:
             raise ValueError("shots must be >= 1")
 
 
-@dataclass(frozen=True, eq=False)
-class ShotRecord:
-    """Raw outcomes of one estimator run; ``estimate`` is their mean."""
-
-    strategy: str
-    outcomes: np.ndarray
-    estimate: float
-
-    @property
-    def shots(self) -> int:
-        return int(self.outcomes.shape[0])
-
-    def successes(self) -> int:
-        """Number of favorable outcomes (+1 for +-1-valued, 1 for binary)."""
-        return int(np.sum(self.outcomes == 1))
-
-
 def _check_prob(p, what: str) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     bad = ~((p >= -1e-12) & (p <= 1.0 + 1e-12))
@@ -74,24 +55,11 @@ def _check_prob(p, what: str) -> np.ndarray:
     return np.clip(p, 0.0, 1.0)
 
 
-def loschmidt_record(kappa: float, shots: int, rng: np.random.Generator) -> ShotRecord:
-    """Bernoulli(kappa) outcomes in {1, 0} for a known kernel value."""
-    p = _check_prob(kappa, "kappa")
-    outcomes = (rng.random(shots) < p).astype(np.int8)
-    return ShotRecord("loschmidt", outcomes, float(outcomes.mean()))
-
-
-def swap_record(kappa: float, shots: int, rng: np.random.Generator) -> ShotRecord:
-    """Swap-test outcomes in {-1, +1} with p(+1) = (1 + kappa)/2."""
-    p = _check_prob(0.5 * (1.0 + kappa), "(1+kappa)/2")
-    outcomes = np.where(rng.random(shots) < p, 1, -1).astype(np.int8)
-    return ShotRecord("swap", outcomes, float(outcomes.mean()))
-
-
 def sample_fidelity(kappa, strategy: str, shots: int, rng: np.random.Generator) -> np.ndarray:
     """One independent ``shots``-shot estimate per entry of an array of fidelity
-    kernel values: the laws of ``loschmidt_record`` and ``swap_record``, drawn as
-    binomial counts without materializing the outcomes."""
+    kernel values, drawn as binomial counts: ``loschmidt`` counts all-zeros
+    outcomes of probability kappa, ``swap`` counts +1 outcomes of probability
+    (1 + kappa)/2."""
     kappa = np.asarray(kappa, dtype=np.float64)
     if strategy == "loschmidt":
         return rng.binomial(shots, _check_prob(kappa, "kappa")) / shots
@@ -101,81 +69,21 @@ def sample_fidelity(kappa, strategy: str, shots: int, rng: np.random.Generator) 
     raise ValueError(f"strategy {strategy!r} cannot estimate a fidelity kernel")
 
 
-def pauli_expectation_record(
-    mean_value: float, shots: int, rng: np.random.Generator
-) -> ShotRecord:
-    """+-1 outcomes of a two-outcome observable with the given expectation."""
-    p = _check_prob(0.5 * (1.0 + mean_value), "(1+m)/2")
-    outcomes = np.where(rng.random(shots) < p, 1, -1).astype(np.int8)
-    return ShotRecord("pauli", outcomes, float(outcomes.mean()))
-
-
-def estimate_loschmidt(
-    a: StateVector, b: StateVector, shots: int, rng: np.random.Generator
-) -> ShotRecord:
-    return loschmidt_record(fidelity(a, b), shots, rng)
-
-
-def estimate_swap(
-    a: StateVector, b: StateVector, shots: int, rng: np.random.Generator
-) -> ShotRecord:
-    return swap_record(fidelity(a, b), shots, rng)
-
-
-def sample_rand_kappa(shots: int, rng: np.random.Generator) -> ShotRecord:
-    """Fair random guessing baseline: +-1 with p(+1) = 1/2 (mean 0)."""
-    outcomes = np.where(rng.random(shots) < 0.5, 1, -1).astype(np.int8)
-    return ShotRecord("rand", outcomes, float(outcomes.mean()))
-
-
-def sample_biased_rand_kappa(shots: int, rng: np.random.Generator) -> ShotRecord:
-    """Biased guessing baseline: +-1 with p(+1) = 3/4 (mean 1/2, var 3/(4 shots))."""
-    outcomes = np.where(rng.random(shots) < 0.75, 1, -1).astype(np.int8)
-    return ShotRecord("biased_rand", outcomes, float(outcomes.mean()))
-
-
 # ---------------------------------------------------------------------------
 # projected-kernel estimators (work on per-qubit Bloch vectors)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class BlochTomography:
-    """Per-qubit Bloch component estimates; counts[..., k, s] = #(+1) outcomes."""
-
-    components: np.ndarray  # (..., n, 3) estimated <X>, <Y>, <Z> per qubit
-    counts: np.ndarray  # (..., n, 3) ints
-    shots: int
-
-
-@dataclass(frozen=True, eq=False)
-class LocalSwapEstimate:
-    """Per-qubit swap-test terms [purity(a), purity(b), overlap], plus counts."""
-
-    terms: np.ndarray  # (..., n, 3)
-    counts: np.ndarray  # (..., n, 3) ints
-    shots: int
-
-
-def _tomography_from_bloch(
-    c: np.ndarray, shots: int, rng: np.random.Generator
-) -> BlochTomography:
+def _tomography_from_bloch(c: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """Estimated Bloch components, ``shots`` single-component measurements each."""
     p = 0.5 * (1.0 + np.clip(c, -1.0, 1.0))
-    counts = rng.binomial(shots, p)
-    est = 2.0 * counts / shots - 1.0
-    return BlochTomography(est, counts, shots)
-
-
-def estimate_bloch_tomography(
-    state: StateVector, shots: int, rng: np.random.Generator
-) -> BlochTomography:
-    """Tomograph all single-qubit Bloch components, ``shots`` per component."""
-    return _tomography_from_bloch(bloch_vectors(state), shots, rng)
+    return 2.0 * rng.binomial(shots, p) / shots - 1.0
 
 
 def _local_swap_from_bloch(
     ca: np.ndarray, cb: np.ndarray, shots: int, rng: np.random.Generator
-) -> LocalSwapEstimate:
+) -> np.ndarray:
+    """Estimated per-qubit swap-test terms [purity(a), purity(b), overlap], shape (..., n, 3)."""
     # Reduced single-qubit states: Tr[rho^2] = (1+|c|^2)/2, Tr[rho rho'] = (1+c.c')/2.
     vals = np.stack(
         [
@@ -186,17 +94,7 @@ def _local_swap_from_bloch(
         axis=-1,
     )
     p = 0.5 * (1.0 + np.clip(vals, -1.0, 1.0))
-    counts = rng.binomial(shots, p)
-    est = 2.0 * counts / shots - 1.0
-    return LocalSwapEstimate(est, counts, shots)
-
-
-def estimate_local_swap(
-    a: StateVector, b: StateVector, shots: int, rng: np.random.Generator
-) -> LocalSwapEstimate:
-    if a.num_qubits != b.num_qubits:
-        raise ValueError("states act on different qubit counts")
-    return _local_swap_from_bloch(bloch_vectors(a), bloch_vectors(b), shots, rng)
+    return 2.0 * rng.binomial(shots, p) / shots - 1.0
 
 
 def projected_estimate_from_bloch(
@@ -220,51 +118,14 @@ def projected_estimate_from_bloch(
     if strategy == "exact":
         d = 0.5 * np.sum((ca - cb) ** 2, axis=(-2, -1))
     elif strategy == "tomography":
-        ea = _tomography_from_bloch(ca, shots, rng).components
-        eb = _tomography_from_bloch(cb, shots, rng).components
+        ea = _tomography_from_bloch(ca, shots, rng)
+        eb = _tomography_from_bloch(cb, shots, rng)
         d = 0.5 * np.sum((ea - eb) ** 2, axis=(-2, -1))
     elif strategy == "local_swap":
-        t = _local_swap_from_bloch(ca, cb, shots, rng).terms
+        t = _local_swap_from_bloch(ca, cb, shots, rng)
         d = np.sum(t[..., 0] + t[..., 1] - 2.0 * t[..., 2], axis=-1)
     else:
         raise ValueError(f"strategy {strategy!r} cannot estimate a projected kernel")
     if d.ndim == 0:
         return math.exp(-gamma * float(d))
     return np.exp(-gamma * d)
-
-
-def estimate_projected(
-    a: StateVector,
-    b: StateVector,
-    est: EstimatorSpec,
-    rng: np.random.Generator | None = None,
-    gamma: float = 1.0,
-) -> float:
-    """Estimate the projected kernel between two pure states."""
-    if a.num_qubits != b.num_qubits:
-        raise ValueError("states act on different qubit counts")
-    if est.strategy in ("loschmidt", "swap"):
-        raise ValueError(f"strategy {est.strategy!r} estimates fidelity, not projected, kernels")
-    if est.strategy != "exact" and rng is None:
-        raise ValueError("a random generator is required for finite-shot estimation")
-    return projected_estimate_from_bloch(
-        bloch_vectors(a), bloch_vectors(b), est.strategy, est.shots, rng, gamma
-    )
-
-
-def estimate_fidelity(
-    a: StateVector,
-    b: StateVector,
-    est: EstimatorSpec,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Estimate the fidelity kernel between two pure states."""
-    if est.strategy == "exact":
-        return fidelity(a, b)
-    if est.strategy in ("tomography", "local_swap"):
-        raise ValueError(f"strategy {est.strategy!r} estimates projected, not fidelity, kernels")
-    if rng is None:
-        raise ValueError("a random generator is required for finite-shot estimation")
-    if est.strategy == "loschmidt":
-        return estimate_loschmidt(a, b, est.shots, rng).estimate
-    return estimate_swap(a, b, est.shots, rng).estimate

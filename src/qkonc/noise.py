@@ -1,4 +1,4 @@
-"""Local Pauli noise: channel application, noisy kernels, decay bounds.
+"""Local Pauli noise: noisy states as Pauli vectors, their kernels, decay bounds.
 
 The noise model interleaves a tensor product of identical single-qubit Pauli
 channels N with the embedding layers:
@@ -20,12 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _accel
-from .core import (
-    DensityMatrix,
-    _as_dm_array,
-    computational_basis_state,
-    sandwiched_renyi2_vs_maxmixed,
-)
+from .core import DensityMatrix
 from .embeddings import EmbeddingSpec, _check_x, _kron_rows, _layer_gates
 
 NOISE_MAX_QUBITS = 6
@@ -139,20 +134,6 @@ def _transfer(gates: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("aij,...jk,bkl,...il->...ab", p, gates, p, gates.conj()).real
 
 
-def apply_local_pauli_channel(
-    rho: DensityMatrix, params: PauliNoiseParams, qubits=None
-) -> DensityMatrix:
-    """Apply the single-qubit Pauli channel to each listed qubit (default: all)."""
-    n = rho.num_qubits
-    qubits = set(range(n) if qubits is None else qubits)
-    for k in qubits:
-        if not 0 <= k < n:
-            raise ValueError(f"qubit {k} out of range")
-    q = (1.0, params.qx, params.qy, params.qz)
-    lam = _pauli_product([q if k in qubits else (1.0,) * 4 for k in range(n)])
-    return DensityMatrix(n, _from_pauli(_to_pauli(rho.matrix, n) * lam, n))
-
-
 def noisy_pauli_batch(
     spec: EmbeddingSpec,
     xs,
@@ -243,33 +224,6 @@ def noisy_embed(
     return DensityMatrix(spec.num_qubits, _from_pauli(c, spec.num_qubits))
 
 
-def noisy_fidelity_kernel(
-    spec: EmbeddingSpec,
-    x,
-    y,
-    params: PauliNoiseParams,
-    theta=None,
-    max_qubits: int = NOISE_MAX_QUBITS,
-) -> float:
-    """Tr[rho_noisy(x) rho_noisy(y)]."""
-    c = noisy_pauli_batch(spec, [x, y], params, theta=theta, max_qubits=max_qubits)
-    return float(pauli_fidelity_kernel(c[0], c[1]))
-
-
-def noisy_projected_kernel(
-    spec: EmbeddingSpec,
-    x,
-    y,
-    params: PauliNoiseParams,
-    gamma: float = 1.0,
-    theta=None,
-    max_qubits: int = NOISE_MAX_QUBITS,
-) -> float:
-    """exp(-gamma sum_k ||rho_k(x) - rho_k(y)||_2^2) on the noisy states."""
-    c = noisy_pauli_batch(spec, [x, y], params, theta=theta, max_qubits=max_qubits)
-    return float(pauli_projected_kernel(c[0], c[1], gamma))
-
-
 @dataclass(frozen=True)
 class NoiseBounds:
     """Deterministic decay bounds for the layerwise Pauli noise model."""
@@ -286,11 +240,10 @@ def noise_bounds(
     num_qubits: int,
     layers: int,
     gamma: float = 1.0,
-    rho0: DensityMatrix | None = None,
 ) -> NoiseBounds:
     """Decay bounds on noisy kernels after ``layers`` embedding layers.
 
-    With q = max |q_sigma| < 1 and initial state rho_0 (default |0...0>):
+    With q = max |q_sigma| < 1 and initial state rho_0 = |0...0><0...0|:
 
     * |kappa_FQ - 1/2^n|        <= q^(2L+1) ||rho_0 - 1/2^n||_2
     * |1 - kappa_PQ|            <= (8 ln 2) gamma n q^(b(L+1)) S2(rho_0 || 1/2^n),
@@ -303,11 +256,10 @@ def noise_bounds(
     if q >= 1.0:
         raise ValueError("bounds require q < 1 (strictly noisy channel)")
     dim = 1 << num_qubits
-    if rho0 is None:
-        rho0 = computational_basis_state(num_qubits)
-    mat, _ = _as_dm_array(rho0)
-    dist2 = float(np.linalg.norm(mat - np.eye(dim) / dim))
-    s2 = sandwiched_renyi2_vs_maxmixed(rho0)
+    # rho_0 is pure, Tr rho_0^2 = 1: ||rho_0 - 1/2^n||_2 = sqrt(1 - 1/2^n) and
+    # S2(rho_0 || 1/2^n) = log2(2^n Tr rho_0^2) = n
+    dist2 = math.sqrt(1.0 - 1.0 / dim)
+    s2 = float(num_qubits)
     return NoiseBounds(
         fidelity_mean=1.0 / dim,
         fidelity_deviation=q ** (2 * layers + 1) * dist2,

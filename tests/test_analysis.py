@@ -22,24 +22,19 @@ from qkonc.analysis import (
     expressivity_from_states,
     gamma_s_from_bloch,
     haar_twofold_moment,
-    helstrom_bound,
     kta_alignment_constant,
     kta_variance_bound,
     product_ry_moments,
-    record_pvalue,
     shots_budget,
     simulate_distinguish,
-    variance_scan,
 )
 from qkonc.core import (
     computational_basis_state,
     ghz_state,
     haar_random_states,
-    maximally_mixed,
     trace_norm,
 )
 from qkonc.embeddings import EmbeddingSpec
-from qkonc.estimators import swap_record
 from qkonc.kernels import KernelKind
 
 
@@ -84,7 +79,7 @@ class TestConcentrationScan:
     def test_tensor_ry_matches_closed_form_moments(self):
         rng = np.random.default_rng(42)
         spec = EmbeddingSpec(3, "tensor_ry")
-        rep = variance_scan(spec, KernelKind.fidelity(), 200000, rng)
+        rep = concentration_scan(spec, [KernelKind.fidelity()], 200000, rng)[0]
         mean, _, var = product_ry_moments(3)
         assert rep.mean == pytest.approx(mean, abs=4.0 * rep.std_error)
         assert rep.variance == pytest.approx(var, rel=0.05)
@@ -92,7 +87,7 @@ class TestConcentrationScan:
     def test_haar_matches_reference_constants(self):
         rng = np.random.default_rng(42)
         spec = EmbeddingSpec(2, "haar")
-        rep = variance_scan(spec, KernelKind.fidelity(), 200000, rng)
+        rep = concentration_scan(spec, [KernelKind.fidelity()], 200000, rng)[0]
         want_var = beta_haar(2) - 0.25**2
         assert rep.mean == pytest.approx(0.25, abs=4.0 * rep.std_error)
         assert rep.variance == pytest.approx(want_var, rel=0.05)
@@ -110,12 +105,12 @@ class TestConcentrationScan:
         # different chunk sizes draw the rng in a different order, so the
         # results are distinct MC estimates of the same moments
         spec = EmbeddingSpec(2, "tensor_ry")
-        a = variance_scan(
-            spec, KernelKind.fidelity(), 30000, np.random.default_rng(7), chunk=640
-        )
-        b = variance_scan(
-            spec, KernelKind.fidelity(), 30000, np.random.default_rng(7), chunk=1 << 15
-        )
+        a = concentration_scan(
+            spec, [KernelKind.fidelity()], 30000, np.random.default_rng(7), chunk=640
+        )[0]
+        b = concentration_scan(
+            spec, [KernelKind.fidelity()], 30000, np.random.default_rng(7), chunk=1 << 15
+        )[0]
         assert a.pairs == b.pairs == 30000
         tol = 4.0 * math.hypot(a.std_error, b.std_error)
         assert a.mean == pytest.approx(b.mean, abs=tol)
@@ -124,9 +119,9 @@ class TestConcentrationScan:
     def test_variance_shrinks_with_qubits(self):
         rng = np.random.default_rng(42)
         reps = [
-            variance_scan(
-                EmbeddingSpec(n, "tensor_ry"), KernelKind.fidelity(), 20000, rng
-            )
+            concentration_scan(
+                EmbeddingSpec(n, "tensor_ry"), [KernelKind.fidelity()], 20000, rng
+            )[0]
             for n in (2, 4, 6)
         ]
         assert reps[0].variance > reps[1].variance > reps[2].variance
@@ -164,15 +159,15 @@ class TestConcentrationScan:
         # Haar pairs: E[kappa] = 1/d, Var[kappa] = (d - 1) / (d^2 (d + 1));
         # 20000 pairs span several row blocks for n >= 3
         d, pairs = 2**n, 20000
-        rep = variance_scan(EmbeddingSpec(n, "haar"), KernelKind.fidelity(), pairs, np.random.default_rng(n))
+        rep = concentration_scan(EmbeddingSpec(n, "haar"), [KernelKind.fidelity()], pairs, np.random.default_rng(n))[0]
         sigma = math.sqrt((d - 1) / (d * d * (d + 1)) / pairs)
         assert abs(rep.mean - 1.0 / d) < 5.0 * sigma
 
     def test_needs_two_pairs(self):
         with pytest.raises(ValueError, match="at least 2"):
-            variance_scan(
+            concentration_scan(
                 EmbeddingSpec(2, "tensor_ry"),
-                KernelKind.fidelity(),
+                [KernelKind.fidelity()],
                 1,
                 np.random.default_rng(7),
             )
@@ -268,9 +263,9 @@ class TestExpressivityBounds:
         # Haar ensemble: variance of kappa <= beta for every n
         rng = np.random.default_rng(42)
         for n in (1, 2, 3):
-            rep = variance_scan(
-                EmbeddingSpec(n, "haar"), KernelKind.fidelity(), 20000, rng
-            )
+            rep = concentration_scan(
+                EmbeddingSpec(n, "haar"), [KernelKind.fidelity()], 20000, rng
+            )[0]
             assert rep.variance <= beta_haar(n)
 
     def test_global_measurement_product_bound(self):
@@ -320,11 +315,6 @@ class TestMeasurementStatistics:
             float(stats.binomtest(130, 400, 0.3).pvalue), abs=1e-15
         )
 
-    def test_record_pvalue_wrapper(self):
-        rec = swap_record(0.0, 1000, np.random.default_rng(42))
-        want = binomial_pvalue(rec.successes(), 1000, 0.5)
-        assert record_pvalue(rec, 0.5) == pytest.approx(want, abs=1e-15)
-
     def test_distinguish_bound_formula(self):
         assert distinguish_success_bound(100, 0.004) == pytest.approx(0.7, abs=1e-15)
         assert distinguish_success_bound(10**6, 0.5) == 1.0
@@ -348,23 +338,6 @@ class TestMeasurementStatistics:
     def test_simulate_distinguish_validates_probabilities(self):
         with pytest.raises(ValueError, match="probability"):
             simulate_distinguish(10, 0.7, 10, np.random.default_rng(7))
-
-    def test_helstrom_values(self):
-        a = computational_basis_state(1, 0)
-        b = computational_basis_state(1, 1)
-        assert helstrom_bound(a, b) == 1.0  # orthogonal states
-        assert helstrom_bound(a, a) == pytest.approx(0.5, abs=1e-14)
-        assert helstrom_bound(maximally_mixed(2), maximally_mixed(2)) == pytest.approx(
-            0.5, abs=1e-14
-        )
-
-    def test_helstrom_copies_scale_until_cap(self):
-        a = computational_basis_state(1, 0)
-        m = maximally_mixed(1)
-        one = helstrom_bound(a, m, copies=1)
-        two = helstrom_bound(a, m, copies=2)
-        assert one == pytest.approx(0.75, abs=1e-14)  # ||rho - 1/2||_1 = 1
-        assert two == pytest.approx(1.0, abs=1e-14)
 
 
 class TestShotsBudget:

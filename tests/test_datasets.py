@@ -7,13 +7,11 @@ import pytest
 
 from qkonc.datasets import (
     Dataset,
-    engineered_labels,
     gen_hypercube,
     gen_uniform,
     load_csv,
     save_csv,
 )
-from qkonc.kernels import KernelKind, product_kernel
 
 
 class TestDatasetContainer:
@@ -65,37 +63,6 @@ class TestGenerators:
         b = gen_hypercube(50, 2, np.random.default_rng(9))
         np.testing.assert_array_equal(a.inputs, b.inputs)
         np.testing.assert_array_equal(a.labels, b.labels)
-
-
-class TestEngineeredLabels:
-    def test_matches_scalar_kernel_expansion(self):
-        rng = np.random.default_rng(42)
-        anchors = rng.uniform(0.0, 2.0 * math.pi, (4, 6))
-        weights = rng.uniform(0.0, 1.0, 4)
-        inputs = rng.uniform(0.0, 2.0 * math.pi, (10, 6))
-        got = engineered_labels(inputs, anchors, weights)
-        want = np.array(
-            [
-                sum(
-                    w * product_kernel(a, x, KernelKind.fidelity())
-                    for a, w in zip(anchors, weights)
-                )
-                for x in inputs
-            ]
-        )
-        np.testing.assert_allclose(got, want, atol=1e-12)
-
-    def test_anchor_weight_mismatch(self):
-        with pytest.raises(ValueError, match="one weight per anchor"):
-            engineered_labels(np.zeros((3, 2)), np.zeros((2, 2)), np.zeros(3))
-
-    def test_scales_to_many_qubits(self):
-        rng = np.random.default_rng(42)
-        anchors = rng.uniform(0.0, 2.0 * math.pi, (3, 100))
-        weights = rng.uniform(0.0, 1.0, 3)
-        y = engineered_labels(anchors, anchors, weights)
-        assert y.shape == (3,)
-        assert np.all(y > 0.0)
 
 
 class TestCsvRoundtrip:

@@ -7,9 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qkonc.core import DensityMatrix, maximally_mixed, reduce_to_qubit
+from qkonc.core import DensityMatrix, bloch_vectors, maximally_mixed, reduce_to_qubit
 from qkonc.embeddings import EmbeddingSpec, embed
-from qkonc.estimators import EstimatorSpec, estimate_projected, sample_fidelity
+from qkonc.estimators import EstimatorSpec, projected_estimate_from_bloch, sample_fidelity
 from qkonc.kernels import (
     GramMatrix,
     KernelKind,
@@ -254,7 +254,7 @@ class TestGramMatrices:
         # and single-pair runs must share it, not just the exact value
         xs = self.xs[:4]
         kind, shots, seeds = KernelKind.projected(1.0), 50, 1000
-        states = [embed(self.spec, x) for x in xs]
+        blochs = [bloch_vectors(embed(self.spec, x)) for x in xs]
         iu = np.triu_indices(4, k=1)
         grams = np.array([
             gram(self.spec, xs, kind, EstimatorSpec("local_swap", shots, seed)).matrix[iu]
@@ -263,7 +263,7 @@ class TestGramMatrices:
         rng = np.random.default_rng(42)
         pairs = np.array([
             [
-                estimate_projected(states[i], states[j], EstimatorSpec("local_swap", shots), rng)
+                projected_estimate_from_bloch(blochs[i], blochs[j], "local_swap", shots, rng)
                 for i, j in zip(*iu)
             ]
             for _ in range(seeds)

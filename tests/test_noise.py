@@ -1,6 +1,7 @@
 """Local Pauli channels, noisy kernels, and deterministic decay bounds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,13 +23,14 @@ from qkonc.kernels import fidelity_kernel, projected_kernel
 from qkonc.noise import (
     NOISE_MAX_QUBITS,
     PauliNoiseParams,
+    _channel_diagonal,
     _from_pauli,
     _to_pauli,
-    apply_local_pauli_channel,
     noise_bounds,
     noisy_embed,
-    noisy_fidelity_kernel,
-    noisy_projected_kernel,
+    noisy_pauli_batch,
+    pauli_fidelity_kernel,
+    pauli_projected_kernel,
 )
 
 I2 = np.eye(2, dtype=np.complex128)
@@ -82,6 +84,19 @@ def kraus_oracle_embed(spec, x, params, theta=None):
     return rho
 
 
+def pauli_channel(rho, params):
+    """The engine's channel step on a dense matrix: the Pauli vector of rho
+    scaled by ``_channel_diagonal``."""
+    n = rho.shape[0].bit_length() - 1
+    return _from_pauli(_to_pauli(rho, n) * _channel_diagonal(params, n), n)
+
+
+def noisy_kernels(spec, x, y, params, gamma=1.0):
+    """Noisy fidelity and projected kernels of one pair, read from Pauli vectors."""
+    c = noisy_pauli_batch(spec, [x, y], params)
+    return float(pauli_fidelity_kernel(c[0], c[1])), float(pauli_projected_kernel(c[0], c[1], gamma))
+
+
 def pure_dm(state):
     return DensityMatrix(
         state.num_qubits, np.outer(state.amplitudes, state.amplitudes.conj())
@@ -132,30 +147,20 @@ class TestChannelApplication:
         amps = rng.normal(size=4) + 1j * rng.normal(size=4)
         amps /= np.linalg.norm(amps)
         rho = np.outer(amps, amps.conj())
-        got = apply_local_pauli_channel(DensityMatrix(2, rho), params).matrix
+        got = pauli_channel(rho, params)
         want = kraus_oracle_channel(rho, probs, 0, 2)
         want = kraus_oracle_channel(want, probs, 1, 2)
         np.testing.assert_allclose(got, want, atol=1e-13)
 
-    def test_single_qubit_subset(self):
-        rng = np.random.default_rng(42)
-        params = PauliNoiseParams(0.5, 0.5, 0.25)
-        amps = rng.normal(size=4) + 1j * rng.normal(size=4)
-        amps /= np.linalg.norm(amps)
-        rho = np.outer(amps, amps.conj())
-        got = apply_local_pauli_channel(DensityMatrix(2, rho), params, qubits=[1]).matrix
-        want = kraus_oracle_channel(rho, params.kraus_probabilities(), 1, 2)
-        np.testing.assert_allclose(got, want, atol=1e-13)
-
     def test_identity_params_leave_state_unchanged(self):
         state = pure_dm(computational_basis_state(2, 3))
-        got = apply_local_pauli_channel(state, PauliNoiseParams(1.0, 1.0, 1.0))
-        np.testing.assert_allclose(got.matrix, state.matrix, atol=1e-15)
+        got = pauli_channel(state.matrix, PauliNoiseParams(1.0, 1.0, 1.0))
+        np.testing.assert_allclose(got, state.matrix, atol=1e-15)
 
     def test_fully_depolarizing_reaches_maxmixed(self):
         state = pure_dm(computational_basis_state(2, 1))
-        got = apply_local_pauli_channel(state, PauliNoiseParams(0.0, 0.0, 0.0))
-        np.testing.assert_allclose(got.matrix, maximally_mixed(2).matrix, atol=1e-14)
+        got = pauli_channel(state.matrix, PauliNoiseParams(0.0, 0.0, 0.0))
+        np.testing.assert_allclose(got, maximally_mixed(2).matrix, atol=1e-14)
 
     def test_attenuates_bloch_components(self):
         # N(rho) Bloch vector is (qx cx, qy cy, qz cz)
@@ -166,16 +171,10 @@ class TestChannelApplication:
         state = apply_gate(state, Gate.rz(0.4, 0))
         rho = pure_dm(state)
         before = bloch_vector(rho)
-        after = bloch_vector(apply_local_pauli_channel(rho, params))
+        after = bloch_vector(DensityMatrix(1, pauli_channel(rho.matrix, params)))
         assert after.x == pytest.approx(0.7 * before.x, abs=1e-13)
         assert after.y == pytest.approx(0.5 * before.y, abs=1e-13)
         assert after.z == pytest.approx(0.4 * before.z, abs=1e-13)
-
-    def test_qubit_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            apply_local_pauli_channel(
-                maximally_mixed(2), PauliNoiseParams(0.5, 0.5, 0.25), qubits=[2]
-            )
 
 
 class TestPauliVectors:
@@ -327,27 +326,19 @@ class TestNoisyEmbedding:
         rng = np.random.default_rng(42)
         spec = EmbeddingSpec(2, "hardware_efficient", layers=2)
         x, y = rng.uniform(-np.pi, np.pi, (2, 2))
-        ident = PauliNoiseParams(1.0, 1.0, 1.0)
         a, b = embed(spec, x), embed(spec, y)
-        assert noisy_fidelity_kernel(spec, x, y, ident) == pytest.approx(
-            fidelity_kernel(a, b), abs=1e-12
-        )
-        assert noisy_projected_kernel(spec, x, y, ident, gamma=1.0) == pytest.approx(
-            projected_kernel(a, b, gamma=1.0), abs=1e-12
-        )
+        kf, kp = noisy_kernels(spec, x, y, PauliNoiseParams(1.0, 1.0, 1.0), gamma=1.0)
+        assert kf == pytest.approx(fidelity_kernel(a, b), abs=1e-12)
+        assert kp == pytest.approx(projected_kernel(a, b, gamma=1.0), abs=1e-12)
 
     def test_strong_noise_pushes_kernels_to_flat_limits(self):
         rng = np.random.default_rng(42)
         spec = EmbeddingSpec(2, "hardware_efficient", layers=4)
         x, y = rng.uniform(-np.pi, np.pi, (2, 2))
-        params = PauliNoiseParams(0.2, 0.2, 0.2)
         # fidelity kernel concentrates to 1/2^n, projected kernel to 1
-        assert noisy_fidelity_kernel(spec, x, y, params) == pytest.approx(
-            0.25, abs=0.01
-        )
-        assert noisy_projected_kernel(spec, x, y, params) == pytest.approx(
-            1.0, abs=0.01
-        )
+        kf, kp = noisy_kernels(spec, x, y, PauliNoiseParams(0.2, 0.2, 0.2))
+        assert kf == pytest.approx(0.25, abs=0.01)
+        assert kp == pytest.approx(1.0, abs=0.01)
 
 
 class TestNoiseBounds:
@@ -370,9 +361,8 @@ class TestNoiseBounds:
             spec = EmbeddingSpec(2, "hardware_efficient", layers=layers)
             b = noise_bounds(params, 2, layers, gamma=1.0)
             x, y = rng.uniform(-np.pi, np.pi, (2, 2))
-            kf = noisy_fidelity_kernel(spec, x, y, params)
+            kf, kp = noisy_kernels(spec, x, y, params, gamma=1.0)
             assert abs(kf - b.fidelity_mean) <= b.fidelity_deviation + 1e-12
-            kp = noisy_projected_kernel(spec, x, y, params, gamma=1.0)
             assert abs(1.0 - kp) <= b.projected_deviation + 1e-12
             rho = noisy_embed(spec, x, params)
             assert (
@@ -404,9 +394,28 @@ class TestNoiseBounds:
         with pytest.raises(ValueError, match="layers"):
             noise_bounds(PauliNoiseParams(0.5, 0.5, 0.25), 2, 0)
 
-    def test_custom_initial_state(self):
-        params = PauliNoiseParams(0.5, 0.5, 0.25)
-        b = noise_bounds(params, 2, 1, rho0=maximally_mixed(2))
-        assert b.fidelity_deviation == pytest.approx(0.0, abs=1e-14)
-        assert b.projected_deviation == pytest.approx(0.0, abs=1e-14)
-        assert b.state_distance == pytest.approx(0.0, abs=1e-14)
+    def test_closed_form_matches_dense_initial_state(self):
+        # ||rho_0 - 1/2^n||_2 and S2(rho_0 || 1/2^n) from a dense |0...0><0...0|
+        params, layers, gamma = PauliNoiseParams(0.95, 0.95, 0.95), 10, 0.7
+        q, bexp = params.q, 1.0 / (2.0 * math.log(2.0))
+        for n in range(1, 9):
+            dim = 1 << n
+            rho0 = pure_dm(computational_basis_state(n)).matrix
+            dist2 = float(np.linalg.norm(rho0 - np.eye(dim) / dim))
+            s2 = math.log2(dim * float(np.einsum("ij,ji->", rho0, rho0).real))
+            b = noise_bounds(params, n, layers, gamma)
+            assert b.fidelity_deviation == q ** (2 * layers + 1) * dist2
+            assert b.state_distance == q ** (layers + 1) * dist2
+            want = 8.0 * math.log(2.0) * gamma * n * q ** (bexp * (layers + 1)) * s2
+            assert b.projected_deviation == want
+
+    def test_memory_is_bounded_at_twelve_qubits(self):
+        # a dense 2**12 x 2**12 rho_0 and identity would take hundreds of MB
+        tracemalloc.start()
+        try:
+            b = noise_bounds(PauliNoiseParams(0.95, 0.95, 0.95), 12, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert 0.0 < b.state_distance < 1.0
