@@ -7,7 +7,7 @@ noise bounds.  Batched statevector updates run as vectorized numpy
 primitives in ``qkonc._accel``.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.4.1"
 
 from .core import (
     BlochVector,

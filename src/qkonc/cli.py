@@ -801,6 +801,7 @@ def run_experiment(name: str, config: dict, seed=None, out=".", threads=None) ->
             "numpy SeedSequence((master_seed, *sweep_indices)); shot-estimated "
             "kernel matrices v2: per-row SeedSequence((estimator_seed, row_offset + row))"
         ),
+        "tensor_ry_kernel": "v2: angle-addition products",
         "package_version": __version__,
         "threads": threads,
         "wall_time_s": wall,

@@ -12,6 +12,10 @@ qubit count (no statevector is ever materialized):
 
   kappa_FQ = prod_k cos^2((x_k - x'_k)/2)
   kappa_PQ = exp(-gamma * sum_k (1 - cos(x_k - x'_k)))
+
+evaluated by angle addition from each input's own cosines and sines, so the
+transcendentals cost O((m + m') n) and the (m, m') pairs only multiplies and
+adds.
 """
 
 from __future__ import annotations
@@ -82,26 +86,33 @@ def projected_kernel(a, b, gamma: float = 1.0) -> float:
 def product_kernel(xs, ys, kind: KernelKind) -> np.ndarray:
     """Tensor-Ry kernel over the broadcast of ``xs`` and ``ys`` (shape ``(..., n)``).
 
-    A loop over the qubits multiplies in one cos^2 factor (fidelity) or adds
-    one 1 - cos term (projected) per step, in place in a buffer of the
-    broadcast shape: pass ``(m, n)`` against ``(m, n)`` for row-wise pairs,
-    ``xs[:, None]`` against ``ys[None]`` for an (m, m') matrix.
+    Cosines and sines are taken once per input row; each qubit's factor then
+    follows by angle addition, cos(a - b) = cos a cos b + sin a sin b, with
+    a = x/2 for the fidelity amplitude and a = x for the projected Bloch
+    overlap. A loop over the qubits multiplies in one signed amplitude
+    (fidelity, squared once at the end) or adds one 1 - cos term (projected)
+    per step, in place in a buffer of the broadcast shape: pass ``(m, n)``
+    against ``(m, n)`` for row-wise pairs, ``xs[:, None]`` against ``ys[None]``
+    for an (m, m') matrix, which is bitwise symmetric when ``ys`` is ``xs``.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     if xs.shape[-1] != ys.shape[-1]:
         raise ValueError(f"inputs of widths {xs.shape[-1]} and {ys.shape[-1]}")
     fid = kind.variant == "fidelity"
+    if fid:
+        xs, ys = 0.5 * xs, 0.5 * ys
+    cx, sx, cy, sy = np.cos(xs), np.sin(xs), np.cos(ys), np.sin(ys)
     shape = np.broadcast_shapes(xs.shape[:-1], ys.shape[:-1])
-    out, term = np.full(shape, 1.0 if fid else 0.0), np.empty(shape)
+    out, term, ss = np.full(shape, 1.0 if fid else 0.0), np.empty(shape), np.empty(shape)
     for k in range(xs.shape[-1]):
-        np.subtract(xs[..., k], ys[..., k], out=term)
+        np.multiply(cx[..., k], cy[..., k], out=term)
+        term += np.multiply(sx[..., k], sy[..., k], out=ss)
         if fid:
-            term *= 0.5
-            out *= np.square(np.cos(term, out=term), out=term)
+            out *= term
         else:  # Bloch vectors (sin x, 0, cos x): ||rho_k - rho'_k||_2^2 = 1 - cos(x_k - x'_k)
-            out += np.subtract(1.0, np.cos(term, out=term), out=term)
-    return out if fid else np.exp(-kind.gamma * out, out=out)
+            out += np.subtract(1.0, term, out=term)
+    return np.square(out, out=out) if fid else np.exp(-kind.gamma * out, out=out)
 
 
 def product_bloch_vectors(xs) -> np.ndarray:

@@ -28,9 +28,10 @@ def krr_fit(K: np.ndarray, y: np.ndarray, lam: float = 0.0, sign: str = "minus")
 
     The default regularization sign is "minus" (a = (K - lam 1)^-1 y, so a
     Gram matrix estimated as the identity gives a = y / (1 - lam)); pass
-    sign="plus" for the conventional (K + lam 1)^-1 y. Raises when the
-    regularized matrix is numerically singular, reporting its condition
-    number.
+    sign="plus" for the conventional (K + lam 1)^-1 y. K must be exactly
+    symmetric. The condition number is the 2-norm one, max|l| / min|l| over
+    the eigenvalues l of the symmetric regularized matrix; raises when that
+    matrix is numerically singular, reporting it.
     """
     K = np.asarray(K, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -38,9 +39,14 @@ def krr_fit(K: np.ndarray, y: np.ndarray, lam: float = 0.0, sign: str = "minus")
         raise ValueError(f"shape mismatch: K {K.shape}, y {y.shape}")
     if sign not in ("minus", "plus"):
         raise ValueError("sign must be 'minus' or 'plus'")
+    if not np.array_equal(K, K.T):  # eigvalsh reads one triangle only
+        asym = np.abs(K - K.T)
+        i, j = np.unravel_index(np.argmax(asym), asym.shape)
+        raise ValueError(f"K is not symmetric: |K - K^T| is {asym[i, j]:.3e} at ({i}, {j})")
     s = -1.0 if sign == "minus" else 1.0
     a_mat = K + s * lam * np.eye(K.shape[0])
-    cond = float(np.linalg.cond(a_mat))
+    mags = np.abs(np.linalg.eigvalsh(a_mat))
+    cond = float(mags.max() / mags.min()) if mags.min() > 0.0 else math.inf
     if not math.isfinite(cond) or cond > MAX_CONDITION:
         raise ValueError(
             f"regularized kernel matrix is numerically singular (condition number {cond:.3e})"

@@ -20,6 +20,7 @@ MANIFEST_KEYS = {
     "config_sha256",
     "master_seed",
     "seed_rule",
+    "tensor_ry_kernel",
     "package_version",
     "threads",
     "wall_time_s",
@@ -279,6 +280,7 @@ class TestGram:
         manifest = run_experiment("gram", cfg, seed=6, out=tmp_path)
         assert "v2" in manifest["seed_rule"]
         assert "SeedSequence((estimator_seed, row_offset + row))" in manifest["seed_rule"]
+        assert manifest["tensor_ry_kernel"].startswith("v2")
 
     def test_estimated_gram_zero_ratio_rises_with_qubits(self, tmp_path):
         base = {

@@ -102,9 +102,9 @@ class TestKernelValues:
 
 
 def _reference_product_kernels(xs, ys, gamma):
-    # the tensor-Ry closed forms as written before product_kernel: one
-    # (..., n) difference array, np.prod / np.sum over its last axis
-    diff = np.asarray(xs) - np.asarray(ys)
+    # the tensor-Ry closed forms evaluated in extended precision from one
+    # (..., n) difference array
+    diff = np.asarray(xs, dtype=np.longdouble) - np.asarray(ys, dtype=np.longdouble)
     c = np.cos(0.5 * diff)
     return np.prod(c * c, axis=-1), np.exp(-gamma * np.sum(1.0 - np.cos(diff), axis=-1))
 
@@ -148,7 +148,9 @@ class TestClosedForms:
             ys = xs[:7] + np.pi + rng.normal(0.0, 1e-3, (7, n))
         for a, b in ((xs[:7], ys), (xs[:, None], ys[None])):
             fid, proj = _reference_product_kernels(a, b, 1.3)
-            np.testing.assert_array_equal(product_kernel(a, b, KernelKind.fidelity()), fid)
+            np.testing.assert_allclose(
+                product_kernel(a, b, KernelKind.fidelity()), fid, rtol=1e-10, atol=1e-15
+            )
             np.testing.assert_allclose(
                 product_kernel(a, b, KernelKind.projected(1.3)), proj, rtol=0.0, atol=1e-12
             )
@@ -160,6 +162,27 @@ class TestClosedForms:
             matrix = product_kernel(xs[:, None], ys[None], kind)
             assert matrix.shape == (11, 11)
             np.testing.assert_array_equal(np.diag(matrix), product_kernel(xs, ys, kind))
+
+    @pytest.mark.parametrize("kind", [KernelKind.fidelity(), KernelKind.projected(0.7)])
+    def test_transcendentals_per_input_row_and_symmetric_matrix(self, monkeypatch, kind):
+        m, m2, n = 30, 20, 40
+        rng = np.random.default_rng(42)
+        xs, ys = rng.uniform(-np.pi, np.pi, (m, n)), rng.uniform(-np.pi, np.pi, (m2, n))
+        counted = [0]
+
+        def counting(ufunc):
+            def wrapped(x, *args, **kwargs):
+                counted[0] += np.size(x)
+                return ufunc(x, *args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(np, "cos", counting(np.cos))
+        monkeypatch.setattr(np, "sin", counting(np.sin))
+        assert product_kernel(xs[:, None], ys[None], kind).shape == (m, m2)
+        assert 0 < counted[0] <= 2 * (m + m2) * n
+        matrix = product_kernel(xs[:, None], xs[None], kind)
+        np.testing.assert_array_equal(matrix, matrix.T)
 
     def test_width_mismatch(self):
         with pytest.raises(ValueError, match="widths"):

@@ -48,18 +48,35 @@ class TestKrr:
         np.testing.assert_allclose(K @ fit.coefficients, y, atol=1e-9)
 
     def test_condition_number_reported(self):
+        # the 2-norm condition number, on definite and indefinite matrices
         rng = np.random.default_rng(42)
-        K = spd_matrix(rng, 4)
-        fit = krr_fit(K, np.ones(4))
-        assert fit.condition_number == pytest.approx(float(np.linalg.cond(K)), rel=1e-9)
+        for n in (4, 30):
+            a = rng.normal(size=(n, n))
+            for K in (spd_matrix(rng, n), a + a.T):
+                for lam, sign in ((0.0, "minus"), (0.1, "plus")):
+                    fit = krr_fit(K, np.ones(n), lam=lam, sign=sign)
+                    want = np.linalg.cond(K + (lam if sign == "plus" else -lam) * np.eye(n))
+                    assert fit.condition_number == pytest.approx(float(want), rel=1e-9)
 
     def test_singular_matrix_rejected_with_condition(self):
-        K = np.ones((3, 3))  # rank one
-        with pytest.raises(ValueError, match="condition number"):
-            krr_fit(K, np.ones(3))
+        for K, cond in (
+            (np.ones((3, 3)), r"\d\.\d{3}e\+(1[2-9]|[2-9]\d)"),  # rank one
+            (np.diag([1.0, 1e-14]), r"1\.000e\+14"),
+        ):
+            with pytest.raises(ValueError, match=f"singular \\(condition number {cond}\\)"):
+                krr_fit(K, np.ones(K.shape[0]))
+
+    def test_non_symmetric_rejected_before_factorizing(self, monkeypatch):
+        K = spd_matrix(np.random.default_rng(42), 4)
+        K[0, 2] += 1e-9
+        for name in ("eigvalsh", "solve", "cond"):
+            monkeypatch.setattr(np.linalg, name, lambda *a, **k: pytest.fail("factorized"))
+        with pytest.raises(ValueError, match=r"not symmetric: \|K - K\^T\| is 1\.000e-09 at \(0, 2\)"):
+            krr_fit(K, np.ones(4))
 
     def test_minus_sign_can_singularize_identity(self):
-        with pytest.raises(ValueError, match="singular"):
+        # every eigenvalue of I - 1 I is exactly 0
+        with pytest.raises(ValueError, match=r"singular \(condition number inf\)"):
             krr_fit(np.eye(3), np.ones(3), lam=1.0, sign="minus")
 
     def test_shape_validation(self):
