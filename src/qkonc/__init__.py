@@ -7,7 +7,7 @@ noise bounds.  Batched statevector updates run as vectorized numpy
 primitives in ``qkonc._accel``.
 """
 
-__version__ = "0.4.1"
+__version__ = "0.4.2"
 
 from .core import (
     BlochVector,

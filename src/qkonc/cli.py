@@ -5,7 +5,7 @@ Usage: ``qkonc <experiment> --config cfg.json [--seed S] [--out DIR] [--threads 
 Every experiment reads a JSON config, runs a sweep, and writes CSV data files
 plus a ``manifest.json`` (config echo + SHA-256, the config resolved against
 the experiment's defaults, master seed, seed rule, package version, thread
-count, wall time, output file hashes).
+count, BLAS thread count, wall time, output file hashes).
 
 Each experiment declares every key it reads, with its default, in one table
 where its runner is registered (``_experiment``). ``_resolve`` checks a config
@@ -18,7 +18,9 @@ Determinism: the generator of sweep point ``(i, j, ...)`` is
 reruns with the same config and seed produce byte-identical CSV files
 regardless of the thread count (results are gathered and written in sweep
 order by the parent thread). ``--threads`` falls back to the QKONC_THREADS
-environment variable, then to 1.
+environment variable, then to 1; a count below 1 or not an integer is
+rejected before any work. Every loaded OpenBLAS runs one thread for the
+length of a run, so the bytes do not depend on the host's core count either.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from functools import lru_cache
 from pathlib import Path
 
@@ -112,8 +114,64 @@ def _sha256_file(path: Path) -> str:
 def _map_points(points, fn, threads: int):
     if threads <= 1:
         return [fn(p) for p in points]
+    from concurrent.futures import ThreadPoolExecutor  # only here: it imports logging
+
     with ThreadPoolExecutor(max_workers=threads) as ex:
         return list(ex.map(fn, points))
+
+
+# (get, set) thread-count symbols: numpy's wheel build of OpenBLAS, then a
+# plain OpenBLAS with 64- or 32-bit integers
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _openblas_controls() -> list[tuple]:
+    """The (get, set) thread-count functions of each OpenBLAS mapped into
+    this process (found through /proc/self/maps) that exports a pair of
+    ``_OPENBLAS_SYMBOLS``. Empty where there is no such file (not Linux) or no
+    library exports them (MKL, Accelerate)."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return []
+    controls = []
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            get, set_ = getattr(handle, get_name, None), getattr(handle, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return controls
+
+
+@contextmanager
+def _one_blas_thread():
+    """Pin every loaded OpenBLAS to one thread for the block, then restore
+    each library's previous count, also when the block raises. Yields the
+    pinned count, 1, or None when no OpenBLAS was found. A library loaded
+    inside the block keeps its own count."""
+    controls = _openblas_controls()
+    saved = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield 1 if controls else None
+    finally:
+        for (_, set_), count in zip(controls, saved):
+            set_(count)
 
 
 # ---------------------------------------------------------------------------
@@ -776,20 +834,37 @@ def _run_bounds(cfg, master_seed, outdir, threads):
     return [path], {}
 
 
+def _thread_count(threads) -> int:
+    """The sweep's worker count: ``threads``, else QKONC_THREADS, else 1. A
+    count that is not an integer >= 1 stops the run with a
+    ``click.ClickException`` that names where it came from."""
+    source = "threads"
+    if threads is None:
+        source, threads = "QKONC_THREADS", os.environ.get("QKONC_THREADS", "1")
+    try:
+        count = int(threads)
+    except (TypeError, ValueError):
+        count = 0
+    if count < 1:
+        raise click.ClickException(f"{source} = {threads!r} is not a thread count, expected an integer >= 1")
+    return count
+
+
 def run_experiment(name: str, config: dict, seed=None, out=".", threads=None) -> dict:
-    """Programmatic entry point; returns the manifest dictionary."""
+    """Programmatic entry point; returns the manifest dictionary. The run's
+    BLAS calls use one OpenBLAS thread (see ``_one_blas_thread``); its
+    parallelism is the ``threads`` sweep workers."""
     if name not in _EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}")
+    threads = _thread_count(threads)
     runner, table = _EXPERIMENTS[name]
     cfg = _resolve(name, table, config)
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
     master_seed = int(seed if seed is not None else cfg["seed"])
-    if threads is None:
-        threads = int(os.environ.get("QKONC_THREADS", "1"))
-    threads = max(1, int(threads))
     start = time.monotonic()
-    outputs, extras = runner(cfg, master_seed, outdir, threads)
+    with _one_blas_thread() as blas_threads:
+        outputs, extras = runner(cfg, master_seed, outdir, threads)
     wall = time.monotonic() - start
     manifest = {
         "experiment": name,
@@ -804,6 +879,7 @@ def run_experiment(name: str, config: dict, seed=None, out=".", threads=None) ->
         "tensor_ry_kernel": "v2: angle-addition products",
         "package_version": __version__,
         "threads": threads,
+        "blas_threads": blas_threads,
         "wall_time_s": wall,
         "outputs": [
             {"file": p.name, "sha256": _sha256_file(p)} for p in outputs
@@ -820,7 +896,9 @@ def _common_options(fn):
     fn = click.option("--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False))(fn)
     fn = click.option("--seed", type=int, default=None, help="override the config master seed")(fn)
     fn = click.option("--out", type=click.Path(file_okay=False), default=".", help="output directory")(fn)
-    fn = click.option("--threads", type=int, default=None, help="worker threads (default: QKONC_THREADS or 1)")(fn)
+    fn = click.option(
+        "--threads", type=click.IntRange(min=1), default=None, help="worker threads (default: QKONC_THREADS or 1)"
+    )(fn)
     return fn
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tomllib
 from pathlib import Path
 
@@ -11,8 +12,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import click
 import qkonc
-from qkonc.cli import config_hash, main, point_rng, run_experiment
+import qkonc.cli
+from qkonc.cli import _openblas_controls, config_hash, main, point_rng, run_experiment
 
 MANIFEST_KEYS = {
     "experiment",
@@ -23,9 +26,13 @@ MANIFEST_KEYS = {
     "tensor_ry_kernel",
     "package_version",
     "threads",
+    "blas_threads",
     "wall_time_s",
     "outputs",
 }
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def read_header(path):
@@ -668,3 +675,116 @@ class TestCommandLine:
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
         assert run.stdout.strip() == "False"
+
+    def test_import_leaves_concurrent_futures_unloaded(self):
+        code = "import sys, qkonc.cli; print(sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules))"
+        src = str(Path(qkonc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]"
+
+
+class TestThreadCount:
+    CFG = {"family": "tensor_ry", "qubits": [2], "layers": [1], "pairs": 200}
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_cli_rejects_threads_below_one(self, tmp_path, threads):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(self.CFG))
+        outdir = tmp_path / "out"
+        args = ["variance-scan", "--config", str(cfg_path), "--out", str(outdir), "--threads", threads]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2, result.output  # a usage error, no traceback
+        assert "Invalid value for '--threads'" in result.output
+        assert not outdir.exists()
+
+    def test_cli_rejects_non_integer_env_threads(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("QKONC_THREADS", "two")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(self.CFG))
+        outdir = tmp_path / "out"
+        result = CliRunner().invoke(main, ["variance-scan", "--config", str(cfg_path), "--out", str(outdir)])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
+        assert result.output.startswith("Error: QKONC_THREADS = 'two' is not a thread count")
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("threads", [0, -1, "two"])
+    def test_run_experiment_rejects_bad_threads(self, tmp_path, threads):
+        with pytest.raises(click.ClickException, match=f"^threads = {threads!r} is not a thread count"):
+            run_experiment("variance-scan", self.CFG, out=tmp_path / "out", threads=threads)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-3", "two", "1.5", ""])
+    def test_run_experiment_rejects_bad_env_threads(self, tmp_path, monkeypatch, value):
+        monkeypatch.setenv("QKONC_THREADS", value)
+        with pytest.raises(click.ClickException, match=f"^QKONC_THREADS = {value!r} is not a thread count"):
+            run_experiment("variance-scan", self.CFG, out=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_argument_overrides_a_bad_env_value(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("QKONC_THREADS", "two")
+        assert run_experiment("variance-scan", self.CFG, out=tmp_path, threads=2)["threads"] == 2
+
+
+@pytest.fixture
+def caller_blas():
+    """The OpenBLAS (get, set) pairs of this process, each library's thread
+    count restored after the test; skips where none is found."""
+    controls = _openblas_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS with a thread-count control is loaded")
+    saved = [get() for get, _ in controls]
+    yield controls
+    for (_, set_), count in zip(controls, saved):
+        set_(count)
+
+
+def set_caller_blas(controls, count):
+    for _, set_ in controls:
+        set_(count)
+    return [get() for get, _ in controls]
+
+
+class TestBlasThreads:
+    VS_CFG = {"family": "tensor_ry", "qubits": [2, 3], "layers": [1, 2], "pairs": 200}
+
+    def test_manifest_records_pinned_count(self, tmp_path):
+        manifest = run_experiment("bounds", {"qubits": [2]}, seed=1, out=tmp_path)
+        assert "blas_threads" in manifest
+        assert manifest["blas_threads"] == (1 if _openblas_controls() else None)
+
+    def test_train_bytes_do_not_depend_on_caller_blas_threads(self, tmp_path, caller_blas):
+        config = json.loads((ROOT / "perfbench" / "configs" / "shots_train_krr.json").read_text())
+        outputs = {}
+        for count in (2, 1):
+            set_caller_blas(caller_blas, count)
+            manifest = run_experiment("train", config, seed=101, out=tmp_path / str(count))
+            assert manifest["blas_threads"] == 1
+            outputs[count] = [(tmp_path / str(count) / f).read_bytes() for f in ("predictions.csv", "model.json")]
+        assert outputs[2] == outputs[1]
+
+    def test_caller_count_restored_and_workers_read_one(self, tmp_path, monkeypatch, caller_blas):
+        before = set_caller_blas(caller_blas, 2)
+        seen = []
+        scan = qkonc.cli.concentration_scan
+
+        def recording_scan(*args, **kwargs):
+            seen.append((threading.get_ident(), [get() for get, _ in caller_blas]))
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(qkonc.cli, "concentration_scan", recording_scan)
+        run_experiment("variance-scan", self.VS_CFG, seed=1, out=tmp_path / "a", threads=2)
+        assert [get() for get, _ in caller_blas] == before
+        assert len(seen) == 4
+        assert all(counts == [1] * len(caller_blas) for _, counts in seen)
+        assert threading.get_ident() not in {ident for ident, _ in seen}  # all ran on workers
+
+        def failing_scan(*args, **kwargs):
+            raise RuntimeError("scan failed")
+
+        monkeypatch.setattr(qkonc.cli, "concentration_scan", failing_scan)
+        with pytest.raises(RuntimeError, match="scan failed"):
+            run_experiment("variance-scan", self.VS_CFG, seed=1, out=tmp_path / "b")
+        assert [get() for get, _ in caller_blas] == before
