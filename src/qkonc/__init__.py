@@ -7,7 +7,7 @@ noise bounds.  Batched statevector updates run as vectorized numpy
 primitives in ``qkonc._accel``.
 """
 
-__version__ = "0.4.2"
+__version__ = "0.5.0"
 
 from .core import (
     BlochVector,
@@ -67,7 +67,6 @@ from .analysis import (
     expressivity_epsilon,
     expressivity_from_states,
     gamma_s_from_bloch,
-    haar_twofold_moment,
     kta_alignment_constant,
     kta_variance_bound,
     product_ry_moments,

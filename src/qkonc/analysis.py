@@ -140,6 +140,9 @@ def concentration_scan(
     kinds = list(kinds)
     if pairs < 2:
         raise ValueError("need at least 2 pairs for a variance")
+    if low == high and spec.family != "haar":
+        # every pair would be identical, and identical pairs are redrawn
+        raise ValueError("the input interval [low, high] is empty")
     values = [np.empty(pairs) for _ in kinds]
     done = 0
     while done < pairs:
@@ -170,30 +173,16 @@ class ExpressivityEstimate:
     num_qubits: int
 
 
-def haar_twofold_moment(num_qubits: int) -> np.ndarray:
-    """E_Haar[(psi psi^dag)^(x2)] = (1 + SWAP) / (2^n (2^n + 1))."""
-    d = 1 << num_qubits
-    swap = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            swap[i * d + j, j * d + i] = 1.0
-    return (np.eye(d * d) + swap) / (d * (d + 1))
-
-
-def _accumulate_second_moment(states: np.ndarray, m_acc: np.ndarray) -> None:
-    c, d = states.shape
-    phi = np.einsum("mi,mj->mij", states, states).reshape(c, d * d)
-    m_acc += phi.T @ phi.conj()
-
-
 def expressivity_from_states(states: np.ndarray, num_qubits: int) -> ExpressivityEstimate:
     """Plug-in expressivity from a sample of states (rows of a (m, 2**n) array).
 
     epsilon-hat is the trace norm of the sampled two-fold moment minus the
-    Haar two-fold moment. The Monte-Carlo error is the split-half proxy
-    ||M_1 - M_2||_1 / 2 over the two half-sample moment estimates; the
-    plug-in value itself is biased upward, which is safe where the estimate
-    feeds an upper bound.
+    Haar two-fold moment, taken in the symmetric subspace that holds every
+    psi (x) psi: in its coordinates psi_i psi_j (sqrt 2 if i < j else 1),
+    i <= j, the Haar moment is I / D with D = d (d + 1) / 2. The Monte-Carlo
+    error is the split-half proxy ||M_1 - M_2||_1 / 2 over the two
+    half-sample moment estimates; the plug-in value itself is biased upward,
+    which is safe where the estimate feeds an upper bound.
     """
     m, d = states.shape
     if d != 1 << num_qubits:
@@ -201,19 +190,18 @@ def expressivity_from_states(states: np.ndarray, num_qubits: int) -> Expressivit
     if m < 2:
         raise ValueError("need at least 2 samples")
     half = m // 2
-    d2 = d * d
-    m1 = np.zeros((d2, d2), dtype=np.complex128)
-    m2 = np.zeros((d2, d2), dtype=np.complex128)
-    step = max(1, (1 << 22) // (d2 * 16))
-    for lo in range(0, half, step):
-        _accumulate_second_moment(states[lo : min(lo + step, half)], m1)
-    for lo in range(half, m, step):
-        _accumulate_second_moment(states[lo : min(lo + step, m)], m2)
-    m1 /= half
-    m2 /= m - half
-    v = haar_twofold_moment(num_qubits)
-    value = trace_norm((m1 * half + m2 * (m - half)) / m - v)
-    err = 0.5 * trace_norm(m1 - m2)
+    iu, ju = np.triu_indices(d)
+    weight = np.where(iu < ju, math.sqrt(2.0), 1.0)
+    dim = iu.size
+    step = max(1, (1 << 22) // (dim * 16))
+    sums = np.zeros((2, dim, dim), dtype=np.complex128)  # of each half's (psi psi^dag)^(x2)
+    for acc, start, stop in ((sums[0], 0, half), (sums[1], half, m)):
+        for lo in range(start, stop, step):
+            block = states[lo : min(lo + step, stop)]
+            phi = block[:, iu] * block[:, ju] * weight
+            acc += phi.T @ phi.conj()
+    value = trace_norm((sums[0] + sums[1]) / m - np.eye(dim) / dim)
+    err = 0.5 * trace_norm(sums[0] / half - sums[1] / (m - half))
     return ExpressivityEstimate(float(value), float(err), m, num_qubits)
 
 

@@ -40,6 +40,7 @@ import numpy as np
 from . import __version__
 from .analysis import (
     HAAR_STATE_RULE,
+    MAX_EXPRESSIVITY_QUBITS,
     beta_haar,
     beta_haar_projected,
     binomial_pvalue,
@@ -192,9 +193,12 @@ def _one_of(*choices):
     return check
 
 
-def _positive(value):
-    if value < 1:
-        raise ValueError("must be >= 1")
+def _at_least(bound):
+    def check(value):
+        if value < bound:
+            raise ValueError(f"must be >= {bound}")
+
+    return check
 
 
 def _check_dataset(dataset: dict) -> None:
@@ -222,13 +226,17 @@ _CHECKS = {
     "seed": int,
     "theta": float,
     "variances": float,
+    "precision": lambda precision: shots_budget(1.0, precision),
+    "fail_prob": lambda fail_prob: shots_budget(1.0, 1.0, fail_prob),
     "estimator": lambda est: EstimatorSpec(est["strategy"], est["shots"]),
     "dataset": _check_dataset,
     "source": _one_of("csv", "hypercube", "uniform"),
     "algorithm": _one_of("krr", "svm"),
     "ridge_sign": _one_of("minus", "plus"),
-    **dict.fromkeys(["pairs", "samples", "count", "points", "num_thetas", "trials"], _positive),
-    **dict.fromkeys(["repeats", "num_test", "train_sizes", "shots"], _positive),
+    **dict.fromkeys(["pairs", "count", "points", "trials"], _at_least(1)),
+    **dict.fromkeys(["repeats", "num_test", "train_sizes", "shots"], _at_least(1)),
+    # a split-half error (samples) and a variance over parameters (num_thetas) need two
+    **dict.fromkeys(["samples", "num_thetas"], _at_least(2)),
 }
 
 
@@ -386,6 +394,8 @@ def _run_variance_scan(cfg, master_seed, outdir, threads):
     qubits, layer_list, pairs = cfg["qubits"], cfg["layers"], cfg["pairs"]
     if pairs < 2:
         raise _reject("variance-scan", "pairs", f"= {pairs} is too few for a variance, need >= 2")
+    if cfg["low"] == cfg["high"] and cfg["family"] != "haar":
+        raise _reject("variance-scan", "high", f"= {cfg['high']} equals 'low', an empty input interval")
     points = [(i, j) for i in range(len(qubits)) for j in range(len(layer_list))]
 
     def work(pt):
@@ -417,6 +427,8 @@ def _run_variance_scan(cfg, master_seed, outdir, threads):
 def _run_expressivity(cfg, master_seed, outdir, threads):
     _no_theta("expressivity", cfg["family"])
     qubits, layer_list, samples, gamma = cfg["qubits"], cfg["layers"], cfg["samples"], cfg["gamma"]
+    if any(n > MAX_EXPRESSIVITY_QUBITS for n in qubits):
+        raise _reject("expressivity", "qubits", f"= {qubits} has an entry outside 1..{MAX_EXPRESSIVITY_QUBITS}")
     points = [(i, j) for i in range(len(qubits)) for j in range(len(layer_list))]
 
     def work(pt):
@@ -444,7 +456,7 @@ def _run_expressivity(cfg, master_seed, outdir, threads):
         ["n", "layers", "samples", "eps", "eps_mc_error", "bound_fidelity", "bound_projected", "seed"],
         rows,
     )
-    return [path], {}
+    return [path], {"expressivity_moment": "v2: symmetric subspace"}
 
 
 @_experiment("noise-scan", {

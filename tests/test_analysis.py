@@ -21,7 +21,6 @@ from qkonc.analysis import (
     expressivity_epsilon,
     expressivity_from_states,
     gamma_s_from_bloch,
-    haar_twofold_moment,
     kta_alignment_constant,
     kta_variance_bound,
     product_ry_moments,
@@ -34,8 +33,27 @@ from qkonc.core import (
     haar_random_states,
     trace_norm,
 )
-from qkonc.embeddings import EmbeddingSpec
+from qkonc.embeddings import EmbeddingSpec, embed_batch
 from qkonc.kernels import KernelKind
+
+
+def haar_twofold_moment(num_qubits: int) -> np.ndarray:
+    """Dense reference E_Haar[(psi psi^dag)^(x2)] = (I + SWAP) / (d (d + 1)) on C^d (x) C^d."""
+    d = 1 << num_qubits
+    swap = np.eye(d * d).reshape(d, d, d, d).transpose(0, 1, 3, 2).reshape(d * d, d * d)
+    return (np.eye(d * d) + swap) / (d * (d + 1))
+
+
+def dense_expressivity(states: np.ndarray, num_qubits: int) -> tuple[float, float]:
+    """(value, split-half error) of the plug-in expressivity from the d^2 x d^2
+    two-fold moments of the two half samples."""
+    m, d = states.shape
+    half = m // 2
+    phi = np.einsum("mi,mj->mij", states, states).reshape(m, d * d)
+    m1 = phi[:half].T @ phi[:half].conj() / half
+    m2 = phi[half:].T @ phi[half:].conj() / (m - half)
+    value = trace_norm((m1 * half + m2 * (m - half)) / m - haar_twofold_moment(num_qubits))
+    return value, 0.5 * trace_norm(m1 - m2)
 
 
 class TestReferenceConstants:
@@ -172,6 +190,16 @@ class TestConcentrationScan:
                 np.random.default_rng(7),
             )
 
+    @pytest.mark.parametrize("family", ["tensor_ry", "hardware_efficient"])
+    def test_empty_input_interval_is_rejected(self, family):
+        # every pair would be identical, and identical pairs are redrawn forever
+        with pytest.raises(ValueError, match="empty"):
+            concentration_scan(EmbeddingSpec(2, family), [KernelKind.fidelity()], 10, np.random.default_rng(7), 1.0, 1.0)
+
+    def test_haar_ignores_the_input_interval(self):
+        rep = concentration_scan(EmbeddingSpec(2, "haar"), [KernelKind.fidelity()], 10, np.random.default_rng(7), 1.0, 1.0)
+        assert 0.0 < rep[0].mean < 1.0
+
     def test_report_std_error(self):
         rep = ConcentrationReport(
             EmbeddingSpec(2, "tensor_ry"), KernelKind.fidelity(), 400, 0.2, 0.04
@@ -185,6 +213,40 @@ class TestExpressivity:
         assert v.shape == (16, 16)
         assert np.trace(v) == pytest.approx(1.0, abs=1e-13)
         np.testing.assert_allclose(v, v.T, atol=1e-14)
+        # D v is the projector onto the symmetric subspace, of dimension D = 10
+        np.testing.assert_allclose(10 * v @ (10 * v), 10 * v, atol=1e-13)
+        assert np.linalg.matrix_rank(v) == 10
+        psi = haar_random_states(2, 1, np.random.default_rng(0))[0]
+        np.testing.assert_allclose(10 * v @ np.kron(psi, psi), np.kron(psi, psi), atol=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("family", ["tensor_ry", "single_layer_rot", "hardware_efficient", "haar"])
+    def test_from_states_matches_dense_reference(self, n, family):
+        # m = 2 lies below D = d (d + 1) / 2 at every n, 50 below it at n = 4, 300 above it
+        rng = np.random.default_rng(n)
+        for m in (2, 50, 300):
+            if family == "haar":
+                states = haar_random_states(n, m, rng)
+            else:
+                states = embed_batch(EmbeddingSpec(n, family, layers=2), rng.uniform(-math.pi, math.pi, (m, n)))
+            est = expressivity_from_states(states, n)
+            value, err = dense_expressivity(states, n)
+            assert est.value == pytest.approx(value, abs=1e-12)
+            assert est.mc_error == pytest.approx(err, abs=1e-12)
+
+    def test_from_states_memory_is_that_of_the_symmetric_subspace(self):
+        # the two-fold moments live in D = 528 dimensions at n = 5; the d^2 = 1024
+        # dimensional moments of the full space peak at about 72 MiB here
+        n, dim = 5, 528
+        states = haar_random_states(n, 1000, np.random.default_rng(5))
+        tracemalloc.start()
+        try:
+            est = expressivity_from_states(states, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 16 * dim * dim
+        assert 0.0 < est.value < 2.0
 
     def test_haar_family_expressivity_vanishes(self):
         rng = np.random.default_rng(42)

@@ -175,7 +175,8 @@ class TestVarianceScan:
 class TestExpressivity:
     def test_schema(self, tmp_path):
         cfg = {"family": "hardware_efficient", "qubits": [2], "layers": [1, 4], "samples": 400}
-        run_experiment("expressivity", cfg, seed=2, out=tmp_path)
+        manifest = run_experiment("expressivity", cfg, seed=2, out=tmp_path)
+        assert manifest["expressivity_moment"] == "v2: symmetric subspace"
         path = tmp_path / "expressivity.csv"
         assert read_header(path) == [
             "n",

@@ -156,6 +156,12 @@ class TestResolver:
             ("shots-budget", {"qubits": [2], "variances": ["x"]}, "variances"),
             ("bounds", {"gamma": "1"}, "gamma"),
             ("bounds", {"eps": -1}, "eps"),
+            ("expressivity", {"samples": 1}, "samples"),
+            ("expressivity", {"qubits": [2, 7]}, "qubits"),
+            ("variance-scan", {"low": 1.0, "high": 1.0}, "high"),
+            ("shots-budget", {"precision": 0}, "precision"),
+            ("shots-budget", {"fail_prob": 1.5}, "fail_prob"),
+            ("kta-scan", {"num_thetas": 1}, "num_thetas"),
         ],
     )
     def test_bad_value_fails_early_naming_the_key(self, tmp_path, experiment, cfg, key):
