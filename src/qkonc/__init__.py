@@ -7,7 +7,7 @@ noise bounds.  Batched statevector updates run as vectorized numpy
 primitives in ``qkonc._accel``.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.5.1"
 
 from .core import (
     BlochVector,
@@ -48,6 +48,7 @@ from .noise import (
     noise_bounds,
     noisy_embed,
     noisy_pauli_batch,
+    noisy_pauli_depths,
     pauli_fidelity_kernel,
     pauli_mixed_distance,
     pauli_projected_kernel,

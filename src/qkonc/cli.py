@@ -14,7 +14,8 @@ type or an out-of-range value stops the run with a ``click.ClickException``
 that names the key.
 
 Determinism: the generator of sweep point ``(i, j, ...)`` is
-``numpy.random.default_rng(SeedSequence((master_seed, i, j, ...)))``, so
+``numpy.random.default_rng(SeedSequence((master_seed, i, j, ...)))`` (for
+``noise-scan`` the point is q value ``i``, whose inputs every depth reads), so
 reruns with the same config and seed produce byte-identical CSV files
 regardless of the thread count (results are gathered and written in sweep
 order by the parent thread). ``--threads`` falls back to the QKONC_THREADS
@@ -72,7 +73,7 @@ from .noise import (
     NOISE_MAX_QUBITS,
     PauliNoiseParams,
     noise_bounds,
-    noisy_pauli_batch,
+    noisy_pauli_depths,
     pauli_fidelity_kernel,
     pauli_mixed_distance,
     pauli_projected_kernel,
@@ -251,6 +252,8 @@ def _convert(value, default):
     if isinstance(default, list):
         if not isinstance(value, list):
             raise TypeError("expected a list")
+        if not value:
+            raise ValueError("expected a non-empty list")
         return [_convert(v, default[0]) for v in value]
     if isinstance(value, (list, dict)) or isinstance(value, str) != isinstance(default, str):
         raise TypeError(f"expected {type(default).__name__}")
@@ -353,17 +356,22 @@ def _available_memory() -> int:
     return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
+def _check_memory(name: str, key: str, need: int, what: str) -> None:
+    """Reject ``key`` when ``need`` bytes for ``what`` do not fit in the
+    memory available now. Runs before the first allocation."""
+    free = _available_memory()
+    if need > free:
+        why = f"asks for {what} that need about {need / 2**30:.3g} GiB"
+        raise _reject(name, key, f"{why}, more than the {free / 2**30:.3g} GiB available")
+
+
 def _check_fits(name: str, key: str, family: str, n: int, rows: int, cols: int, concurrent: int = 1) -> None:
     """Reject ``key`` when ``concurrent`` rows x cols kernel matrices of
     ``n``-qubit ``family`` points, with their working copies and statevectors
-    (two complex copies per point; tensor_ry has none), do not fit in the
-    memory available now. Runs before the first allocation."""
+    (two complex copies per point; tensor_ry has none), do not fit."""
     states = 0 if family == "tensor_ry" else 32 * (rows + cols) * 2**n
     need = concurrent * (8 * _MATRIX_COPIES * rows * cols + states)
-    free = _available_memory()
-    if need > free:
-        why = f"asks for {rows} x {cols} kernel matrices that need about {need / 2**30:.3g} GiB"
-        raise _reject(name, key, f"{why}, more than the {free / 2**30:.3g} GiB available")
+    _check_memory(name, key, need, f"{rows} x {cols} kernel matrices")
 
 
 def _dataset(name: str, d: dict, dim: int, master_seed: int, fits) -> Dataset:
@@ -472,32 +480,37 @@ def _run_noise_scan(cfg, master_seed, outdir, threads):
         raise _reject("noise-scan", "family", "= 'haar' has no gate layers to add noise to")
     _no_theta("noise-scan", family)
     noise = [PauliNoiseParams(q, q, q) for q in q_values]
-    points = [(i, j) for i in range(len(q_values)) for j in range(len(layer_list))]
+    # per q worker and row: a float64 Pauli vector, and the gates and transfer
+    # matrices with their temporaries (about 512 bytes per qubit, traced)
+    concurrent = min(threads, len(q_values))
+    need = concurrent * 2 * pairs * (8 * 4**n + 512 * n)
+    _check_memory("noise-scan", "pairs", need, f"{2 * pairs} noisy {n}-qubit states per q")
 
-    def work(pt):
-        i, j = pt
-        params, layers = noise[i], layer_list[j]
-        spec = _embedding(cfg, n, layers)
-        rng = point_rng(master_seed, i, j)
-        bnd = noise_bounds(params, n, layers, gamma)
-        # rows x_0, y_0, x_1, y_1, ...: the draws of one pair after another
-        states = noisy_pauli_batch(spec, [rng.uniform(low, high, n) for _ in range(2 * pairs)], params)
-        a, b = states[0::2], states[1::2]
-        return [
-            n,
-            q_values[i],
-            layers,
-            pairs,
-            np.abs(pauli_fidelity_kernel(a, b) - bnd.fidelity_mean).sum() / pairs,
-            bnd.fidelity_deviation,
-            np.abs(1.0 - pauli_projected_kernel(a, b, gamma)).sum() / pairs,
-            bnd.projected_deviation,
-            pauli_mixed_distance(a).sum() / pairs,
-            bnd.state_distance,
-            master_seed,
-        ]
+    def work(i):
+        params, rng = noise[i], point_rng(master_seed, i)
+        # rows x_0, y_0, x_1, y_1, ...: the draws of one pair after another;
+        # every depth reads the same inputs
+        xs = rng.uniform(low, high, (2 * pairs, n))
+        by_depth = {}
+        for layers, states in noisy_pauli_depths(_embedding(cfg, n, max(layer_list)), xs, params, layer_list):
+            bnd = noise_bounds(params, n, layers, gamma)
+            a, b = states[0::2], states[1::2]
+            by_depth[layers] = [
+                n,
+                q_values[i],
+                layers,
+                pairs,
+                np.abs(pauli_fidelity_kernel(a, b) - bnd.fidelity_mean).sum() / pairs,
+                bnd.fidelity_deviation,
+                np.abs(1.0 - pauli_projected_kernel(a, b, gamma)).sum() / pairs,
+                bnd.projected_deviation,
+                pauli_mixed_distance(a).sum() / pairs,
+                bnd.state_distance,
+                master_seed,
+            ]
+        return [by_depth[layers] for layers in layer_list]
 
-    rows = _map_points(points, work, threads)
+    rows = [row for q_rows in _map_points(range(len(q_values)), work, threads) for row in q_rows]
     path = outdir / "noise_scan.csv"
     write_csv(
         path,
@@ -516,7 +529,10 @@ def _run_noise_scan(cfg, master_seed, outdir, threads):
         ],
         rows,
     )
-    return [path], {"noisy_state_engine": "v3: Pauli-transfer vectors"}
+    return [path], {
+        "noisy_state_engine": "v3: Pauli-transfer vectors",
+        "noise_scan_inputs": "v2: per q, SeedSequence((master_seed, i)); every depth reads the same 2*pairs inputs",
+    }
 
 
 @_experiment("gram", {

@@ -8,7 +8,9 @@ channels N with the embedding layers:
 so an L-layer embedding suffers L+1 channel applications per state. The
 single-qubit channel is diagonal in the Pauli basis, N(sigma) = q_sigma sigma
 for sigma in {X, Y, Z}, with characteristic strength q = max |q_sigma|, so
-states are simulated as real Pauli vectors (``noisy_pauli_batch``).
+states are simulated as real Pauli vectors: ``noisy_pauli_depths`` evolves a
+batch once and hands it out at each requested depth, ``noisy_pauli_batch``
+at one depth.
 """
 
 from __future__ import annotations
@@ -134,28 +136,37 @@ def _transfer(gates: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("aij,...jk,bkl,...il->...ab", p, gates, p, gates.conj()).real
 
 
-def noisy_pauli_batch(
+def noisy_pauli_depths(
     spec: EmbeddingSpec,
     xs,
     params: PauliNoiseParams,
+    depths,
     theta=None,
     max_qubits: int = NOISE_MAX_QUBITS,
-) -> np.ndarray:
-    """Noisy states of the rows of ``xs`` as a (m, 4**n) batch of Pauli vectors.
+):
+    """Noisy states of the rows of ``xs`` at several depths, from one evolution.
 
-    Row r holds c_p = Tr(P_p rho(xs[r])) of the layerwise noise model's state.
+    Evolves the batch once, through max(depths) data layers, and yields
+    ``(layers, batch)`` at each distinct depth in increasing order: ``batch``
+    is the (m, 4**n) Pauli-vector batch of ``spec`` with ``layers`` in place
+    of ``spec.layers``, bit for bit. It is one buffer, which the next step
+    overwrites, so copy what must outlive the step.
     """
     n = spec.num_qubits
     if n > max_qubits:
         raise ValueError(
-            f"density-matrix noise simulation is limited to {max_qubits} qubits"
+            f"noisy-state simulation is limited to {max_qubits} qubits "
+            "(4**n Pauli coefficients per state)"
         )
+    depths = sorted(set(depths))
+    if depths and depths[0] < 1:
+        raise ValueError(f"depths must be >= 1, got {depths[0]}")
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != n:
         raise ValueError(f"expected (m, {n}) features, got {xs.shape}")
     transfers = [_transfer(g) for g in _layer_gates(spec, xs, theta)]
     # x is re-uploaded: the entangled families run their data layer (the last
-    # one) ``spec.layers`` times, each followed by the ladder
+    # one) once per layer, each followed by the ladder; the others run it once
     repeated = spec.family in ("hardware_efficient", "parameterized")
     ladder = repeated and n > 1
     lam = _channel_diagonal(params, n)
@@ -167,25 +178,48 @@ def noisy_pauli_batch(
     out[:] = _pauli_product([(1.0, 0.0, 0.0, params.qz)] * n)  # N(|0...0><0...0|)
     step = max(1, _BLOCK_COEFFICIENTS // size)
     tmp = np.empty(min(step, len(xs)) * size)
-    for lo in range(0, len(xs), step):
-        block = out[lo : lo + step]
-        b = len(block)
-        state = block.reshape(b, size >> (2 * h), 1 << (2 * h))
-        # one scratch buffer: the product's temporary, then the gather's target
-        t, gathered = tmp[: b * size].reshape(state.shape), tmp[: b * size].reshape(b, size)
-        for i, tr in enumerate(transfers):
-            tr = tr[lo : lo + b]
-            t_lo_t, t_hi = _kron_rows(tr[:, :h].swapaxes(2, 3)), _kron_rows(tr[:, h:])
-            last = i == len(transfers) - 1
-            for _ in range(spec.layers if last and repeated else 1):
-                np.matmul(state, t_lo_t, out=t)
-                np.matmul(t_hi, t, out=state)
-                if last and ladder:
-                    np.take(block, src, axis=1, out=gathered)
-                    np.multiply(gathered, ladder_lam, out=block)
-                else:
-                    block *= lam
-    return out
+    done = 0  # data layers applied so far
+    for depth in depths:
+        runs = (depth if repeated else 1) - done
+        # (transfer, repeats): the layers before the data layer run in the
+        # first segment only; a data layer run once leaves later segments empty
+        segment = [(tr, 1) for tr in transfers[:-1]] if done == 0 else []
+        segment.append((transfers[-1], runs))
+        for lo in range(0, len(xs) if runs else 0, step):
+            block = out[lo : lo + step]
+            b = len(block)
+            state = block.reshape(b, size >> (2 * h), 1 << (2 * h))
+            # one scratch buffer: the product's temporary, then the gather's target
+            t, gathered = tmp[: b * size].reshape(state.shape), tmp[: b * size].reshape(b, size)
+            for i, (tr, reps) in enumerate(segment):
+                tr = tr[lo : lo + b]
+                t_lo_t, t_hi = _kron_rows(tr[:, :h].swapaxes(2, 3)), _kron_rows(tr[:, h:])
+                last = i == len(segment) - 1
+                for _ in range(reps):
+                    np.matmul(state, t_lo_t, out=t)
+                    np.matmul(t_hi, t, out=state)
+                    if last and ladder:
+                        np.take(block, src, axis=1, out=gathered)
+                        np.multiply(gathered, ladder_lam, out=block)
+                    else:
+                        block *= lam
+                del t_lo_t, t_hi  # one set of factors at a time
+        done += runs
+        yield depth, out
+
+
+def noisy_pauli_batch(
+    spec: EmbeddingSpec,
+    xs,
+    params: PauliNoiseParams,
+    theta=None,
+    max_qubits: int = NOISE_MAX_QUBITS,
+) -> np.ndarray:
+    """Noisy states of the rows of ``xs`` as a (m, 4**n) batch of Pauli vectors.
+
+    Row r holds c_p = Tr(P_p rho(xs[r])) of the layerwise noise model's state.
+    """
+    return next(noisy_pauli_depths(spec, xs, params, [spec.layers], theta, max_qubits))[1]
 
 
 def pauli_fidelity_kernel(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
@@ -208,7 +242,7 @@ def pauli_projected_kernel(ca: np.ndarray, cb: np.ndarray, gamma: float = 1.0) -
 def pauli_mixed_distance(c: np.ndarray) -> np.ndarray:
     """||rho - 1/2**n||_2 = sqrt(sum_{p >= 1} c_p**2 / 2**n) over the last axis."""
     rest = c[..., 1:]
-    return np.sqrt(np.sum(rest * rest, axis=-1) / math.isqrt(c.shape[-1]))
+    return np.sqrt(np.einsum("...p,...p->...", rest, rest) / math.isqrt(c.shape[-1]))
 
 
 def noisy_embed(

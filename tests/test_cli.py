@@ -229,9 +229,35 @@ class TestNoiseScan:
     def test_manifest_names_noisy_state_engine(self, tmp_path):
         manifest = run_experiment("noise-scan", self.CFG, seed=5, out=tmp_path)
         assert manifest["noisy_state_engine"] == "v3: Pauli-transfer vectors"
-        assert "noisy_state_engine" not in run_experiment(
-            "bounds", {"qubits": [2]}, seed=5, out=tmp_path / "bounds"
+        assert manifest["noise_scan_inputs"] == (
+            "v2: per q, SeedSequence((master_seed, i)); every depth reads the same 2*pairs inputs"
         )
+        bounds = run_experiment("bounds", {"qubits": [2]}, seed=5, out=tmp_path / "bounds")
+        assert "noisy_state_engine" not in bounds and "noise_scan_inputs" not in bounds
+
+    def test_rows_follow_config_order_on_shared_inputs(self, tmp_path):
+        run_experiment("noise-scan", {**self.CFG, "layers": [4, 1, 4]}, seed=5, out=tmp_path / "a")
+        run_experiment("noise-scan", {**self.CFG, "layers": [1, 4]}, seed=5, out=tmp_path / "b")
+        rows = (tmp_path / "a" / "noise_scan.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == ["4", "1", "4"] * 2
+        assert rows[0] == rows[2] and rows[3] == rows[5]
+        # the row of one depth does not depend on which other depths are asked for
+        other = (tmp_path / "b" / "noise_scan.csv").read_text().splitlines()[1:]
+        assert other == [rows[1], rows[0], rows[4], rows[3]]
+
+    def test_data_layers_run_once_to_the_deepest_layer(self, tmp_path, monkeypatch):
+        # each data-layer application on a block of rows is two matmuls into a scratch buffer
+        calls = []
+        matmul = np.matmul
+
+        def counting(*args, **kwargs):
+            calls.append(len(args))
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counting)
+        cfg = {**self.CFG, "qubits": 2, "layers": [3, 1, 8, 3]}  # one block of rows per q
+        run_experiment("noise-scan", cfg, seed=5, out=tmp_path)
+        assert len(calls) == len(cfg["q_values"]) * 2 * max(cfg["layers"])
 
     @pytest.mark.parametrize(
         "key, value",
@@ -244,6 +270,8 @@ class TestNoiseScan:
             ("layers", [1, 0]),
             ("q_values", [0.9, 1.0]),
             ("q_values", [-0.5]),
+            ("layers", []),
+            ("q_values", []),
         ],
     )
     def test_bad_config_is_rejected_before_any_work(self, tmp_path, key, value):
@@ -555,6 +583,35 @@ class TestMemoryCheck:
         result = CliRunner().invoke(main, ["train", "--config", str(cfg_path), "--out", str(outdir)])
         assert result.exit_code == 1, result.output
         assert "'dataset.count' asks for 6 x 6 kernel matrices" in result.output
+        assert not list(outdir.iterdir())
+
+    @pytest.mark.parametrize("threads, fits", [(1, True), (3, False)])
+    def test_noise_scan_batch_is_checked_per_worker(self, tmp_path, monkeypatch, threads, fits):
+        # 2 * 1000 two-qubit rows need about 2.3 MB per q worker
+        monkeypatch.setattr(qkonc.cli, "_available_memory", lambda: 5 * 10**6)
+        cfg = {"qubits": 2, "q_values": [0.8, 0.9, 0.95], "layers": [1, 2], "pairs": 1000}
+        if fits:
+            run_experiment("noise-scan", cfg, seed=1, out=tmp_path, threads=threads)
+            assert (tmp_path / "noise_scan.csv").exists()
+        else:
+            with pytest.raises(click.ClickException, match="'pairs' asks for 2000 noisy 2-qubit states per q"):
+                run_experiment("noise-scan", cfg, seed=1, out=tmp_path, threads=threads)
+
+    def test_noise_scan_pairs_that_cannot_fit_allocate_nothing(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the noisy states were simulated")
+
+        monkeypatch.setattr(qkonc.cli, "_available_memory", lambda: 8 * 2**30)
+        monkeypatch.setattr(qkonc.cli, "noisy_pauli_depths", refuse)
+        monkeypatch.setattr(qkonc.cli, "point_rng", refuse)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"qubits": 6, "pairs": 200_000}))
+        outdir = tmp_path / "out"
+        result = CliRunner().invoke(main, ["noise-scan", "--config", str(cfg_path), "--out", str(outdir)])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
+        assert result.output.startswith("Error: noise-scan: 'pairs' asks for 400000 noisy 6-qubit states")
+        assert "than the 8 GiB available" in result.output
         assert not list(outdir.iterdir())
 
     def test_available_memory_is_read(self):

@@ -162,6 +162,15 @@ class TestResolver:
             ("shots-budget", {"precision": 0}, "precision"),
             ("shots-budget", {"fail_prob": 1.5}, "fail_prob"),
             ("kta-scan", {"num_thetas": 1}, "num_thetas"),
+            ("generalization", {"train_sizes": []}, "train_sizes"),
+            ("noise-scan", {"layers": []}, "layers"),
+            ("variance-scan", {"qubits": []}, "qubits"),
+            ("expressivity", {"qubits": []}, "qubits"),
+            ("kta-scan", {"qubits": []}, "qubits"),
+            ("bounds", {"qubits": []}, "qubits"),
+            ("shots-budget", {"qubits": []}, "qubits"),
+            ("variance-scan", {"kernels": []}, "kernels"),
+            ("indistinguishability", {"mode": "decision", "eps": []}, "eps"),
         ],
     )
     def test_bad_value_fails_early_naming_the_key(self, tmp_path, experiment, cfg, key):

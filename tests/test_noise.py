@@ -29,6 +29,7 @@ from qkonc.noise import (
     noise_bounds,
     noisy_embed,
     noisy_pauli_batch,
+    noisy_pauli_depths,
     pauli_fidelity_kernel,
     pauli_projected_kernel,
 )
@@ -230,14 +231,14 @@ class TestNoiseScanColumns:
         mixed = maximally_mixed(n)
         want = []
         for i, q in enumerate(self.CFG["q_values"]):
-            for j, layers in enumerate(self.CFG["layers"]):
+            # every depth of one q reads the same inputs
+            rng = point_rng(11, i)
+            draws = [(rng.uniform(-np.pi, np.pi, n), rng.uniform(-np.pi, np.pi, n)) for _ in range(pairs)]
+            for layers in self.CFG["layers"]:
                 params = PauliNoiseParams(q, q, q)
                 spec = EmbeddingSpec(n, "hardware_efficient", layers=layers, entangler="cnot")
-                rng = point_rng(11, i, j)
                 cols = np.zeros(3)
-                for _ in range(pairs):
-                    x = rng.uniform(-np.pi, np.pi, n)
-                    y = rng.uniform(-np.pi, np.pi, n)
+                for x, y in draws:
                     ra = kraus_oracle_embed(spec, x, params)
                     rb = kraus_oracle_embed(spec, y, params)
                     cols += [
@@ -339,6 +340,31 @@ class TestNoisyEmbedding:
         kf, kp = noisy_kernels(spec, x, y, PauliNoiseParams(0.2, 0.2, 0.2))
         assert kf == pytest.approx(0.25, abs=0.01)
         assert kp == pytest.approx(1.0, abs=0.01)
+
+
+class TestNoisyPauliDepths:
+    @pytest.mark.parametrize("entangler", ["cz", "cnot"])
+    @pytest.mark.parametrize("family", ["hardware_efficient", "tensor_ry", "single_layer_rot", "parameterized"])
+    def test_each_depth_is_bitwise_the_single_depth_batch(self, family, entangler):
+        params = PauliNoiseParams(0.9, 0.8, 0.7)
+        depths = [5, 1, 9, 2, 5]  # unsorted, with a repeat
+        for n in (1, 2, 3, 4, 5, 6):
+            rng = np.random.default_rng(n)
+            xs = rng.uniform(-np.pi, np.pi, (7, n))  # at n = 6, blocks of two rows
+            theta = rng.uniform(0.0, 2.0 * np.pi, n) if family == "parameterized" else None
+            spec = EmbeddingSpec(n, family, entangler=entangler)
+            got = [(layers, batch.copy()) for layers, batch in noisy_pauli_depths(spec, xs, params, depths, theta)]
+            assert [layers for layers, _ in got] == [1, 2, 5, 9]
+            for layers, batch in got:
+                want = noisy_pauli_batch(
+                    EmbeddingSpec(n, family, layers=layers, entangler=entangler), xs, params, theta
+                )
+                assert np.array_equal(batch, want), (n, layers)
+
+    def test_depth_below_one_rejected(self):
+        spec = EmbeddingSpec(2, "hardware_efficient")
+        with pytest.raises(ValueError, match="depths must be >= 1"):
+            next(noisy_pauli_depths(spec, np.zeros((1, 2)), PauliNoiseParams(0.9, 0.9, 0.9), [2, 0]))
 
 
 class TestNoiseBounds:
