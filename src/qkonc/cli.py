@@ -55,7 +55,7 @@ from .analysis import (
     simulate_distinguish,
 )
 from .datasets import Dataset, gen_hypercube, gen_uniform, load_csv, save_csv
-from .embeddings import EmbeddingSpec
+from .embeddings import EmbeddingSpec, _block_rows
 from .estimators import EstimatorSpec
 from .kernels import (
     KernelKind,
@@ -338,8 +338,8 @@ def _estimator(name: str, est: dict, kind: KernelKind, master_seed: int) -> Esti
 
 
 # float64 m x m arrays a kernel run holds at its peak: the kernel values, the
-# assembled matrix and their working copies (measured: 3.5-5.5 under
-# tracemalloc for gram, train and generalization)
+# assembled matrix and their working copies (measured: 2.2-5.7 under
+# tracemalloc for gram and train, 3.5-5.5 for generalization)
 _MATRIX_COPIES = 6
 
 
@@ -365,11 +365,21 @@ def _check_memory(name: str, key: str, need: int, what: str) -> None:
         raise _reject(name, key, f"{why}, more than the {free / 2**30:.3g} GiB available")
 
 
-def _check_fits(name: str, key: str, family: str, n: int, rows: int, cols: int, concurrent: int = 1) -> None:
-    """Reject ``key`` when ``concurrent`` rows x cols kernel matrices of
-    ``n``-qubit ``family`` points, with their working copies and statevectors
-    (two complex copies per point; tensor_ry has none), do not fit."""
-    states = 0 if family == "tensor_ry" else 32 * (rows + cols) * 2**n
+def _check_fits(
+    name: str, key: str, family: str, variant: str, n: int, rows: int, cols: int, concurrent: int = 1
+) -> None:
+    """Reject ``key`` when ``concurrent`` rows x cols ``variant`` kernel
+    matrices of ``n``-qubit ``family`` points, with their working copies and
+    statevectors, do not fit. A fidelity kernel holds two complex copies of
+    every point's state; a projected kernel holds one row block of states
+    with its working copies (about 10 MiB) and every point's Bloch vectors;
+    tensor_ry holds no states."""
+    if family == "tensor_ry":
+        states = 0
+    elif variant == "fidelity":
+        states = 32 * (rows + cols) * 2**n
+    else:
+        states = 160 * _block_rows(n) * 2**n + 24 * n * (rows + cols)
     need = concurrent * (8 * _MATRIX_COPIES * rows * cols + states)
     _check_memory(name, key, need, f"{rows} x {cols} kernel matrices")
 
@@ -549,7 +559,7 @@ def _run_gram(cfg, master_seed, outdir, threads):
     est = _estimator("gram", cfg["estimator"], kind, master_seed)
     ds = _dataset(
         "gram", cfg["dataset"], cfg["dataset"]["qubits"] or n, master_seed,
-        lambda m, dim: _check_fits("gram", "dataset.count", spec.family, n, m, m),
+        lambda m, dim: _check_fits("gram", "dataset.count", spec.family, kind.variant, n, m, m),
     )
     if ds.dim != n:
         raise _reject("gram", "dataset", f"points have {ds.dim} features, but 'qubits' = {n}")
@@ -558,8 +568,9 @@ def _run_gram(cfg, master_seed, outdir, threads):
     gm.to_csv(gram_path)
     points_path = outdir / "points.csv"
     save_csv(ds, points_path)
-    zero_ratio = float(np.mean(gm.matrix[np.triu_indices(ds.count, k=1)] == 0.0))
-    return [gram_path, points_path], {"zero_ratio": zero_ratio}
+    pairs = ds.count * (ds.count - 1) // 2
+    zeros = np.count_nonzero(np.triu(gm.matrix == 0.0, 1))
+    return [gram_path, points_path], {"zero_ratio": zeros / pairs if pairs else None}
 
 
 @_experiment("train", {
@@ -572,7 +583,7 @@ def _run_train(cfg, master_seed, outdir, threads):
     del threads
     ds = _dataset(
         "train", cfg["dataset"], cfg["dataset"]["qubits"], master_seed,
-        lambda m, dim: _check_fits("train", "dataset.count", cfg["family"], dim, m, m),
+        lambda m, dim: _check_fits("train", "dataset.count", cfg["family"], cfg["kernel"], dim, m, m),
     )
     if ds.labels is None:
         raise _reject("train", "dataset", "has no labels to train on")
@@ -632,8 +643,8 @@ def _run_train(cfg, master_seed, outdir, threads):
 def _run_generalization(cfg, master_seed, outdir, threads):
     sizes, repeats = tuple(cfg["train_sizes"]), cfg["repeats"]
     n, pool, concurrent = cfg["qubits"], max(sizes), min(threads, repeats)
-    _check_fits("generalization", "train_sizes", "tensor_ry", n, pool, pool, concurrent)
-    _check_fits("generalization", "num_test", "tensor_ry", n, pool + cfg["num_test"], pool, concurrent)
+    _check_fits("generalization", "train_sizes", "tensor_ry", "fidelity", n, pool, pool, concurrent)
+    _check_fits("generalization", "num_test", "tensor_ry", "fidelity", n, pool + cfg["num_test"], pool, concurrent)
     kwargs = dict(
         num_qubits=cfg["qubits"],
         train_sizes=sizes,

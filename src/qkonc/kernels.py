@@ -28,7 +28,7 @@ import numpy as np
 
 from . import _accel
 from .core import StateVector, _reduced_matrix, bloch_vectors, fidelity, hs_inner
-from .embeddings import EmbeddingSpec, embed_batch
+from .embeddings import EmbeddingSpec, _block_rows, embed_batch
 from .estimators import EstimatorSpec, projected_estimate_from_bloch, sample_fidelity
 
 KERNEL_VARIANTS = ("fidelity", "projected")
@@ -187,23 +187,36 @@ def _exact_kernel_matrix(
     """Exact kernel values between two point sets (ys=None means xs vs xs)."""
     if spec.family == "tensor_ry":
         return product_kernel(xs[:, None], (xs if ys is None else ys)[None], kind)
-    psi_a = embed_batch(spec, xs, theta=theta)
-    psi_b = psi_a if ys is None else embed_batch(spec, ys, theta=theta)
     if kind.variant == "fidelity":
+        psi_a = embed_batch(spec, xs, theta=theta)
+        psi_b = psi_a if ys is None else embed_batch(spec, ys, theta=theta)
         ov = psi_a @ psi_b.conj().T
         return (ov.real**2 + ov.imag**2)
-    ca = _accel.bloch_batch(psi_a, spec.num_qubits).reshape(len(xs), -1)
-    cb = ca if ys is None else _accel.bloch_batch(psi_b, spec.num_qubits).reshape(len(psi_b), -1)
+    ca = _all_bloch(spec, xs, theta).reshape(len(xs), -1)
+    cb = ca if ys is None else _all_bloch(spec, ys, theta).reshape(len(ys), -1)
     sq_a = np.sum(ca * ca, axis=1)
     sq_b = np.sum(cb * cb, axis=1)
-    d = 0.5 * (sq_a[:, None] + sq_b[None, :] - 2.0 * (ca @ cb.T))
-    return np.exp(-kind.gamma * d)
+    # exp(-gamma * 0.5 * (|a|^2 + |b|^2 - 2 a.b)) in that order, in place in
+    # two (m, m') arrays
+    ab = ca @ cb.T
+    ab *= 2.0
+    out = sq_a[:, None] + sq_b[None, :]
+    out -= ab
+    out *= 0.5
+    out *= -kind.gamma
+    return np.exp(out, out=out)
 
 
 def _all_bloch(spec: EmbeddingSpec, xs: np.ndarray, theta) -> np.ndarray:
+    """(m, n, 3) Bloch vectors of the embedded points. Statevectors are built
+    and reduced one row block of ``_block_rows(n)`` at a time."""
     if spec.family == "tensor_ry":
         return product_bloch_vectors(xs)
-    return _accel.bloch_batch(embed_batch(spec, xs, theta=theta), spec.num_qubits)
+    n, step = spec.num_qubits, _block_rows(spec.num_qubits)
+    out = np.empty((len(xs), n, 3))
+    for lo in range(0, len(xs), step):
+        out[lo : lo + step] = _accel.bloch_batch(embed_batch(spec, xs[lo : lo + step], theta=theta), n)
+    return out
 
 
 def _sampled_kernel_matrix(
@@ -256,15 +269,13 @@ def gram(
     estimate projected kernels).
     """
     xs = _points(spec, xs)
-    npts = xs.shape[0]
     if estimator is None or estimator.strategy == "exact":
-        upper = _exact_kernel_matrix(spec, xs, None, kind, theta)
+        out = _exact_kernel_matrix(spec, xs, None, kind, theta)
     else:
-        upper = _sampled_kernel_matrix(spec, xs, None, kind, estimator, theta, 0)
-    out = np.eye(npts)
-    iu = np.triu_indices(npts, k=1)
-    out[iu] = upper[iu]
-    out.T[iu] = upper[iu]
+        out = _sampled_kernel_matrix(spec, xs, None, kind, estimator, theta, 0)
+    for i in range(len(out)):  # keep the strict upper triangle, mirrored
+        out[i, i] = 1.0
+        out[i + 1 :, i] = out[i, i + 1 :]
     return GramMatrix(out, kind, estimator)
 
 

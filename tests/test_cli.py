@@ -306,6 +306,12 @@ class TestGram:
         assert gm.matrix.shape == (5, 5)
         np.testing.assert_allclose(np.diag(gm.matrix), 1.0, atol=0.0)
 
+    def test_one_point_gram_has_null_zero_ratio(self, tmp_path):
+        cfg = {"family": "single_layer_rot", "qubits": 3, "dataset": {"count": 1}}
+        manifest = run_experiment("gram", cfg, seed=6, out=tmp_path)
+        assert manifest["zero_ratio"] is None  # no off-diagonal entry
+        assert '"zero_ratio": null' in (tmp_path / "manifest.json").read_text()
+
     def test_manifest_names_row_seed_rule(self, tmp_path):
         cfg = {
             "family": "tensor_ry",
@@ -569,6 +575,19 @@ class TestMemoryCheck:
         assert result.output.startswith(f"Error: {experiment}: '{key}'")
         assert "GiB available" in result.output
         assert not outdir.exists() or not list(outdir.iterdir())
+
+    @pytest.mark.parametrize("kernel, fits", [("projected", True), ("fidelity", False)])
+    def test_projected_gram_is_charged_one_block_of_states(self, tmp_path, monkeypatch, kernel, fits):
+        # 300 twelve-qubit points: the fidelity kernel holds two complex copies
+        # of every state (79 MB); the projected kernel one row block (about 10 MB)
+        monkeypatch.setattr(qkonc.cli, "_available_memory", lambda: 25 * 10**6)
+        cfg = {"family": "single_layer_rot", "qubits": 12, "kernel": kernel, "dataset": {"count": 300}}
+        if fits:
+            run_experiment("gram", cfg, seed=1, out=tmp_path)
+            assert (tmp_path / "gram.csv").exists()
+        else:
+            with pytest.raises(click.ClickException, match="'dataset.count' asks for 300 x 300 kernel matrices"):
+                run_experiment("gram", cfg, seed=1, out=tmp_path)
 
     def test_csv_points_are_checked_after_reading(self, tmp_path, monkeypatch):
         import qkonc.cli

@@ -7,12 +7,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qkonc import _accel
 from qkonc.core import DensityMatrix, bloch_vectors, maximally_mixed, reduce_to_qubit
-from qkonc.embeddings import EmbeddingSpec, embed
+from qkonc.embeddings import EmbeddingSpec, _block_rows, embed, embed_batch
 from qkonc.estimators import EstimatorSpec, projected_estimate_from_bloch, sample_fidelity
 from qkonc.kernels import (
     GramMatrix,
     KernelKind,
+    _all_bloch,
     fidelity_kernel,
     gram,
     kernel_matrix,
@@ -381,6 +383,73 @@ class TestRectangularKernelMatrix:
         finally:
             tracemalloc.stop()
         assert peak < 8 * m * m * 8
+
+
+def _dense_projected(spec, xs, ys, gamma, theta=None):
+    """Projected kernel from the whole statevector batch at once, in the
+    floating-point order of the exact path."""
+    psi_a = embed_batch(spec, xs, theta=theta)
+    ca = _accel.bloch_batch(psi_a, spec.num_qubits).reshape(len(xs), -1)
+    if ys is None:
+        cb = ca
+    else:
+        cb = _accel.bloch_batch(embed_batch(spec, ys, theta=theta), spec.num_qubits).reshape(len(ys), -1)
+    sq_a = np.sum(ca * ca, axis=1)
+    sq_b = np.sum(cb * cb, axis=1)
+    d = 0.5 * (sq_a[:, None] + sq_b[None, :] - 2.0 * (ca @ cb.T))
+    return np.exp(-gamma * d)
+
+
+STATEVECTOR_SPECS = [
+    (family, entangler)
+    for family in ("single_layer_rot", "hardware_efficient", "parameterized", "haar")
+    for entangler in ("cz", "cnot")
+]
+
+
+class TestBlockedProjectedKernels:
+    @pytest.mark.parametrize("n", [10, 12])
+    @pytest.mark.parametrize("family, entangler", STATEVECTOR_SPECS)
+    def test_blocked_bloch_is_bitwise_the_whole_batch(self, family, entangler, n):
+        spec = EmbeddingSpec(n, family, 2, entangler, seed=4)
+        rng = np.random.default_rng(n)
+        xs = rng.uniform(0.0, 2.0 * np.pi, (_block_rows(n) + 3, n))
+        theta = rng.uniform(0.0, 2.0 * np.pi, n) if family == "parameterized" else None
+        whole = _accel.bloch_batch(embed_batch(spec, xs, theta=theta), n)
+        assert np.array_equal(_all_bloch(spec, xs, theta), whole)
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.37])
+    @pytest.mark.parametrize("family, entangler", STATEVECTOR_SPECS)
+    def test_exact_gram_and_matrix_are_bitwise_the_dense_formula(self, family, entangler, gamma):
+        n = 10
+        spec = EmbeddingSpec(n, family, 2, entangler, seed=4)
+        rng = np.random.default_rng(7)
+        xs = rng.uniform(0.0, 2.0 * np.pi, (_block_rows(n) + 3, n))
+        ys = rng.uniform(0.0, 2.0 * np.pi, (5, n))
+        theta = rng.uniform(0.0, 2.0 * np.pi, n) if family == "parameterized" else None
+        kind = KernelKind.projected(gamma)
+        upper = _dense_projected(spec, xs, None, gamma, theta)
+        ref = np.eye(len(xs))
+        iu = np.triu_indices(len(xs), k=1)
+        ref[iu] = upper[iu]
+        ref.T[iu] = upper[iu]
+        assert np.array_equal(gram(spec, xs, kind, theta=theta).matrix, ref)
+        rect = kernel_matrix(spec, ys, xs, kind, theta=theta)
+        assert np.array_equal(rect, _dense_projected(spec, ys, xs, gamma, theta))
+
+    def test_exact_projected_gram_never_holds_the_state_batch(self):
+        # 300 twelve-qubit states take 19.7 MB, and a whole-batch Bloch
+        # reduction adds a conjugate and a |psi|^2 copy (about 49 MB); one row
+        # block of states and two 300 x 300 matrices take about 3 MB
+        spec = EmbeddingSpec(12, "single_layer_rot")
+        xs = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, (300, 12))
+        tracemalloc.start()
+        try:
+            gram(spec, xs, KernelKind.projected())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 10**6
 
 
 class TestGramCsvRoundtrip:
