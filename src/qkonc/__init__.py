@@ -7,7 +7,25 @@ noise bounds.  Batched statevector updates run as vectorized numpy
 primitives in ``qkonc._accel``.
 """
 
-__version__ = "0.5.2"
+__version__ = "0.6.0"
+
+import os as _os
+import sys as _sys
+
+# OpenBLAS sizes its thread pool when numpy loads it, from these variables or
+# else the core count. Every run pins one thread (``cli._one_blas_thread``), so
+# a larger pool only costs start-up: start it at one thread unless the caller
+# chose a count, and drop the variable once numpy has loaded, so that child
+# processes and libraries loaded later see the caller's environment.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+_one_blas_thread_at_load = "numpy" not in _sys.modules and not any(v in _os.environ for v in _BLAS_THREAD_VARS)
+if _one_blas_thread_at_load:
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    import numpy as _numpy  # noqa: F401
+finally:
+    if _one_blas_thread_at_load:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
 
 from .core import (
     BlochVector,

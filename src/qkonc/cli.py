@@ -224,9 +224,6 @@ _CHECKS = {
     "gamma": lambda gamma: KernelKind("fidelity", gamma),
     "q": _check_q,
     "q_values": _check_q,
-    "seed": int,
-    "theta": float,
-    "variances": float,
     "precision": lambda precision: shots_budget(1.0, precision),
     "fail_prob": lambda fail_prob: shots_budget(1.0, 1.0, fail_prob),
     "estimator": lambda est: EstimatorSpec(est["strategy"], est["shots"]),
@@ -245,8 +242,14 @@ def _reject(name: str, key: str, why: str) -> click.ClickException:
     return click.ClickException(f"{name}: {key!r} {why}")
 
 
+# key -> the default whose type a value takes where the table's default is None
+_NULL_DEFAULT_TYPES = {"seed": 0, "qubits": 0, "path": "", "theta": [0.0], "variances": [0.0]}
+
+
 def _convert(value, default):
-    """``value`` as the type of ``default`` (for a list, of its elements)."""
+    """``value`` as the type of ``default`` (for a list, of its elements). No
+    key takes a bool or a non-finite number, and an int key takes a float
+    only when it is integral (600.0 reads as 600)."""
     if default is None:
         return value
     if isinstance(default, list):
@@ -255,8 +258,12 @@ def _convert(value, default):
         if not value:
             raise ValueError("expected a non-empty list")
         return [_convert(v, default[0]) for v in value]
-    if isinstance(value, (list, dict)) or isinstance(value, str) != isinstance(default, str):
+    if isinstance(value, (list, dict, bool)) or isinstance(value, str) != isinstance(default, str):
         raise TypeError(f"expected {type(default).__name__}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError("expected a finite number")
+    if isinstance(default, int) and isinstance(value, float) and not value.is_integer():
+        raise ValueError("expected an integer")
     return type(default)(value)
 
 
@@ -264,7 +271,8 @@ def _resolve(name: str, table: dict, cfg, prefix: str = "") -> dict:
     """Config ``cfg`` of experiment ``name`` checked against ``table``, with
     the defaults filled in. Every key of ``cfg`` must be in ``table``. Each
     value is converted to the type of its default (for a list, of its
-    elements); a ``None`` default passes the value through, a dict default is
+    elements); a ``None`` default passes ``None`` through and converts any
+    other value to the type in ``_NULL_DEFAULT_TYPES``, a dict default is
     a sub-table resolved the same way, and a ``mode`` key whose default is a
     dict of tables adds the table of the given mode (the first is the
     default). Each value then passes its ``_CHECKS`` entry. Every failure is a
@@ -284,13 +292,15 @@ def _resolve(name: str, table: dict, cfg, prefix: str = "") -> dict:
     resolved = {}
     for key, default in table.items():
         value = cfg.get(key, default)
+        if default is None and value is not None:
+            default = _NULL_DEFAULT_TYPES.get(key)
         try:
             sub = isinstance(default, dict)
             value = _resolve(name, default, value, f"{prefix}{key}.") if sub else _convert(value, default)
             if value is not None and key in _CHECKS:
                 for v in value if isinstance(value, list) else [value]:
                     _CHECKS[key](v)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             why = f"{exc}" if isinstance(value, dict) else f"= {value!r}: {exc}"
             raise _reject(name, prefix + key, why) from None
         resolved[key] = value
@@ -333,7 +343,7 @@ def _estimator(name: str, est: dict, kind: KernelKind, master_seed: int) -> Esti
     if (est["strategy"] in ("loschmidt", "swap")) != (kind.variant == "fidelity"):
         why = f"strategy {est['strategy']!r} does not estimate the {kind.variant} kernel"
         raise _reject(name, "estimator", why)
-    seed = master_seed if est["seed"] is None else int(est["seed"])
+    seed = master_seed if est["seed"] is None else est["seed"]
     return EstimatorSpec(est["strategy"], est["shots"], seed)
 
 
@@ -366,20 +376,20 @@ def _check_memory(name: str, key: str, need: int, what: str) -> None:
 
 
 def _check_fits(
-    name: str, key: str, family: str, variant: str, n: int, rows: int, cols: int, concurrent: int = 1
+    name: str, key: str, family: str, variant: str, n: int, rows: int, cols: int,
+    concurrent: int = 1, same_points: bool = False,
 ) -> None:
     """Reject ``key`` when ``concurrent`` rows x cols ``variant`` kernel
     matrices of ``n``-qubit ``family`` points, with their working copies and
-    statevectors, do not fit. A fidelity kernel holds two complex copies of
-    every point's state; a projected kernel holds one row block of states
-    with its working copies (about 10 MiB) and every point's Bloch vectors;
-    tensor_ry holds no states."""
-    if family == "tensor_ry":
-        states = 0
-    elif variant == "fidelity":
-        states = 32 * (rows + cols) * 2**n
-    else:
-        states = 160 * _block_rows(n) * 2**n + 24 * n * (rows + cols)
+    statevectors, do not fit. Both kernels hold one row block of states with
+    its working copies (about 10 MiB), and per point (``same_points``: the
+    cols are the rows) a fidelity kernel holds its complex state and a
+    projected kernel its Bloch vectors; tensor_ry holds no states."""
+    states = 0
+    if family != "tensor_ry":
+        points = rows if same_points else rows + cols
+        per_point = 16 * 2**n if variant == "fidelity" else 24 * n
+        states = 160 * _block_rows(n) * 2**n + per_point * points
     need = concurrent * (8 * _MATRIX_COPIES * rows * cols + states)
     _check_memory(name, key, need, f"{rows} x {cols} kernel matrices")
 
@@ -559,7 +569,7 @@ def _run_gram(cfg, master_seed, outdir, threads):
     est = _estimator("gram", cfg["estimator"], kind, master_seed)
     ds = _dataset(
         "gram", cfg["dataset"], cfg["dataset"]["qubits"] or n, master_seed,
-        lambda m, dim: _check_fits("gram", "dataset.count", spec.family, kind.variant, n, m, m),
+        lambda m, dim: _check_fits("gram", "dataset.count", spec.family, kind.variant, n, m, m, same_points=True),
     )
     if ds.dim != n:
         raise _reject("gram", "dataset", f"points have {ds.dim} features, but 'qubits' = {n}")

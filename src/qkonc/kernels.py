@@ -184,14 +184,22 @@ def _points(spec: EmbeddingSpec, xs) -> np.ndarray:
 def _exact_kernel_matrix(
     spec: EmbeddingSpec, xs: np.ndarray, ys: np.ndarray | None, kind: KernelKind, theta
 ) -> np.ndarray:
-    """Exact kernel values between two point sets (ys=None means xs vs xs)."""
+    """Exact kernel values between two point sets. ys=None means xs vs xs,
+    of which only the upper triangle and the diagonal are certain to be set."""
     if spec.family == "tensor_ry":
         return product_kernel(xs[:, None], (xs if ys is None else ys)[None], kind)
     if kind.variant == "fidelity":
+        # |<a|b>|^2 against one row block of b states at a time, each block
+        # conjugated on its own; xs vs xs takes only the rows up to the block's
+        # end, so below the diagonal blocks the matrix is 0
         psi_a = embed_batch(spec, xs, theta=theta)
         psi_b = psi_a if ys is None else embed_batch(spec, ys, theta=theta)
-        ov = psi_a @ psi_b.conj().T
-        return (ov.real**2 + ov.imag**2)
+        out, step = np.zeros((len(psi_a), len(psi_b))), _block_rows(spec.num_qubits)
+        for lo in range(0, len(psi_b), step):
+            rows = lo + step if ys is None else len(psi_a)
+            ov = psi_a[:rows] @ psi_b[lo : lo + step].conj().T
+            np.add(ov.real**2, ov.imag**2, out=out[:rows, lo : lo + step])
+        return out
     ca = _all_bloch(spec, xs, theta).reshape(len(xs), -1)
     cb = ca if ys is None else _all_bloch(spec, ys, theta).reshape(len(ys), -1)
     sq_a = np.sum(ca * ca, axis=1)

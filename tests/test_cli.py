@@ -35,6 +35,22 @@ MANIFEST_KEYS = {
 ROOT = Path(__file__).resolve().parents[1]
 
 
+# the variables OpenBLAS sizes its thread pool from, in the order it reads them
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def fresh_python(code, **env):
+    """Stripped stdout of ``code`` run in a new interpreter that imports this
+    checkout's qkonc. Of the BLAS thread variables only those in ``env`` are set."""
+    src = str(Path(qkonc.__file__).resolve().parents[1])
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    run = subprocess.run(
+        [sys.executable, "-c", code], env={**base, "PYTHONPATH": src, **env}, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stdout.strip()
+
+
 def read_header(path):
     return path.read_text().splitlines()[0].split(",")
 
@@ -578,8 +594,8 @@ class TestMemoryCheck:
 
     @pytest.mark.parametrize("kernel, fits", [("projected", True), ("fidelity", False)])
     def test_projected_gram_is_charged_one_block_of_states(self, tmp_path, monkeypatch, kernel, fits):
-        # 300 twelve-qubit points: the fidelity kernel holds two complex copies
-        # of every state (79 MB); the projected kernel one row block (about 10 MB)
+        # 300 twelve-qubit points: the fidelity kernel is charged every state
+        # and one row block (30 MB); the projected kernel one row block (about 10 MB)
         monkeypatch.setattr(qkonc.cli, "_available_memory", lambda: 25 * 10**6)
         cfg = {"family": "single_layer_rot", "qubits": 12, "kernel": kernel, "dataset": {"count": 300}}
         if fits:
@@ -588,6 +604,14 @@ class TestMemoryCheck:
         else:
             with pytest.raises(click.ClickException, match="'dataset.count' asks for 300 x 300 kernel matrices"):
                 run_experiment("gram", cfg, seed=1, out=tmp_path)
+
+    def test_fidelity_gram_is_charged_one_copy_of_its_states(self, tmp_path, monkeypatch):
+        # 300 twelve-qubit states take 19.7 MB; with one row block and the
+        # matrices the charge is about 35 MB, and the run peaks near 27 MB
+        monkeypatch.setattr(qkonc.cli, "_available_memory", lambda: 45 * 10**6)
+        cfg = {"family": "hardware_efficient", "qubits": 12, "kernel": "fidelity", "dataset": {"count": 300}}
+        run_experiment("gram", cfg, seed=1, out=tmp_path)
+        assert (tmp_path / "gram.csv").exists()
 
     def test_csv_points_are_checked_after_reading(self, tmp_path, monkeypatch):
         import qkonc.cli
@@ -739,27 +763,15 @@ class TestCommandLine:
 
     def test_import_leaves_scipy_optimize_and_linalg_unloaded(self):
         code = "import sys, qkonc.cli; print(sorted(m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules))"
-        src = str(Path(qkonc.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-        assert run.returncode == 0, run.stderr
-        assert run.stdout.strip() == "[]"
+        assert fresh_python(code) == "[]"
 
     def test_import_leaves_scipy_stats_unloaded(self):
         code = "import sys, qkonc.cli; print('scipy.stats' in sys.modules)"
-        src = str(Path(qkonc.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-        assert run.returncode == 0, run.stderr
-        assert run.stdout.strip() == "False"
+        assert fresh_python(code) == "False"
 
     def test_import_leaves_concurrent_futures_unloaded(self):
         code = "import sys, qkonc.cli; print(sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules))"
-        src = str(Path(qkonc.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-        assert run.returncode == 0, run.stderr
-        assert run.stdout.strip() == "[]"
+        assert fresh_python(code) == "[]"
 
 
 class TestThreadCount:
@@ -824,8 +836,51 @@ def set_caller_blas(controls, count):
     return [get() for get, _ in controls]
 
 
+# prints the OpenBLAS thread counts after ``import qkonc`` and whether
+# os.environ is what it was before
+IMPORT_COUNTS = (
+    "import json, os; before = dict(os.environ); {first}import qkonc; after = dict(os.environ); "
+    "from qkonc.cli import _openblas_controls; "
+    "print(json.dumps([[get() for get, _ in _openblas_controls()], after == before]))"
+)
+
+# prints the thread count of the first OpenBLAS that a bare ``import numpy`` maps
+PLAIN_NUMPY_COUNT = (
+    "import ctypes, numpy; "
+    "lib = ctypes.CDLL(next(line.split()[-1] for line in open('/proc/self/maps') if 'openblas' in line.lower())); "
+    "names = ('scipy_openblas_get_num_threads64_', 'openblas_get_num_threads64_', 'openblas_get_num_threads'); "
+    "print(next(getattr(lib, name)() for name in names if hasattr(lib, name)))"
+)
+
+
+needs_openblas = pytest.mark.skipif(not _openblas_controls(), reason="no OpenBLAS with a thread-count control is loaded")
+
+
 class TestBlasThreads:
     VS_CFG = {"family": "tensor_ry", "qubits": [2, 3], "layers": [1, 2], "pairs": 200}
+
+    @needs_openblas
+    def test_fresh_import_starts_one_thread_and_leaves_environ_as_it_was(self):
+        # the child starts with none of the three variables set, so an equal
+        # os.environ has none of them either
+        counts, same_environ = json.loads(fresh_python(IMPORT_COUNTS.format(first="")))
+        assert counts and set(counts) == {1}
+        assert same_environ
+
+    @needs_openblas
+    @pytest.mark.parametrize("var", BLAS_THREAD_VARS)
+    def test_fresh_import_honours_a_set_thread_variable(self, var):
+        code = IMPORT_COUNTS.format(first="") + f"; print(os.environ[{var!r}])"
+        first, value = fresh_python(code, **{var: "2"}).splitlines()
+        counts, same_environ = json.loads(first)
+        assert counts and set(counts) == {2}
+        assert same_environ and value == "2"
+
+    @needs_openblas
+    def test_fresh_import_after_numpy_keeps_numpy_count(self):
+        counts, same_environ = json.loads(fresh_python(IMPORT_COUNTS.format(first="import numpy; ")))
+        assert counts[0] == int(fresh_python(PLAIN_NUMPY_COUNT))
+        assert same_environ
 
     def test_manifest_records_pinned_count(self, tmp_path):
         manifest = run_experiment("bounds", {"qubits": [2]}, seed=1, out=tmp_path)

@@ -171,6 +171,26 @@ class TestResolver:
             ("shots-budget", {"qubits": []}, "qubits"),
             ("variance-scan", {"kernels": []}, "kernels"),
             ("indistinguishability", {"mode": "decision", "eps": []}, "eps"),
+            # a number key takes no bool or non-finite number; an int key no fractional one
+            ("variance-scan", {"qubits": [2.9, 3], "layers": [1.5], "pairs": 10.7}, "qubits"),
+            ("variance-scan", {"layers": [1.5]}, "layers"),
+            ("variance-scan", {"pairs": 10.7}, "pairs"),
+            ("variance-scan", {"pairs": True}, "pairs"),
+            ("variance-scan", {"pairs": math.inf}, "pairs"),
+            ("variance-scan", {"gamma": math.nan}, "gamma"),
+            ("variance-scan", {"low": math.nan}, "low"),
+            ("train", {"lambda": math.inf}, "lambda"),
+            ("variance-scan", {"seed": 1.5}, "seed"),
+            ("variance-scan", {"gamma": True}, "gamma"),
+            ("variance-scan", {"gamma": 10**400}, "gamma"),
+            ("bounds", {"qubits": [True]}, "qubits"),
+            ("gram", {"estimator": {"seed": 1.5, "strategy": "loschmidt"}}, "seed"),
+            ("gram", {"estimator": {"seed": True, "strategy": "loschmidt"}}, "seed"),
+            ("gram", {"estimator": {"shots": 99.5, "strategy": "loschmidt"}}, "shots"),
+            ("gram", {"dataset": {"qubits": 3.5}}, "qubits"),
+            ("gram", {"dataset": {"source": "csv", "path": 5}}, "path"),
+            ("train", {"family": "parameterized", "theta": [True, 0.1, 0.2]}, "theta"),
+            ("shots-budget", {"qubits": [2], "variances": [False]}, "variances"),
         ],
     )
     def test_bad_value_fails_early_naming_the_key(self, tmp_path, experiment, cfg, key):
@@ -187,6 +207,19 @@ class TestResolver:
         assert resolved["gamma"] == 2.0 and isinstance(resolved["gamma"], float)
         assert resolved["qubits"] == [2] and isinstance(resolved["qubits"][0], int)
         assert resolved["low"] == -math.pi
+
+    def test_integral_float_reads_as_int(self):
+        table = _EXPERIMENTS["variance-scan"][1]
+        resolved = _resolve("variance-scan", table, {"pairs": 600.0, "seed": 7.0})
+        assert resolved["pairs"] == 600 and isinstance(resolved["pairs"], int)
+        assert resolved["seed"] == 7 and isinstance(resolved["seed"], int)
+
+    def test_null_default_value_takes_the_type_of_its_key(self):
+        table = _EXPERIMENTS["gram"][1]
+        resolved = _resolve("gram", table, {"estimator": {"seed": 5.0}, "dataset": {"qubits": 4.0}})
+        assert resolved["estimator"]["seed"] == 5 and isinstance(resolved["estimator"]["seed"], int)
+        assert resolved["dataset"]["qubits"] == 4 and isinstance(resolved["dataset"]["qubits"], int)
+        assert resolved["dataset"]["path"] is None
 
     def test_null_default_passes_the_value_through(self):
         table = _EXPERIMENTS["shots-budget"][1]

@@ -452,6 +452,47 @@ class TestBlockedProjectedKernels:
         assert peak < 8 * 10**6
 
 
+def _dense_fidelity(spec, xs, ys, theta=None):
+    """Fidelity kernel from one product of the whole statevector batches."""
+    psi_a = embed_batch(spec, xs, theta=theta)
+    psi_b = psi_a if ys is None else embed_batch(spec, ys, theta=theta)
+    ov = psi_a @ psi_b.conj().T
+    return ov.real**2 + ov.imag**2
+
+
+class TestBlockedFidelityKernels:
+    @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
+    @pytest.mark.parametrize("family", ["single_layer_rot", "hardware_efficient", "parameterized", "haar"])
+    def test_exact_gram_and_matrix_are_bitwise_the_dense_formula(self, family, n):
+        spec = EmbeddingSpec(n, family, 2, seed=4)
+        rng = np.random.default_rng(n)
+        xs = rng.uniform(0.0, 2.0 * np.pi, (min(_block_rows(n), 64) + 3, n))
+        ys = rng.uniform(0.0, 2.0 * np.pi, (5, n))
+        theta = rng.uniform(0.0, 2.0 * np.pi, n) if family == "parameterized" else None
+        kind = KernelKind.fidelity()
+        upper = _dense_fidelity(spec, xs, None, theta)
+        ref = np.eye(len(xs))
+        iu = np.triu_indices(len(xs), k=1)
+        ref[iu] = upper[iu]
+        ref.T[iu] = upper[iu]
+        assert np.array_equal(gram(spec, xs, kind, theta=theta).matrix, ref)
+        assert np.array_equal(kernel_matrix(spec, ys, xs, kind, theta=theta), _dense_fidelity(spec, ys, xs, theta))
+        assert np.array_equal(kernel_matrix(spec, xs, ys, kind, theta=theta), _dense_fidelity(spec, xs, ys, theta))
+
+    def test_exact_fidelity_gram_holds_no_conjugate_copy(self):
+        # 300 twelve-qubit states take 19.7 MB; conjugating them all at once
+        # would add another 19.7 MB, one row block of 16 states 1 MB
+        spec = EmbeddingSpec(12, "hardware_efficient")
+        xs = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, (300, 12))
+        tracemalloc.start()
+        try:
+            gram(spec, xs, KernelKind.fidelity())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 28 * 10**6
+
+
 class TestGramCsvRoundtrip:
     def test_matrix_and_metadata_survive(self, tmp_path):
         rng = np.random.default_rng(42)
