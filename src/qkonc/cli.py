@@ -26,6 +26,8 @@ length of a run, so the bytes do not depend on the host's core count either.
 
 from __future__ import annotations
 
+import atexit
+import gc
 import hashlib
 import json
 import math
@@ -591,6 +593,9 @@ def _run_gram(cfg, master_seed, outdir, threads):
 })
 def _run_train(cfg, master_seed, outdir, threads):
     del threads
+    for key, unset in (("lambda", 0.0), ("ridge_sign", "minus")):
+        if cfg["algorithm"] == "svm" and cfg[key] != unset:
+            raise _reject("train", key, f"= {cfg[key]!r} sets the ridge term of 'krr'; 'svm' has none")
     ds = _dataset(
         "train", cfg["dataset"], cfg["dataset"]["qubits"], master_seed,
         lambda m, dim: _check_fits("train", "dataset.count", cfg["family"], cfg["kernel"], dim, m, m),
@@ -955,6 +960,12 @@ def _common_options(fn):
 @click.version_option(__version__)
 def main():
     """Concentration experiments for quantum kernel methods."""
+    # At exit, move every live object to the permanent generation, so the
+    # final collections skip numpy's, click's and qkonc's objects and the OS
+    # reclaims their memory at once. Registered once per process, however
+    # often ``main`` runs; ``run_experiment`` callers keep the default teardown.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
 
 
 def _register(name: str):

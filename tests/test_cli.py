@@ -1,11 +1,12 @@
 """Experiment runner: manifests, CSV schemas, reproducibility, CLI surface."""
 
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
-import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -104,8 +105,8 @@ class TestManifest:
 
     def test_package_version_matches_pyproject(self, tmp_path):
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-        with open(pyproject, "rb") as fh:
-            version = tomllib.load(fh)["project"]["version"]
+        # tomllib needs Python 3.11; the package supports 3.10
+        version = re.search(r'^version = "([^"]+)"$', pyproject.read_text(), re.M)[1]
         assert version == qkonc.__version__
         manifest = run_experiment("bounds", {"qubits": [2]}, seed=1, out=tmp_path)
         assert manifest["package_version"] == version
@@ -920,3 +921,39 @@ class TestBlasThreads:
         with pytest.raises(RuntimeError, match="scan failed"):
             run_experiment("variance-scan", self.VS_CFG, seed=1, out=tmp_path / "b")
         assert [get() for get, _ in caller_blas] == before
+
+
+# Runs ``{call}`` in a fresh interpreter whose first atexit hook, which runs
+# last, prints whether objects were frozen and how many threads are alive.
+EXIT_PROBE = """
+import atexit, gc, threading
+atexit.register(lambda: print(gc.get_freeze_count() > 0, threading.active_count()))
+import qkonc.cli
+{call}
+"""
+
+
+class TestExit:
+    CFG = {"qubits": 2, "layers": [1, 2], "q_values": [0.9, 0.95], "pairs": 2}
+
+    @staticmethod
+    def csv_hashes(outdir):
+        return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in outdir.glob("*.csv")}
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_cli_run_freezes_at_exit_and_writes_run_experiments_bytes(self, tmp_path, threads):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(self.CFG))
+        args = ["noise-scan", "--config", str(cfg_path), "--seed", "3", "--out", str(tmp_path / "cli")]
+        args += ["--threads", str(threads)]
+        call = f"qkonc.cli.main({args!r}, prog_name='qkonc', standalone_mode=False)"
+        wrote, probe = fresh_python(EXIT_PROBE.format(call=call)).splitlines()
+        assert wrote.startswith("noise-scan: wrote 1 file(s)")
+        assert probe == "True 1"  # frozen, and the sweep workers were joined before atexit
+        run_experiment("noise-scan", self.CFG, seed=3, out=tmp_path / "lib", threads=threads)
+        hashes = self.csv_hashes(tmp_path / "cli")
+        assert hashes and hashes == self.csv_hashes(tmp_path / "lib")
+
+    def test_library_run_keeps_the_default_teardown(self, tmp_path):
+        call = f"qkonc.cli.run_experiment('noise-scan', {self.CFG!r}, seed=3, out={str(tmp_path)!r})"
+        assert fresh_python(EXIT_PROBE.format(call=call)) == "False 1"

@@ -191,6 +191,8 @@ class TestResolver:
             ("gram", {"dataset": {"source": "csv", "path": 5}}, "path"),
             ("train", {"family": "parameterized", "theta": [True, 0.1, 0.2]}, "theta"),
             ("shots-budget", {"qubits": [2], "variances": [False]}, "variances"),
+            ("train", {"dataset": {"count": 4}, "algorithm": "svm", "lambda": 0.5}, "lambda"),
+            ("train", {"dataset": {"count": 4}, "algorithm": "svm", "ridge_sign": "plus"}, "ridge_sign"),
         ],
     )
     def test_bad_value_fails_early_naming_the_key(self, tmp_path, experiment, cfg, key):
