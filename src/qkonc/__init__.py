@@ -7,7 +7,7 @@ noise bounds.  Batched statevector updates run as vectorized numpy
 primitives in ``qkonc._accel``.
 """
 
-__version__ = "0.6.1"
+__version__ = "0.7.0"
 
 import os as _os
 import sys as _sys
@@ -48,7 +48,7 @@ from .core import (
     trace_norm,
 )
 from .embeddings import FAMILIES, EmbeddingSpec, embed, embed_batch, layer_decomposition
-from .estimators import STRATEGIES, EstimatorSpec
+from .estimators import STRATEGIES, EstimatorSpec, projected_kernel_from_bloch_diff
 from .kernels import (
     GramMatrix,
     KernelKind,
@@ -103,8 +103,7 @@ from .learning import (
     kta_variance_over_theta,
     predict,
     svm_fit,
-    train_krr,
-    train_svm,
+    train,
 )
 from .datasets import Dataset, gen_hypercube, gen_uniform, load_csv, save_csv
 

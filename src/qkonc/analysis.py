@@ -27,6 +27,7 @@ from .core import (
     trace_norm,
 )
 from .embeddings import EmbeddingSpec, _block_rows, embed_batch
+from .estimators import projected_kernel_from_bloch_diff
 from .kernels import KernelKind, product_kernel, projected_kernel
 
 
@@ -84,6 +85,8 @@ def _sample_inputs(
 
 # the order of the haar draws, which the variance-scan manifest names
 HAAR_STATE_RULE = "v2: per row block of max(1, 2**16 >> n) pairs, the first states, then the second states"
+# the pairs concentration_scan draws and evaluates at a time
+_CHUNK_PAIRS = 1 << 15
 
 
 def _chunk_kappas(
@@ -119,9 +122,8 @@ def _chunk_kappas(
                 acc.append(_accel.pair_absq(a, b))
                 continue
             if diff is None:
-                diff = _accel.bloch_batch(a, spec.num_qubits) - _accel.bloch_batch(b, spec.num_qubits)
-            d = 0.5 * np.sum(diff**2, axis=(1, 2))
-            acc.append(np.exp(-kind.gamma * d))
+                diff = _accel.bloch_batch(a, n) - _accel.bloch_batch(b, n)
+            acc.append(projected_kernel_from_bloch_diff(diff, kind.gamma))
     return [np.concatenate(acc) for acc in out]
 
 
@@ -133,7 +135,6 @@ def concentration_scan(
     low: float = -math.pi,
     high: float = math.pi,
     theta=None,
-    chunk: int = 1 << 15,
 ) -> list[ConcentrationReport]:
     """Sample kernel values over independent input pairs, for several kernel
     kinds on the same pairs, and report mean/variance per kind."""
@@ -146,7 +147,7 @@ def concentration_scan(
     values = [np.empty(pairs) for _ in kinds]
     done = 0
     while done < pairs:
-        c = min(chunk, pairs - done)
+        c = min(_CHUNK_PAIRS, pairs - done)
         for acc, kap in zip(values, _chunk_kappas(spec, kinds, c, rng, low, high, theta)):
             acc[done : done + c] = kap
         done += c

@@ -58,7 +58,7 @@ from .analysis import (
 )
 from .datasets import Dataset, gen_hypercube, gen_uniform, load_csv, save_csv
 from .embeddings import EmbeddingSpec, _block_rows
-from .estimators import EstimatorSpec
+from .estimators import STRATEGIES, EstimatorSpec
 from .kernels import (
     KernelKind,
     gram,
@@ -67,9 +67,8 @@ from .kernels import (
 from .learning import (
     generalization_experiment,
     kta_variance_over_theta,
-    train_krr,
-    train_svm,
     predict,
+    train,
 )
 from .noise import (
     NOISE_MAX_QUBITS,
@@ -184,7 +183,7 @@ def _one_blas_thread():
 
 _EMBEDDING = {"family": "hardware_efficient", "layers": 1, "entangler": "cz", "family_seed": 0}
 _INPUT_RANGE = {"low": -math.pi, "high": math.pi}
-# strategy "exact" computes exact kernel values; seed None is the master seed
+# strategy "exact" computes exact kernel values, reading no shots or seed; seed None is the master seed
 _ESTIMATOR = {"strategy": "exact", "shots": 1000, "seed": None}
 
 
@@ -228,7 +227,7 @@ _CHECKS = {
     "q_values": _check_q,
     "precision": lambda precision: shots_budget(1.0, precision),
     "fail_prob": lambda fail_prob: shots_budget(1.0, 1.0, fail_prob),
-    "estimator": lambda est: EstimatorSpec(est["strategy"], est["shots"]),
+    "strategy": _one_of("exact", *STRATEGIES),
     "dataset": _check_dataset,
     "source": _one_of("csv", "hypercube", "uniform"),
     "algorithm": _one_of("krr", "svm"),
@@ -328,6 +327,18 @@ def _experiment(name: str, table: dict):
     return register
 
 
+def _unread(name: str, cfg: dict, defaults: dict, why: str, prefix: str = "") -> None:
+    """Reject the first key of ``defaults`` that ``cfg`` sets otherwise: the run does not read it."""
+    for key, default in defaults.items():
+        if cfg[key] != default:
+            raise _reject(name, prefix + key, f"= {cfg[key]!r} {why}")
+
+
+def _unread_gamma(name: str, cfg: dict, variants) -> None:
+    if "projected" not in variants:
+        _unread(name, cfg, {"gamma": 1.0}, "scales the projected kernel, which this run does not compute")
+
+
 def _no_theta(name: str, family: str) -> None:
     if family == "parameterized":
         raise _reject(name, "family", f"= 'parameterized' needs a theta vector, which {name} does not draw")
@@ -341,6 +352,8 @@ def _embedding(cfg: dict, n: int, layers: int) -> EmbeddingSpec:
 def _estimator(name: str, est: dict, kind: KernelKind, master_seed: int) -> EstimatorSpec | None:
     """The estimator of a resolved ``estimator`` sub-table; None for ``exact``."""
     if est["strategy"] == "exact":
+        why = "is read only by a sampling strategy, not 'exact'"
+        _unread(name, est, {"shots": 1000, "seed": None}, why, "estimator.")
         return None
     if (est["strategy"] in ("loschmidt", "swap")) != (kind.variant == "fidelity"):
         why = f"strategy {est['strategy']!r} does not estimate the {kind.variant} kernel"
@@ -420,6 +433,7 @@ def _dataset(name: str, d: dict, dim: int, master_seed: int, fits) -> Dataset:
 })
 def _run_variance_scan(cfg, master_seed, outdir, threads):
     _no_theta("variance-scan", cfg["family"])
+    _unread_gamma("variance-scan", cfg, cfg["kernels"])
     kinds = [KernelKind(name, cfg["gamma"]) for name in cfg["kernels"]]
     qubits, layer_list, pairs = cfg["qubits"], cfg["layers"], cfg["pairs"]
     if pairs < 2:
@@ -566,6 +580,7 @@ def _run_gram(cfg, master_seed, outdir, threads):
     del threads
     n = cfg["qubits"]
     _no_theta("gram", cfg["family"])
+    _unread_gamma("gram", cfg, [cfg["kernel"]])
     spec = _embedding(cfg, n, cfg["layers"])
     kind = KernelKind(cfg["kernel"], cfg["gamma"])
     est = _estimator("gram", cfg["estimator"], kind, master_seed)
@@ -593,9 +608,11 @@ def _run_gram(cfg, master_seed, outdir, threads):
 })
 def _run_train(cfg, master_seed, outdir, threads):
     del threads
-    for key, unset in (("lambda", 0.0), ("ridge_sign", "minus")):
-        if cfg["algorithm"] == "svm" and cfg[key] != unset:
-            raise _reject("train", key, f"= {cfg[key]!r} sets the ridge term of 'krr'; 'svm' has none")
+    if cfg["algorithm"] == "svm":
+        _unread("train", cfg, {"lambda": 0.0, "ridge_sign": "minus"}, "sets the ridge term of 'krr'; 'svm' has none")
+    _unread_gamma("train", cfg, [cfg["kernel"]])
+    kind = KernelKind(cfg["kernel"], cfg["gamma"])
+    est = _estimator("train", cfg["estimator"], kind, master_seed)
     ds = _dataset(
         "train", cfg["dataset"], cfg["dataset"]["qubits"], master_seed,
         lambda m, dim: _check_fits("train", "dataset.count", cfg["family"], cfg["kernel"], dim, m, m),
@@ -604,30 +621,19 @@ def _run_train(cfg, master_seed, outdir, threads):
         raise _reject("train", "dataset", "has no labels to train on")
     n, theta = ds.dim, cfg["theta"]
     spec = _embedding(cfg, n, cfg["layers"])
-    kind = KernelKind(cfg["kernel"], cfg["gamma"])
-    est = _estimator("train", cfg["estimator"], kind, master_seed)
     if spec.family != "parameterized" and theta is not None:
         raise _reject("train", "theta", f"is set, but family {spec.family!r} takes no parameters")
     if spec.family == "parameterized" and theta is None:
         theta = point_rng(master_seed, 1).uniform(0.0, 2.0 * math.pi, n)
-    elif theta is not None and (not isinstance(theta, list) or len(theta) != n):
+    elif theta is not None and len(theta) != n:
         raise _reject("train", "theta", f"= {theta!r} is not one angle per dataset feature ({n})")
-    extras = {}
+    model, fit = train(
+        spec, ds.inputs, ds.labels, kind, cfg["algorithm"], cfg["lambda"], cfg["ridge_sign"], est, theta
+    )
     if cfg["algorithm"] == "krr":
-        model, fit = train_krr(
-            spec,
-            ds.inputs,
-            ds.labels,
-            kind,
-            lam=cfg["lambda"],
-            estimator=est,
-            theta=theta,
-            sign=cfg["ridge_sign"],
-        )
-        extras["condition_number"] = fit.condition_number
+        extras = {"condition_number": fit.condition_number}
     else:
-        model, fit = train_svm(spec, ds.inputs, ds.labels, kind, estimator=est, theta=theta)
-        extras.update(
+        extras = dict(
             svm_solver=fit.solver,
             iterations=fit.iterations,
             objective=fit.objective,
@@ -786,6 +792,7 @@ def _run_kta_scan(cfg, master_seed, outdir, threads):
     qubits, npts, num_thetas = cfg["qubits"], cfg["points"], cfg["num_thetas"]
     if cfg["family"] != "parameterized":
         raise _reject("kta-scan", "family", f"= {cfg['family']!r} has no parameters to vary")
+    _unread_gamma("kta-scan", cfg, [cfg["kernel"]])
     kind = KernelKind(cfg["kernel"], cfg["gamma"])
 
     def work(i):
@@ -822,7 +829,7 @@ def _run_kta_scan(cfg, master_seed, outdir, threads):
 def _run_shots_budget(cfg, master_seed, outdir, threads):
     del threads
     qubits, variances = cfg["qubits"], cfg["variances"]
-    if variances is not None and (not isinstance(variances, list) or len(variances) != len(qubits)):
+    if variances is not None and len(variances) != len(qubits):
         raise _reject("shots-budget", "variances", f"= {variances!r} is not one variance per 'qubits' entry")
     rows = []
     for i, n in enumerate(qubits):

@@ -8,7 +8,7 @@ qubit 0 flips fastest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,39 +98,25 @@ class BlochVector:
         return np.array([self.x, self.y, self.z])
 
 
-_GATE_KINDS = ("rx", "ry", "rz", "h", "cz", "cnot", "u1q", "u2q")
+_GATE_KINDS = ("rx", "ry", "rz", "h", "cz", "cnot")
 
 
 @dataclass(frozen=True, eq=False)
 class Gate:
-    """One circuit gate; ``targets`` holds (target,) or (first, second).
-
-    For two-qubit matrices, ``targets[0]`` is the low bit of the 4x4 basis
-    index: row ``m`` of the matrix addresses ``|b a>`` with ``a`` on
-    ``targets[0]``, ``b`` on ``targets[1]`` and ``m = 2*b + a``.
-    """
+    """One circuit gate; ``targets`` holds (target,) or (first, second)."""
 
     kind: str
     targets: tuple[int, ...]
     angle: float | None = None
-    matrix: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.kind not in _GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        want = 2 if self.kind in ("cz", "cnot", "u2q") else 1
+        want = 2 if self.kind in ("cz", "cnot") else 1
         if len(self.targets) != want or len(set(self.targets)) != len(self.targets):
             raise ValueError(f"gate {self.kind!r} needs {want} distinct targets")
         if self.kind in ("rx", "ry", "rz") and self.angle is None:
             raise ValueError(f"gate {self.kind!r} needs an angle")
-        if self.kind in ("u1q", "u2q"):
-            dim = 2 if self.kind == "u1q" else 4
-            mat = np.asarray(self.matrix, dtype=np.complex128)
-            if mat.shape != (dim, dim):
-                raise ValueError(f"gate {self.kind!r} needs a {dim}x{dim} matrix")
-            if not np.allclose(mat @ mat.conj().T, np.eye(dim), atol=1e-10):
-                raise ValueError(f"gate {self.kind!r} matrix is not unitary")
-            object.__setattr__(self, "matrix", mat)
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -157,14 +143,6 @@ class Gate:
     def cnot(control: int, target: int) -> "Gate":
         return Gate("cnot", (control, target))
 
-    @staticmethod
-    def unitary1(matrix: np.ndarray, target: int) -> "Gate":
-        return Gate("u1q", (target,), matrix=matrix)
-
-    @staticmethod
-    def unitary2(matrix: np.ndarray, first: int, second: int) -> "Gate":
-        return Gate("u2q", (first, second), matrix=matrix)
-
     def matrix_1q(self) -> np.ndarray:
         """The 2x2 matrix of a single-qubit gate."""
         if self.kind == "rx":
@@ -178,8 +156,6 @@ class Gate:
             return np.array([[p, 0.0], [0.0, np.conj(p)]], dtype=np.complex128)
         if self.kind == "h":
             return _HADAMARD.copy()
-        if self.kind == "u1q":
-            return self.matrix.copy()
         raise ValueError(f"gate {self.kind!r} is not single-qubit")
 
 
@@ -218,34 +194,15 @@ def apply_gate_batch(states: np.ndarray, gate: Gate, num_qubits: int) -> None:
     for t in gate.targets:
         if not 0 <= t < num_qubits:
             raise ValueError(f"gate target {t} out of range for {num_qubits} qubits")
-    if gate.kind in ("rx", "ry", "rz", "h", "u1q"):
+    if gate.kind in ("rx", "ry", "rz", "h"):
         g = gate.matrix_1q()
         _accel.apply_1q_uniform(
             states, g[0, 0], g[0, 1], g[1, 0], g[1, 1], gate.targets[0]
         )
     elif gate.kind == "cz":
         _accel.apply_phase(states, _accel.cz_pair_mask(num_qubits, *gate.targets))
-    elif gate.kind == "cnot":
+    else:  # cnot
         _accel.apply_perm(states, _accel.cnot_pair_perm(num_qubits, *gate.targets))
-    elif gate.kind == "u2q":
-        _apply_2q_dense(states, gate.matrix, gate.targets[0], gate.targets[1])
-    else:  # pragma: no cover
-        raise ValueError(f"unknown gate kind {gate.kind!r}")
-
-
-def _apply_2q_dense(states: np.ndarray, u4: np.ndarray, qa: int, qb: int) -> None:
-    # Cold path: gather the four sub-blocks with both target bits cleared,
-    # recombine through the 4x4 matrix (basis index m = 2*bit_qb + bit_qa).
-    m, dim = states.shape
-    idx = np.arange(dim)
-    base0 = idx[(((idx >> qa) & 1) == 0) & (((idx >> qb) & 1) == 0)]
-    offs = [base0 + (mm & 1) * (1 << qa) + (mm >> 1) * (1 << qb) for mm in range(4)]
-    blocks = [states[:, o].copy() for o in offs]
-    for mp in range(4):
-        acc = u4[mp, 0] * blocks[0]
-        for ms in range(1, 4):
-            acc = acc + u4[mp, ms] * blocks[ms]
-        states[:, offs[mp]] = acc
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:

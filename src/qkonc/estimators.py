@@ -3,7 +3,8 @@
 All estimators are distribution-level simulations of the measurement
 statistics (no circuit-level shot simulation): the exact outcome
 probabilities are computed from the states, then outcomes are drawn from the
-corresponding Bernoulli/binomial laws.
+corresponding Bernoulli/binomial laws. Exact kernel values take no
+estimator: pass ``estimator=None``.
 
 Strategies:
 
@@ -19,17 +20,15 @@ Strategies:
                      no clipping is applied, so estimates can exceed 1.
 * ``local_swap``  -- estimate each reduced 2-norm distance from three swap
                      tests (two purities and one overlap). Same caveats.
-* ``exact``       -- no sampling.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-STRATEGIES = ("exact", "loschmidt", "swap", "tomography", "local_swap")
+STRATEGIES = ("loschmidt", "swap", "tomography", "local_swap")
 
 
 @dataclass(frozen=True)
@@ -43,7 +42,7 @@ class EstimatorSpec:
             raise ValueError(
                 f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}"
             )
-        if self.strategy != "exact" and self.shots < 1:
+        if self.shots < 1:
             raise ValueError("shots must be >= 1")
 
 
@@ -97,35 +96,35 @@ def _local_swap_from_bloch(
     return 2.0 * rng.binomial(shots, p) / shots - 1.0
 
 
+def projected_kernel_from_bloch_diff(diff: np.ndarray, gamma: float = 1.0) -> np.ndarray:
+    """exp(-gamma sum_k ||rho_k(a) - rho_k(b)||_2^2) from ``diff``, the (..., n, 3)
+    difference of two states' Bloch arrays: each term is half its squared row."""
+    return np.exp(-gamma * 0.5 * np.sum(diff * diff, axis=(-2, -1)))
+
+
 def projected_estimate_from_bloch(
     ca: np.ndarray,
     cb: np.ndarray,
     strategy: str,
     shots: int,
-    rng: np.random.Generator | None,
+    rng: np.random.Generator,
     gamma: float = 1.0,
-) -> float | np.ndarray:
+) -> np.ndarray:
     """Projected-kernel estimate given both states' (n, 3) Bloch arrays.
 
     ``cb`` may carry a leading entry axis, (k, n, 3): then ``ca`` is paired
     with each of the k states, every pair is an independent estimator run,
-    and an array of k estimates is returned instead of a float.
+    and k estimates are returned.
 
     Negative estimated squared distances are exponentiated as-is (no
     clipping), so finite-shot estimates can exceed 1.
     """
     ca = np.broadcast_to(ca, cb.shape)
-    if strategy == "exact":
-        d = 0.5 * np.sum((ca - cb) ** 2, axis=(-2, -1))
-    elif strategy == "tomography":
+    if strategy == "tomography":
         ea = _tomography_from_bloch(ca, shots, rng)
         eb = _tomography_from_bloch(cb, shots, rng)
-        d = 0.5 * np.sum((ea - eb) ** 2, axis=(-2, -1))
-    elif strategy == "local_swap":
-        t = _local_swap_from_bloch(ca, cb, shots, rng)
-        d = np.sum(t[..., 0] + t[..., 1] - 2.0 * t[..., 2], axis=-1)
-    else:
+        return projected_kernel_from_bloch_diff(ea - eb, gamma)
+    if strategy != "local_swap":
         raise ValueError(f"strategy {strategy!r} cannot estimate a projected kernel")
-    if d.ndim == 0:
-        return math.exp(-gamma * float(d))
-    return np.exp(-gamma * d)
+    t = _local_swap_from_bloch(ca, cb, shots, rng)
+    return np.exp(-gamma * np.sum(t[..., 0] + t[..., 1] - 2.0 * t[..., 2], axis=-1))

@@ -32,6 +32,8 @@ from .embeddings import EmbeddingSpec, _block_rows, embed_batch
 from .estimators import EstimatorSpec, projected_estimate_from_bloch, sample_fidelity
 
 KERNEL_VARIANTS = ("fidelity", "projected")
+# the seed-stream offset of kernel_matrix's estimated rows past gram's rows
+_ROW_OFFSET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -137,10 +139,6 @@ class GramMatrix:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {mat.shape}")
         object.__setattr__(self, "matrix", mat)
-
-    @property
-    def num_points(self) -> int:
-        return self.matrix.shape[0]
 
     def to_csv(self, path) -> None:
         meta = {"variant": self.kind.variant, "gamma": self.kind.gamma}
@@ -269,15 +267,16 @@ def gram(
 ) -> GramMatrix:
     """Assemble a Gram matrix over a point set.
 
-    The diagonal is fixed to exactly 1 without evaluation. With a finite-shot
-    estimator, every strict-upper-triangle entry is an independent estimator
-    run; row i draws its entries from SeedSequence((seed, i)), and the matrix
-    is then symmetrized. Estimator/kernel compatibility is enforced
-    (loschmidt and swap estimate fidelity kernels; tomography and local_swap
-    estimate projected kernels).
+    The diagonal is fixed to exactly 1 without evaluation. ``estimator=None``
+    evaluates the kernel exactly; with a finite-shot estimator, every
+    strict-upper-triangle entry is an independent estimator run; row i draws
+    its entries from SeedSequence((seed, i)), and the matrix is then
+    symmetrized. Estimator/kernel compatibility is enforced (loschmidt and
+    swap estimate fidelity kernels; tomography and local_swap estimate
+    projected kernels).
     """
     xs = _points(spec, xs)
-    if estimator is None or estimator.strategy == "exact":
+    if estimator is None:
         out = _exact_kernel_matrix(spec, xs, None, kind, theta)
     else:
         out = _sampled_kernel_matrix(spec, xs, None, kind, estimator, theta, 0)
@@ -294,15 +293,14 @@ def kernel_matrix(
     kind: KernelKind,
     estimator: EstimatorSpec | None = None,
     theta=None,
-    seed_offset: int = 1 << 20,
 ) -> np.ndarray:
     """Rectangular kernel matrix between two point sets (e.g. test vs train).
 
-    Estimated row i draws from SeedSequence((seed, seed_offset + i)), so it
+    Estimated row i draws from SeedSequence((seed, _ROW_OFFSET + i)), so it
     never collides with the square Gram rows of the same seed.
     """
     xs = _points(spec, xs)
     ys = _points(spec, ys)
-    if estimator is None or estimator.strategy == "exact":
+    if estimator is None:
         return _exact_kernel_matrix(spec, xs, ys, kind, theta)
-    return _sampled_kernel_matrix(spec, xs, ys, kind, estimator, theta, seed_offset)
+    return _sampled_kernel_matrix(spec, xs, ys, kind, estimator, theta, _ROW_OFFSET)

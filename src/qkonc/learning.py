@@ -197,48 +197,35 @@ class TrainedModel:
         )
 
 
-def train_krr(
+def train(
     spec: EmbeddingSpec,
     xs,
     y,
     kind: KernelKind,
+    algorithm: str = "krr",
     lam: float = 0.0,
+    sign: str = "minus",
     estimator: EstimatorSpec | None = None,
     theta=None,
-    sign: str = "minus",
-) -> tuple[TrainedModel, KrrResult]:
+) -> tuple[TrainedModel, KrrResult | SvmResult]:
+    """Fit ``algorithm``, "krr" (``krr_fit`` with ``lam`` and ``sign``) or "svm" (``svm_fit``,
+    no ridge term: ``lam`` and ``sign`` keep their defaults), on the Gram matrix of ``xs``."""
+    if algorithm not in ("krr", "svm"):
+        raise ValueError(f"unknown algorithm {algorithm!r}, expected 'krr' or 'svm'")
+    svm = algorithm == "svm"
+    if svm and (lam != 0.0 or sign != "minus"):
+        raise ValueError(f"'svm' has no ridge term, but lam = {lam!r} and sign = {sign!r} set one")
     gm = gram(spec, xs, kind, estimator=estimator, theta=theta)
-    fit = krr_fit(gm.matrix, y, lam=lam, sign=sign)
+    fit = svm_fit(gm.matrix, y) if svm else krr_fit(gm.matrix, y, lam=lam, sign=sign)
     model = TrainedModel(
         spec,
         kind,
-        "krr",
+        algorithm,
         np.asarray(xs, dtype=np.float64),
         fit.coefficients,
         lam=lam,
         theta=None if theta is None else np.asarray(theta, dtype=np.float64),
-    )
-    return model, fit
-
-
-def train_svm(
-    spec: EmbeddingSpec,
-    xs,
-    y,
-    kind: KernelKind,
-    estimator: EstimatorSpec | None = None,
-    theta=None,
-) -> tuple[TrainedModel, SvmResult]:
-    gm = gram(spec, xs, kind, estimator=estimator, theta=theta)
-    fit = svm_fit(gm.matrix, y)
-    model = TrainedModel(
-        spec,
-        kind,
-        "svm",
-        np.asarray(xs, dtype=np.float64),
-        fit.coefficients,
-        theta=None if theta is None else np.asarray(theta, dtype=np.float64),
-        labels=np.asarray(y, dtype=np.float64),
+        labels=np.asarray(y, dtype=np.float64) if svm else None,
     )
     return model, fit
 

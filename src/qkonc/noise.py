@@ -24,6 +24,7 @@ import numpy as np
 from . import _accel
 from .core import DensityMatrix
 from .embeddings import EmbeddingSpec, _check_x, _kron_rows, _layer_gates
+from .estimators import projected_kernel_from_bloch_diff
 
 NOISE_MAX_QUBITS = 6
 _B_EXPONENT = 1.0 / (2.0 * math.log(2.0))
@@ -142,7 +143,6 @@ def noisy_pauli_depths(
     params: PauliNoiseParams,
     depths,
     theta=None,
-    max_qubits: int = NOISE_MAX_QUBITS,
 ):
     """Noisy states of the rows of ``xs`` at several depths, from one evolution.
 
@@ -153,9 +153,9 @@ def noisy_pauli_depths(
     overwrites, so copy what must outlive the step.
     """
     n = spec.num_qubits
-    if n > max_qubits:
+    if n > NOISE_MAX_QUBITS:
         raise ValueError(
-            f"noisy-state simulation is limited to {max_qubits} qubits "
+            f"noisy-state simulation is limited to {NOISE_MAX_QUBITS} qubits "
             "(4**n Pauli coefficients per state)"
         )
     depths = sorted(set(depths))
@@ -213,13 +213,12 @@ def noisy_pauli_batch(
     xs,
     params: PauliNoiseParams,
     theta=None,
-    max_qubits: int = NOISE_MAX_QUBITS,
 ) -> np.ndarray:
     """Noisy states of the rows of ``xs`` as a (m, 4**n) batch of Pauli vectors.
 
     Row r holds c_p = Tr(P_p rho(xs[r])) of the layerwise noise model's state.
     """
-    return next(noisy_pauli_depths(spec, xs, params, [spec.layers], theta, max_qubits))[1]
+    return next(noisy_pauli_depths(spec, xs, params, [spec.layers], theta))[1]
 
 
 def pauli_fidelity_kernel(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
@@ -234,9 +233,8 @@ def _bloch_rows(c: np.ndarray) -> np.ndarray:
 
 
 def pauli_projected_kernel(ca: np.ndarray, cb: np.ndarray, gamma: float = 1.0) -> np.ndarray:
-    """exp(-gamma sum_k ||rho_k(a) - rho_k(b)||_2^2), each term half the squared Bloch difference."""
-    diff = _bloch_rows(ca) - _bloch_rows(cb)
-    return np.exp(-gamma * 0.5 * np.sum(diff * diff, axis=(-2, -1)))
+    """exp(-gamma sum_k ||rho_k(a) - rho_k(b)||_2^2) of Pauli vectors, over the last axis."""
+    return projected_kernel_from_bloch_diff(_bloch_rows(ca) - _bloch_rows(cb), gamma)
 
 
 def pauli_mixed_distance(c: np.ndarray) -> np.ndarray:
@@ -250,11 +248,10 @@ def noisy_embed(
     x,
     params: PauliNoiseParams,
     theta=None,
-    max_qubits: int = NOISE_MAX_QUBITS,
 ) -> DensityMatrix:
     """Embed under the layerwise noise model; returns the mixed output state."""
     x = _check_x(spec, x)
-    c = noisy_pauli_batch(spec, x[None], params, theta=theta, max_qubits=max_qubits)[0]
+    c = noisy_pauli_batch(spec, x[None], params, theta=theta)[0]
     return DensityMatrix(spec.num_qubits, _from_pauli(c, spec.num_qubits))
 
 

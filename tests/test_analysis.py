@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from qkonc import analysis
 from qkonc.analysis import (
     ConcentrationReport,
     beta_haar,
@@ -119,16 +120,13 @@ class TestConcentrationScan:
         assert r1[0].mean == r2[0].mean
         assert r1[1].mean == r2[1].mean
 
-    def test_chunking_covers_all_requested_pairs(self):
+    def test_chunking_covers_all_requested_pairs(self, monkeypatch):
         # different chunk sizes draw the rng in a different order, so the
         # results are distinct MC estimates of the same moments
         spec = EmbeddingSpec(2, "tensor_ry")
-        a = concentration_scan(
-            spec, [KernelKind.fidelity()], 30000, np.random.default_rng(7), chunk=640
-        )[0]
-        b = concentration_scan(
-            spec, [KernelKind.fidelity()], 30000, np.random.default_rng(7), chunk=1 << 15
-        )[0]
+        b = concentration_scan(spec, [KernelKind.fidelity()], 30000, np.random.default_rng(7))[0]
+        monkeypatch.setattr(analysis, "_CHUNK_PAIRS", 640)
+        a = concentration_scan(spec, [KernelKind.fidelity()], 30000, np.random.default_rng(7))[0]
         assert a.pairs == b.pairs == 30000
         tol = 4.0 * math.hypot(a.std_error, b.std_error)
         assert a.mean == pytest.approx(b.mean, abs=tol)

@@ -137,7 +137,7 @@ class TestResolver:
             ("gram", {"qubits": 2, "dataset": {"qubits": 3}}, "qubits"),
             ("variance-scan", {"family": "parameterized"}, "family"),
             ("expressivity", {"layers": [1, 0]}, "layers"),
-            ("gram", {"estimator": {"strategy": "sampled"}}, "estimator"),
+            ("gram", {"estimator": {"strategy": "sampled"}}, "strategy"),
             ("gram", {"estimator": {"seed": "abc", "strategy": "loschmidt"}}, "seed"),
             ("gram", {"dataset": {"source": "csv"}}, "dataset"),
             ("gram", {"dataset": {"count": 0}}, "count"),
@@ -193,6 +193,15 @@ class TestResolver:
             ("shots-budget", {"qubits": [2], "variances": [False]}, "variances"),
             ("train", {"dataset": {"count": 4}, "algorithm": "svm", "lambda": 0.5}, "lambda"),
             ("train", {"dataset": {"count": 4}, "algorithm": "svm", "ridge_sign": "plus"}, "ridge_sign"),
+            # gamma scales only the projected kernel; an exact estimator draws no shots
+            ("gram", {"dataset": {"count": 4}, "gamma": 2.0}, "gamma"),
+            ("train", {"dataset": {"count": 4}, "gamma": 2.0}, "gamma"),
+            ("kta-scan", {"gamma": 0.5}, "gamma"),
+            ("variance-scan", {"kernels": ["fidelity"], "gamma": 2.0}, "gamma"),
+            ("gram", {"dataset": {"count": 4}, "estimator": {"shots": 500}}, "shots"),
+            ("gram", {"dataset": {"count": 4}, "estimator": {"strategy": "exact", "seed": 3}}, "seed"),
+            ("train", {"dataset": {"count": 4}, "estimator": {"shots": 10}}, "shots"),
+            ("train", {"dataset": {"count": 4}, "estimator": {"seed": 0}}, "seed"),
         ],
     )
     def test_bad_value_fails_early_naming_the_key(self, tmp_path, experiment, cfg, key):

@@ -114,10 +114,6 @@ class TestGateConstruction:
         with pytest.raises(ValueError, match="distinct targets"):
             Gate.cz(1, 1)
 
-    def test_dense_gate_must_be_unitary(self):
-        with pytest.raises(ValueError, match="not unitary"):
-            Gate.unitary1(np.array([[1.0, 1.0], [0.0, 1.0]]), 0)
-
     def test_matrix_1q_rejects_two_qubit_kinds(self):
         with pytest.raises(ValueError, match="not single-qubit"):
             Gate.cz(0, 1).matrix_1q()
@@ -177,25 +173,6 @@ class TestGateApplication:
         np.testing.assert_allclose(
             state.amplitudes, np.array([1, 0, 0, 1]) / math.sqrt(2), atol=1e-15
         )
-
-    def test_dense_two_qubit_gate_matches_cnot(self):
-        # u2q with targets (a, b): basis index m = 2*bit_b + bit_a.
-        # CNOT controlled on a flipping b is then |a b>: 00->00 01->11 10->10 11->01.
-        rng = np.random.default_rng(42)
-        u4 = np.array(
-            [
-                [1, 0, 0, 0],
-                [0, 0, 0, 1],
-                [0, 0, 1, 0],
-                [0, 1, 0, 0],
-            ],
-            dtype=np.complex128,
-        )
-        for a, b in ((0, 1), (1, 2), (2, 0)):
-            state = random_state(rng, 3)
-            got = apply_gate(state, Gate.unitary2(u4, a, b)).amplitudes
-            want = apply_gate(state, Gate.cnot(a, b)).amplitudes
-            np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_target_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):

@@ -12,6 +12,7 @@ from qkonc.estimators import (
     _local_swap_from_bloch,
     _tomography_from_bloch,
     projected_estimate_from_bloch,
+    projected_kernel_from_bloch_diff,
     sample_fidelity,
 )
 from qkonc.kernels import projected_kernel
@@ -25,16 +26,15 @@ def embedded_pair(num_qubits=3, seed=42):
 
 
 class TestSpecValidation:
-    def test_unknown_strategy(self):
+    @pytest.mark.parametrize("strategy", ["mle", "exact"])
+    def test_unknown_strategy(self, strategy):
+        # exact kernel values take no estimator (estimator=None)
         with pytest.raises(ValueError, match="unknown strategy"):
-            EstimatorSpec("mle")
+            EstimatorSpec(strategy)
 
     def test_bad_shots(self):
         with pytest.raises(ValueError, match="shots"):
             EstimatorSpec("swap", shots=0)
-
-    def test_exact_ignores_shots(self):
-        EstimatorSpec("exact", shots=0)  # no error: exact never samples
 
 
 class TestSampleFidelity:
@@ -84,22 +84,23 @@ class TestFidelityEstimation:
         assert got == pytest.approx(fidelity(a, b), abs=0.01)
 
 
-def projected_estimate(a, b, strategy, shots=0, rng=None, gamma=1.0):
+def projected_estimate(a, b, strategy, shots, rng, gamma=1.0):
     return projected_estimate_from_bloch(
         bloch_vectors(a), bloch_vectors(b), strategy, shots, rng, gamma
     )
 
 
 class TestProjectedEstimation:
-    def test_exact_matches_kernel(self):
+    def test_bloch_formula_matches_kernel(self):
         a, b = embedded_pair()
-        got = projected_estimate(a, b, "exact", gamma=1.0)
+        got = projected_kernel_from_bloch_diff(bloch_vectors(a) - bloch_vectors(b), gamma=1.0)
         assert got == pytest.approx(projected_kernel(a, b, gamma=1.0), abs=1e-14)
 
     def test_gamma_scaling(self):
         a, b = embedded_pair()
-        k1 = projected_estimate(a, b, "exact", gamma=1.0)
-        k2 = projected_estimate(a, b, "exact", gamma=2.0)
+        diff = bloch_vectors(a) - bloch_vectors(b)
+        k1 = projected_kernel_from_bloch_diff(diff, gamma=1.0)
+        k2 = projected_kernel_from_bloch_diff(diff, gamma=2.0)
         assert k2 == pytest.approx(k1 * k1, abs=1e-12)
 
     @pytest.mark.parametrize("strategy", ["tomography", "local_swap"])
