@@ -96,7 +96,6 @@ def _chunk_kappas(
     rng: np.random.Generator,
     low: float,
     high: float,
-    theta,
 ) -> list[np.ndarray]:
     if spec.family == "tensor_ry":
         xs, ys = _sample_inputs(spec, count, rng, low, high)
@@ -110,7 +109,7 @@ def _chunk_kappas(
     else:  # the chunk's inputs are drawn at once
         xs, ys = _sample_inputs(spec, count, rng, low, high)
         blocks = (
-            (embed_batch(spec, xs[i : i + step], theta), embed_batch(spec, ys[i : i + step], theta))
+            (embed_batch(spec, xs[i : i + step]), embed_batch(spec, ys[i : i + step]))
             for i in range(0, count, step)
         )
 
@@ -134,7 +133,6 @@ def concentration_scan(
     rng: np.random.Generator,
     low: float = -math.pi,
     high: float = math.pi,
-    theta=None,
 ) -> list[ConcentrationReport]:
     """Sample kernel values over independent input pairs, for several kernel
     kinds on the same pairs, and report mean/variance per kind."""
@@ -148,7 +146,7 @@ def concentration_scan(
     done = 0
     while done < pairs:
         c = min(_CHUNK_PAIRS, pairs - done)
-        for acc, kap in zip(values, _chunk_kappas(spec, kinds, c, rng, low, high, theta)):
+        for acc, kap in zip(values, _chunk_kappas(spec, kinds, c, rng, low, high)):
             acc[done : done + c] = kap
         done += c
     return [
@@ -170,8 +168,6 @@ MAX_EXPRESSIVITY_QUBITS = 6
 class ExpressivityEstimate:
     value: float
     mc_error: float
-    samples: int
-    num_qubits: int
 
 
 def expressivity_from_states(states: np.ndarray, num_qubits: int) -> ExpressivityEstimate:
@@ -203,7 +199,7 @@ def expressivity_from_states(states: np.ndarray, num_qubits: int) -> Expressivit
             acc += phi.T @ phi.conj()
     value = trace_norm((sums[0] + sums[1]) / m - np.eye(dim) / dim)
     err = 0.5 * trace_norm(sums[0] / half - sums[1] / (m - half))
-    return ExpressivityEstimate(float(value), float(err), m, num_qubits)
+    return ExpressivityEstimate(float(value), float(err))
 
 
 def expressivity_epsilon(
@@ -212,7 +208,6 @@ def expressivity_epsilon(
     rng: np.random.Generator,
     low: float = -math.pi,
     high: float = math.pi,
-    theta=None,
 ) -> ExpressivityEstimate:
     """Monte-Carlo expressivity of an embedding over uniform inputs."""
     if spec.num_qubits > MAX_EXPRESSIVITY_QUBITS:
@@ -223,7 +218,7 @@ def expressivity_epsilon(
         states = haar_random_states(spec.num_qubits, samples, rng)
     else:
         xs = rng.uniform(low, high, (samples, spec.num_qubits))
-        states = embed_batch(spec, xs, theta=theta)
+        states = embed_batch(spec, xs)
     return expressivity_from_states(states, spec.num_qubits)
 
 
@@ -348,16 +343,13 @@ def shots_budget(
     variance: float,
     precision: float = 1.0,
     fail_prob: float = 0.05,
-    obs_bound: float = 1.0,
 ) -> int:
-    """Shots needed to resolve a concentrated value at relative precision
-    ``precision`` (in units of sqrt(variance)) with failure probability
-    ``fail_prob``: ceil(2 obs_bound^2 ln(2/fail_prob) / (precision^2 variance))."""
+    """Shots needed to resolve a concentrated value of a [-1, 1]-bounded
+    observable at relative precision ``precision`` (in units of sqrt(variance))
+    with failure probability ``fail_prob``: ceil(2 ln(2/fail_prob) / (precision^2 variance))."""
     if variance <= 0 or precision <= 0 or not 0 < fail_prob < 1:
         raise ValueError("variance and precision must be positive, fail_prob in (0,1)")
-    return math.ceil(
-        2.0 * obs_bound**2 * math.log(2.0 / fail_prob) / (precision**2 * variance)
-    )
+    return math.ceil(2.0 * math.log(2.0 / fail_prob) / (precision**2 * variance))
 
 
 # ---------------------------------------------------------------------------

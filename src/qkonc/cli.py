@@ -409,10 +409,17 @@ def _check_fits(
     _check_memory(name, key, need, f"{rows} x {cols} kernel matrices")
 
 
+# dataset source -> the keys of the dataset table it does not read
+_DATASET_UNREAD = {"csv": ("count", "qubits", "low", "high"), "hypercube": ("low", "high", "path"), "uniform": ("path",)}
+
+
 def _dataset(name: str, d: dict, dim: int, master_seed: int, fits) -> Dataset:
-    """The points of a resolved ``dataset`` sub-table, ``dim`` features wide.
-    ``fits(count, dim)`` checks the point count before the points are drawn
-    (after a CSV is read)."""
+    """The points of a resolved ``dataset`` sub-table, ``dim`` features wide;
+    a key its source does not read must keep its default. ``fits(count, dim)``
+    checks the point count before the points are drawn (after a CSV is read)."""
+    table = _EXPERIMENTS[name][1]["dataset"]
+    why = f"is not read by source {d['source']!r}"
+    _unread(name, d, {key: table[key] for key in _DATASET_UNREAD[d["source"]]}, why, "dataset.")
     if d["source"] == "csv":
         try:
             ds = load_csv(d["path"])
@@ -672,7 +679,6 @@ def _run_generalization(cfg, master_seed, outdir, threads):
         num_test=cfg["num_test"],
         shots=cfg["shots"],
         lam=cfg["lambda"],
-        repeats=1,
         low=cfg["low"],
         high=cfg["high"],
     )

@@ -13,9 +13,10 @@ Strategies:
                      fraction of 1s. Unbiased for the fidelity kernel.
 * ``swap``        -- destructive swap test; outcomes in {-1, +1} with
                      p(+1) = (1 + kappa)/2, estimate is the mean. Unbiased.
-* ``tomography``  -- estimate every single-qubit Bloch component with
-                     ``shots`` shots each (3 n shots-sets per state), plug
-                     into the projected kernel. Biased upward in the squared
+* ``tomography``  -- estimate every single-qubit Bloch component of both
+                     states with ``shots`` shots each, afresh for every
+                     kernel entry (2 * 3 n shot sets per entry), plug into
+                     the projected kernel. Biased upward in the squared
                      distances by the component variances; no correction and
                      no clipping is applied, so estimates can exceed 1.
 * ``local_swap``  -- estimate each reduced 2-norm distance from three swap

@@ -152,25 +152,6 @@ class GramMatrix:
             for row in self.matrix:
                 fh.write(line % tuple(row.tolist()))
 
-    @staticmethod
-    def from_csv(path) -> "GramMatrix":
-        meta = {}
-        rows = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    meta = json.loads(line[1:])
-                    continue
-                rows.append([float(v) for v in line.split(",")])
-        kind = KernelKind(meta.get("variant", "fidelity"), meta.get("gamma", 1.0))
-        est = None
-        if "strategy" in meta:
-            est = EstimatorSpec(meta["strategy"], meta.get("shots", 1000), meta.get("seed", 0))
-        return GramMatrix(np.array(rows), kind, est)
-
 
 def _points(spec: EmbeddingSpec, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.float64)

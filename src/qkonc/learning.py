@@ -268,17 +268,15 @@ def kta_variance_over_theta(
     num_thetas: int,
     rng: np.random.Generator,
     kind: KernelKind = KernelKind.fidelity(),
-    low: float = 0.0,
-    high: float = 2.0 * math.pi,
 ) -> KtaScan:
-    """Sample random parameter vectors and record alignment + per-entry kernel
-    variability (everything evaluated exactly)."""
+    """Sample parameter vectors uniform on [0, 2 pi) and record alignment +
+    per-entry kernel variability (everything evaluated exactly)."""
     xs = np.asarray(xs, dtype=np.float64)
     npts = xs.shape[0]
     tas = np.empty(num_thetas)
     kvals = np.empty((num_thetas, npts, npts))
     for t in range(num_thetas):
-        theta = rng.uniform(low, high, spec.theta_dim)
+        theta = rng.uniform(0.0, 2.0 * math.pi, spec.theta_dim)
         gm = gram(spec, xs, kind, theta=theta)
         kvals[t] = gm.matrix
         tas[t] = kernel_target_alignment(gm.matrix, y)
@@ -298,16 +296,10 @@ def kta_variance_over_theta(
 @dataclass(frozen=True, eq=False)
 class GeneralizationResult:
     train_sizes: tuple[int, ...]
-    loss_exact: np.ndarray  # (repeats, sizes) test MSE, exact kernel
-    loss_estimated: np.ndarray  # (repeats, sizes) test MSE, finite shots
-    train_error_exact: np.ndarray  # (repeats, sizes) max train residual
+    loss_exact: np.ndarray  # (sizes,) test MSE, exact kernel
+    loss_estimated: np.ndarray  # (sizes,) test MSE, finite shots
+    train_error_exact: np.ndarray  # (sizes,) max train residual
     train_error_estimated: np.ndarray
-
-    def eta(self, which: str = "exact") -> np.ndarray:
-        """Per-size generalization ratio L(test | S_N) / L(test | S_first),
-        averaged over repeats."""
-        losses = self.loss_exact if which == "exact" else self.loss_estimated
-        return np.mean(losses / losses[:, :1], axis=0)
 
 
 def generalization_experiment(
@@ -317,18 +309,17 @@ def generalization_experiment(
     num_test: int = 20,
     shots: int = 1000,
     lam: float = 0.0,
-    repeats: int = 10,
     low: float = 0.0,
     high: float = 2.0 * math.pi,
 ) -> GeneralizationResult:
-    """Train-size scan of kernel ridge regression on engineered labels.
+    """One repeat of a train-size scan of kernel ridge regression on engineered labels.
 
-    Per repeat: a pool of max(train_sizes) uniform points gets labels
+    A pool of max(train_sizes) uniform points gets labels
     y(x) = sum_i w_i kappa_FQ(x_i, x) with w_i ~ U[0,1] over the whole pool;
     training subsets are nested prefixes; the exact arm solves on the exact
     Gram matrix while the estimated arm re-measures every kernel entry with
-    ``shots`` single-shot overlap tests (sampled once per repeat for the full
-    pool and sliced per subset). Losses are test-set MSE.
+    ``shots`` single-shot overlap tests (sampled once for the full pool and
+    sliced per subset). Losses are test-set MSE.
     """
     spec = EmbeddingSpec(num_qubits, "tensor_ry")
     kind = KernelKind.fidelity()
@@ -337,42 +328,25 @@ def generalization_experiment(
     if min(sizes) < 1 or num_test < 1:
         raise ValueError("sizes must be positive")
 
-    loss_ex = np.empty((repeats, len(sizes)))
-    loss_est = np.empty((repeats, len(sizes)))
-    terr_ex = np.empty((repeats, len(sizes)))
-    terr_est = np.empty((repeats, len(sizes)))
-    eye = np.eye(pool)
+    xs = rng.uniform(low, high, (pool, num_qubits))
+    w = rng.uniform(0.0, 1.0, pool)
+    ts = rng.uniform(low, high, (num_test, num_qubits))
+    k_pool = gram(spec, xs, kind).matrix
+    k_test = kernel_matrix(spec, ts, xs, kind)
+    y_pool = k_pool @ w
+    y_test = k_test @ w
 
-    for r in range(repeats):
-        xs = rng.uniform(low, high, (pool, num_qubits))
-        w = rng.uniform(0.0, 1.0, pool)
-        ts = rng.uniform(low, high, (num_test, num_qubits))
-        k_pool = kernel_matrix(spec, xs, xs, kind)
-        np.fill_diagonal(k_pool, 1.0)
-        k_test = kernel_matrix(spec, ts, xs, kind)
-        y_pool = k_pool @ w
-        y_test = k_test @ w
+    # one finite-shot re-measurement of every entry, sliced per subset
+    k_pool_hat = np.triu(sample_fidelity(k_pool, "loschmidt", shots, rng), k=1)
+    k_pool_hat = k_pool_hat + k_pool_hat.T + np.eye(pool)
+    k_test_hat = sample_fidelity(k_test, "loschmidt", shots, rng)
 
-        # one finite-shot re-measurement of every entry, sliced per subset
-        k_pool_hat = sample_fidelity(k_pool, "loschmidt", shots, rng)
-        k_pool_hat = np.triu(k_pool_hat, k=1)
-        k_pool_hat = k_pool_hat + k_pool_hat.T + eye
-        k_test_hat = sample_fidelity(k_test, "loschmidt", shots, rng)
-
+    # rows: exact arm, estimated arm
+    losses, train_errors = np.empty((2, len(sizes))), np.empty((2, len(sizes)))
+    for arm, (kp, kt) in enumerate(((k_pool, k_test), (k_pool_hat, k_test_hat))):
         for si, ns in enumerate(sizes):
             ys = y_pool[:ns]
-            fit = krr_fit(k_pool[:ns, :ns], ys, lam=lam)
-            preds = k_test[:, :ns] @ fit.coefficients
-            loss_ex[r, si] = float(np.mean((preds - y_test) ** 2))
-            terr_ex[r, si] = float(
-                np.max(np.abs(k_pool[:ns, :ns] @ fit.coefficients - ys))
-            )
-
-            fit_hat = krr_fit(k_pool_hat[:ns, :ns], ys, lam=lam)
-            preds_hat = k_test_hat[:, :ns] @ fit_hat.coefficients
-            loss_est[r, si] = float(np.mean((preds_hat - y_test) ** 2))
-            terr_est[r, si] = float(
-                np.max(np.abs(k_pool_hat[:ns, :ns] @ fit_hat.coefficients - ys))
-            )
-
-    return GeneralizationResult(sizes, loss_ex, loss_est, terr_ex, terr_est)
+            coeff = krr_fit(kp[:ns, :ns], ys, lam=lam).coefficients
+            losses[arm, si] = np.mean((kt[:, :ns] @ coeff - y_test) ** 2)
+            train_errors[arm, si] = np.max(np.abs(kp[:ns, :ns] @ coeff - ys))
+    return GeneralizationResult(sizes, losses[0], losses[1], train_errors[0], train_errors[1])

@@ -334,13 +334,17 @@ def test_train_size_scan_flat_for_shot_estimated_kernel():
     collapses with training size (ratio far below 0.5 by 150 points) while the
     1000-shot estimated kernel never improves (ratio exactly 1); training
     residuals vanish in every arm at lambda = 0."""
-    res = generalization_experiment(np.random.default_rng(42))
-    eta_exact = res.eta("exact")
-    eta_est = res.eta("estimated")
+    rng = np.random.default_rng(42)
+    results = [generalization_experiment(rng) for _ in range(10)]
+    loss_exact = np.vstack([res.loss_exact for res in results])
+    loss_est = np.vstack([res.loss_estimated for res in results])
+    # per-size loss ratio to the first size, averaged over the 10 repeats
+    eta_exact = np.mean(loss_exact / loss_exact[:, :1], axis=0)
+    eta_est = np.mean(loss_est / loss_est[:, :1], axis=0)
     assert eta_exact[-1] < 0.5, f"exact-arm final ratio {eta_exact[-1]}"
     assert np.all(eta_est == 1.0), f"estimated-arm ratios {eta_est}"
     train_worst = max(
-        float(res.train_error_exact.max()), float(res.train_error_estimated.max())
+        max(float(res.train_error_exact.max()), float(res.train_error_estimated.max())) for res in results
     )
     assert train_worst <= 1e-8
     print(

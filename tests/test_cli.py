@@ -317,11 +317,11 @@ class TestGram:
         assert {o["file"] for o in manifest["outputs"]} == {"gram.csv", "points.csv"}
         assert manifest["zero_ratio"] == 0.0  # exact kernel never hits 0 a.s.
 
-        from qkonc.kernels import GramMatrix
-
-        gm = GramMatrix.from_csv(tmp_path / "gram.csv")
-        assert gm.matrix.shape == (5, 5)
-        np.testing.assert_allclose(np.diag(gm.matrix), 1.0, atol=0.0)
+        with open(tmp_path / "gram.csv") as fh:
+            assert json.loads(fh.readline().removeprefix("#")) == {"variant": "fidelity", "gamma": 1.0}
+        matrix = np.loadtxt(tmp_path / "gram.csv", delimiter=",", comments="#")
+        assert matrix.shape == (5, 5)
+        np.testing.assert_allclose(np.diag(matrix), 1.0, atol=0.0)
 
     def test_one_point_gram_has_null_zero_ratio(self, tmp_path):
         cfg = {"family": "single_layer_rot", "qubits": 3, "dataset": {"count": 1}}

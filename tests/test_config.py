@@ -202,6 +202,19 @@ class TestResolver:
             ("gram", {"dataset": {"count": 4}, "estimator": {"strategy": "exact", "seed": 3}}, "seed"),
             ("train", {"dataset": {"count": 4}, "estimator": {"shots": 10}}, "shots"),
             ("train", {"dataset": {"count": 4}, "estimator": {"seed": 0}}, "seed"),
+            # a dataset key its source does not read: low/high outside uniform,
+            # count/qubits with csv, path outside csv
+            ("train", {"dataset": {"source": "csv", "path": "no/such/points.csv", "count": 500}}, "count"),
+            ("train", {"dataset": {"source": "csv", "path": "no/such/points.csv", "qubits": 9}}, "qubits"),
+            ("train", {"dataset": {"source": "csv", "path": "no/such/points.csv", "low": 1.0}}, "low"),
+            ("gram", {"dataset": {"source": "csv", "path": "no/such/points.csv", "count": 500}}, "count"),
+            ("gram", {"dataset": {"source": "csv", "path": "no/such/points.csv", "qubits": 4}}, "qubits"),
+            ("gram", {"dataset": {"source": "csv", "path": "no/such/points.csv", "high": 1.0}}, "high"),
+            ("train", {"dataset": {"count": 4, "low": 1.0}}, "low"),
+            ("train", {"dataset": {"count": 4, "high": 1.0}}, "high"),
+            ("train", {"dataset": {"count": 4, "path": "points.csv"}}, "path"),
+            ("gram", {"dataset": {"source": "hypercube", "count": 4, "low": 0.0}}, "low"),
+            ("gram", {"dataset": {"count": 4, "path": "points.csv"}}, "path"),
         ],
     )
     def test_bad_value_fails_early_naming_the_key(self, tmp_path, experiment, cfg, key):
