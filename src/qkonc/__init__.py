@@ -7,7 +7,7 @@ noise bounds.  Batched statevector updates run as vectorized numpy
 primitives in ``qkonc._accel``.
 """
 
-__version__ = "0.7.1"
+__version__ = "0.8.0"
 
 import os as _os
 import sys as _sys

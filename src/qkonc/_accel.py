@@ -94,6 +94,16 @@ def cz_ladder_mask(num_qubits: int) -> np.ndarray:
     return mask
 
 
+@lru_cache(maxsize=None)
+def sdg_phase(num_qubits: int) -> np.ndarray:
+    """Diagonal of S^dagger = diag(1, -i) on every qubit: (-i)**popcount(k)."""
+    idx = np.arange(1 << num_qubits)
+    popcount = sum((idx >> k) & 1 for k in range(num_qubits))
+    phase = np.array([1.0, -1j, -1.0, 1j])[popcount & 3]
+    phase.flags.writeable = False
+    return phase
+
+
 def _cnot_sources(num_qubits: int, control: int, target: int) -> np.ndarray:
     idx = np.arange(1 << num_qubits, dtype=np.int64)
     return idx ^ (((idx >> control) & 1) << target)

@@ -940,9 +940,10 @@ def run_experiment(name: str, config: dict, seed=None, out=".", threads=None) ->
         "resolved_config": cfg,
         "master_seed": master_seed,
         "seed_rule": (
-            "numpy SeedSequence((master_seed, *sweep_indices)); shot-estimated "
-            "kernel matrices v2: per-row SeedSequence((estimator_seed, row_offset + row))"
+            "numpy SeedSequence((master_seed, *sweep_indices)); shot-estimated kernel matrices v3: "
+            "per-row SeedSequence((estimator_seed, 0x73686F74, row_offset + row)), 0x73686F74 the shot-stream tag"
         ),
+        "statevector_engine": "v2: tensor_ry and cz hardware_efficient as a real Ry circuit times (-i)^popcount",
         "tensor_ry_kernel": "v2: angle-addition products",
         "package_version": __version__,
         "threads": threads,

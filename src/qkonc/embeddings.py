@@ -116,6 +116,12 @@ def layer_decomposition(spec: EmbeddingSpec, x, theta=None) -> list[list[Gate]]:
 # where A_lo and A_hi are the row's Kronecker factors of the two halves. The
 # first layer acts on |0...0>, so it is the Kronecker product of each qubit's
 # first gate column. Rows run in blocks of ``_block_rows(n)``.
+#
+# Rx(x) = S^dag Ry(x) S with S = diag(1, i), and S is diagonal, so it commutes
+# with CZ and fixes |0>. A ``hardware_efficient`` circuit on a CZ ladder is
+# therefore diag((-i)**popcount(k)) times the same circuit with Ry in place of
+# Rx, which is real; ``tensor_ry`` is real already. Both run in float64, and
+# each block is written to the complex output once, as phase * real state.
 
 
 def _block_rows(num_qubits: int) -> int:
@@ -124,11 +130,10 @@ def _block_rows(num_qubits: int) -> int:
 
 
 def _first_columns(spec: EmbeddingSpec, xs: np.ndarray, theta) -> np.ndarray:
-    """(m, n, 2, 1) state of every qubit after the gates before the first entangler."""
+    """(m, n, 2, 1) state of every qubit after the gates before the first
+    entangler, for the families that run in complex arithmetic."""
     c, s = np.cos(0.5 * xs), np.sin(0.5 * xs)
-    if spec.family == "tensor_ry":  # Ry(x)|0>
-        pair = (c, s)
-    elif spec.family == "hardware_efficient":  # Rx(x)|0>
+    if spec.family == "hardware_efficient":  # Rx(x)|0>
         pair = (c, -1j * s)
     elif spec.family == "parameterized":  # Rx(x) Ry(theta)|0>
         ct, st = np.cos(0.5 * theta), np.sin(0.5 * theta)
@@ -172,13 +177,22 @@ def _gates(g00, g01, g10, g11) -> np.ndarray:
     return np.stack(entries, axis=-1).astype(np.complex128, copy=False).reshape(entries[0].shape + (2, 2))
 
 
+def _ry_gates(xs: np.ndarray) -> np.ndarray:
+    """(m, n, 2, 2) real Ry(x) gates of every row; column 0 is Ry(x)|0>."""
+    c, s = np.cos(0.5 * xs), np.sin(0.5 * xs)
+    return np.stack([c, -s, s, c], axis=-1).reshape(xs.shape + (2, 2))
+
+
 def _kron_rows(factors: np.ndarray) -> np.ndarray:
     """Row-wise Kronecker product of the matrices ``factors[:, k]`` over k,
-    with k = 0 the least significant."""
+    with k = 0 the least significant. Each product is laid out in C order, so
+    the reshape is a view even when the factors are transposed views."""
     out = np.ones((len(factors), 1, 1), dtype=factors.dtype)
     for k in range(factors.shape[1]):
         f = factors[:, k]
-        out = (f[:, :, None, :, None] * out[:, None, :, None]).reshape(len(f), f.shape[1] * out.shape[1], -1)
+        out = np.multiply(f[:, :, None, :, None], out[:, None, :, None], order="C").reshape(
+            len(f), f.shape[1] * out.shape[1], -1
+        )
     return out
 
 
@@ -234,36 +248,44 @@ def embed_batch(spec: EmbeddingSpec, xs, theta=None) -> np.ndarray:
     h = n // 2
     entangled = spec.family in ("hardware_efficient", "parameterized")
     later = spec.layers - 1 if entangled else 0
-    cols = _first_columns(spec, xs, theta)
+    # the real circuits (see above): phase is their S^dag on every qubit
+    real = spec.family == "tensor_ry" or (spec.family == "hardware_efficient" and spec.entangler == "cz")
+    phase = _accel.sdg_phase(n) if real and entangled else None
+    cols = _ry_gates(xs)[..., :1] if real else _first_columns(spec, xs, theta)
     out = np.empty((m, 1 << n), dtype=np.complex128)
     step = _block_rows(n)
     # Up to 4 qubits the factors are at most 4x4, and one BLAS call per row
     # costs more than the product, so those layers run with the rows last.
     rows_last = n <= 4
-    tmp = np.empty(min(step, m) << n, dtype=np.complex128) if later else None
+    dtype = np.float64 if real else np.complex128
+    # a real block is built here and written to ``out`` once, at its end
+    work = np.empty(min(step, m) << n) if real else None
+    tmp = np.empty(min(step, m) << n, dtype=dtype) if later else None
     for lo in range(0, m, step):
         block = out[lo : lo + step]
         b, rows = len(block), slice(lo, lo + len(block))
-        state = block.reshape(b, 1 << (n - h), 1 << h)
+        psi = work[: b << n].reshape(b, 1 << n) if real else block
+        state = psi.reshape(b, 1 << (n - h), 1 << h)
         np.multiply(_kron_rows(cols[rows, h:]), _kron_rows(cols[rows, :h]).swapaxes(1, 2), out=state)
         if entangled:
-            _apply_entangler_batch(spec, block)
-        if not later:
-            continue
-        # x is re-uploaded, so every later layer has the same factors
-        gates = _layer_gates(spec, xs[rows], theta)[-1]
-        a_lo_t, a_hi = _kron_rows(gates[:, :h].swapaxes(2, 3)), _kron_rows(gates[:, h:])
-        if rows_last:
-            state, a_lo_t, a_hi = (np.ascontiguousarray(np.moveaxis(a, 0, -1)) for a in (state, a_lo_t, a_hi))
-        flat = state.reshape(1 << n, b).T if rows_last else block
-        matmul = _matmul_rows_last if rows_last else np.matmul
-        t = tmp[: b << n].reshape(state.shape)
-        for _ in range(later):
-            matmul(state, a_lo_t, out=t)
-            matmul(a_hi, t, out=state)
-            _apply_entangler_batch(spec, flat)
-        if rows_last:
-            block[...] = flat
+            _apply_entangler_batch(spec, psi)
+        if later:
+            # x is re-uploaded, so every later layer has the same factors
+            gates = _ry_gates(xs[rows]) if real else _layer_gates(spec, xs[rows], theta)[-1]
+            a_lo_t, a_hi = _kron_rows(gates[:, :h].swapaxes(2, 3)), _kron_rows(gates[:, h:])
+            if rows_last:
+                state, a_lo_t, a_hi = (np.ascontiguousarray(np.moveaxis(a, 0, -1)) for a in (state, a_lo_t, a_hi))
+                psi = state.reshape(1 << n, b).T
+            matmul = _matmul_rows_last if rows_last else np.matmul
+            t = tmp[: b << n].reshape(state.shape)
+            for _ in range(later):
+                matmul(state, a_lo_t, out=t)
+                matmul(a_hi, t, out=state)
+                _apply_entangler_batch(spec, psi)
+        if phase is not None:
+            np.multiply(psi, phase, out=block)
+        elif psi is not block:
+            block[...] = psi
     return out
 
 

@@ -34,6 +34,10 @@ from .estimators import EstimatorSpec, projected_estimate_from_bloch, sample_fid
 KERNEL_VARIANTS = ("fidelity", "projected")
 # the seed-stream offset of kernel_matrix's estimated rows past gram's rows
 _ROW_OFFSET = 1 << 20
+# The purpose tag ("shot" in ASCII) in the entropy of every shot-noise stream.
+# The CLI seeds points and theta from (master_seed, 0) and (master_seed, 1),
+# so an untagged (seed, row) stream would replay them.
+_SHOT_STREAM = 0x73686F74
 
 
 @dataclass(frozen=True)
@@ -214,7 +218,8 @@ def _sampled_kernel_matrix(
 
     ys=None estimates only the strict upper triangle of xs vs xs (the rest
     is left 0). Row i draws all of its entries, each an independent
-    estimator run, from one generator SeedSequence((seed, row_offset + i)).
+    estimator run, from one generator
+    SeedSequence((seed, _SHOT_STREAM, row_offset + i)).
     """
     fidelity_strategy = estimator.strategy in ("loschmidt", "swap")
     if fidelity_strategy != (kind.variant == "fidelity"):
@@ -229,7 +234,7 @@ def _sampled_kernel_matrix(
     out = np.zeros((len(xs), len(xs) if ys is None else len(ys)))
     for i in range(out.shape[0]):
         lo = i + 1 if ys is None else 0
-        rng = np.random.default_rng(np.random.SeedSequence((estimator.seed, row_offset + i)))
+        rng = np.random.default_rng(np.random.SeedSequence((estimator.seed, _SHOT_STREAM, row_offset + i)))
         if fidelity_strategy:
             out[i, lo:] = sample_fidelity(exact[i, lo:], estimator.strategy, estimator.shots, rng)
         else:
@@ -251,9 +256,9 @@ def gram(
     The diagonal is fixed to exactly 1 without evaluation. ``estimator=None``
     evaluates the kernel exactly; with a finite-shot estimator, every
     strict-upper-triangle entry is an independent estimator run; row i draws
-    its entries from SeedSequence((seed, i)), and the matrix is then
-    symmetrized. Estimator/kernel compatibility is enforced (loschmidt and
-    swap estimate fidelity kernels; tomography and local_swap estimate
+    its entries from SeedSequence((seed, _SHOT_STREAM, i)), and the matrix is
+    then symmetrized. Estimator/kernel compatibility is enforced (loschmidt
+    and swap estimate fidelity kernels; tomography and local_swap estimate
     projected kernels).
     """
     xs = _points(spec, xs)
@@ -277,8 +282,8 @@ def kernel_matrix(
 ) -> np.ndarray:
     """Rectangular kernel matrix between two point sets (e.g. test vs train).
 
-    Estimated row i draws from SeedSequence((seed, _ROW_OFFSET + i)), so it
-    never collides with the square Gram rows of the same seed.
+    Estimated row i draws from SeedSequence((seed, _SHOT_STREAM, _ROW_OFFSET + i)),
+    so it never collides with the square Gram rows of the same seed.
     """
     xs = _points(spec, xs)
     ys = _points(spec, ys)

@@ -24,6 +24,7 @@ MANIFEST_KEYS = {
     "config_sha256",
     "master_seed",
     "seed_rule",
+    "statevector_engine",
     "tensor_ry_kernel",
     "package_version",
     "threads",
@@ -73,6 +74,43 @@ class TestSeedingHelpers:
         c = point_rng(43, 1, 2).random(5)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize(
+        "experiment, cfg",
+        [
+            ("gram", {
+                "family": "hardware_efficient", "qubits": 3,
+                "estimator": {"strategy": "loschmidt", "shots": 50},
+                "dataset": {"source": "uniform", "count": 6},
+            }),
+            ("train", {
+                "family": "parameterized", "kernel": "projected",
+                "estimator": {"strategy": "local_swap", "shots": 50},
+                "dataset": {"source": "hypercube", "count": 6, "qubits": 3},
+            }),
+        ],
+    )
+    def test_no_stream_serves_two_purposes(self, tmp_path, monkeypatch, experiment, cfg):
+        # every SeedSequence the run creates, keyed by the state it generates
+        # (SeedSequence pads short entropy with zeros, so (s, 0) and (s, 0, 0)
+        # are one stream) and labelled by the function that asked for it
+        purposes = {}
+        real = np.random.SeedSequence
+
+        def recording(entropy, *args, **kwargs):
+            frame = sys._getframe(1)
+            if frame.f_code.co_name == "point_rng":
+                frame = frame.f_back
+            ss = real(entropy, *args, **kwargs)
+            purposes.setdefault(tuple(ss.generate_state(8)), set()).add(frame.f_code.co_name)
+            return ss
+
+        monkeypatch.setattr(np.random, "SeedSequence", recording)
+        run_experiment(experiment, cfg, seed=4, out=tmp_path)
+        assert max(len(p) for p in purposes.values()) == 1, purposes
+        seen = set().union(*purposes.values())
+        want = {"_dataset", "_sampled_kernel_matrix"} | ({"_run_train"} if experiment == "train" else set())
+        assert want <= seen
 
     def test_config_hash_is_order_insensitive(self):
         assert config_hash({"a": 1, "b": [2, 3]}) == config_hash({"b": [2, 3], "a": 1})
@@ -337,8 +375,8 @@ class TestGram:
             "dataset": {"source": "uniform", "count": 4},
         }
         manifest = run_experiment("gram", cfg, seed=6, out=tmp_path)
-        assert "v2" in manifest["seed_rule"]
-        assert "SeedSequence((estimator_seed, row_offset + row))" in manifest["seed_rule"]
+        assert "v3" in manifest["seed_rule"]
+        assert "SeedSequence((estimator_seed, 0x73686F74, row_offset + row))" in manifest["seed_rule"]
         assert manifest["tensor_ry_kernel"].startswith("v2")
 
     def test_estimated_gram_zero_ratio_rises_with_qubits(self, tmp_path):

@@ -310,7 +310,7 @@ class TestKroneckerEngine:
 
     @pytest.mark.parametrize("family", GATE_FAMILIES)
     @pytest.mark.parametrize("entangler", ["cz", "cnot"])
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 10])
+    @pytest.mark.parametrize("n", range(1, 13))
     def test_matches_gate_oracle(self, family, entangler, n):
         rng = np.random.default_rng(100 * n + len(family))
         xs = rng.uniform(-np.pi, np.pi, (2, n))
@@ -321,6 +321,21 @@ class TestKroneckerEngine:
             for row, x in zip(batch, xs):
                 want = apply_layers(n, layer_decomposition(spec, x, theta=theta))
                 np.testing.assert_allclose(row, want.amplitudes, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("family", ["tensor_ry", "hardware_efficient"])
+    @pytest.mark.parametrize("n", [1, 3, 4, 5, 10])
+    def test_real_circuit_times_a_fixed_phase(self, family, n):
+        # Rx = S^dag Ry S with S = diag(1, i), and S commutes with CZ, so a CZ
+        # hardware-efficient state is (-i)**popcount(k) times a real vector;
+        # tensor_ry states are real
+        if family == "tensor_ry":
+            phase = np.ones(1 << n)
+        else:
+            phase = np.array([[1, -1j, -1, 1j][bin(k).count("1") % 4] for k in range(1 << n)])
+        xs = np.random.default_rng(n).uniform(-np.pi, np.pi, (70, n))
+        for layers in (1, 2, 6):
+            batch = embed_batch(EmbeddingSpec(n, family, layers=layers), xs)
+            assert np.all((batch * phase.conj()).imag == 0.0), layers
 
     @pytest.mark.parametrize("family", GATE_FAMILIES)
     @pytest.mark.parametrize("entangler", ["cz", "cnot"])

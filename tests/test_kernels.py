@@ -260,12 +260,13 @@ class TestGramMatrices:
         np.testing.assert_allclose(g.matrix, exact.matrix, atol=0.02)
 
     def test_estimated_rows_follow_row_seed_rule(self):
-        # row i of the strict upper triangle is one draw from SeedSequence((seed, i))
+        # row i of the strict upper triangle is one draw from
+        # SeedSequence((seed, _SHOT_STREAM, i))
         est = EstimatorSpec("loschmidt", shots=64, seed=5)
         g = gram(self.spec, self.xs, KernelKind.fidelity(), est)
         exact = gram(self.spec, self.xs, KernelKind.fidelity()).matrix
         for i in range(len(self.xs) - 1):
-            rng = np.random.default_rng(np.random.SeedSequence((5, i)))
+            rng = np.random.default_rng(np.random.SeedSequence((5, kernels._SHOT_STREAM, i)))
             want = sample_fidelity(exact[i, i + 1:], "loschmidt", 64, rng)
             np.testing.assert_array_equal(g.matrix[i, i + 1:], want)
 
