@@ -1,9 +1,10 @@
 """Numerical hot paths for batches of statevectors, written in numpy.
 
-State batches are C-contiguous ``(m, 2**n)`` complex128 arrays using the
-little-endian qubit convention: qubit ``k`` is bit ``k`` of the amplitude
-index (stride ``2**k``). All ``apply_*`` functions mutate their batch in
-place; the remaining functions return fresh arrays.
+State batches are C-contiguous ``(m, 2**n)`` complex128 arrays (float64
+where a function says so) using the little-endian qubit convention: qubit
+``k`` is bit ``k`` of the amplitude index (stride ``2**k``). All
+``apply_*`` functions mutate their batch in place; the remaining functions
+return fresh arrays.
 
 Pauli vectors (``qkonc.noise``) index the 4**n Pauli strings the same way:
 string ``p = sum_k a_k 4**k`` puts ``PAULIS[a_k]`` (I, X, Y, Z) on qubit ``k``.
@@ -42,15 +43,33 @@ def apply_perm(states, src):
 
 
 def pair_absq(bra, ket):
-    """Row-wise overlap ``|<bra_r|ket_r>|**2``."""
+    """Row-wise overlap ``|<bra_r|ket_r>|**2`` of complex or of float64 rows."""
+    if bra.dtype != np.complex128:
+        t = np.einsum("ij,ij->i", bra, ket)
+        return t * t
     t = np.einsum("ij,ij->i", bra.conj(), ket)
     return (t.real * t.real + t.imag * t.imag).astype(np.float64)
 
 
 def bloch_batch(states, num_qubits):
-    """Single-qubit Bloch vectors of every row, shape ``(m, num_qubits, 3)``."""
+    """Single-qubit Bloch vectors of every row, shape ``(m, num_qubits, 3)``.
+
+    Float64 rows have Y = 0, an X of one real dot per qubit, and Z from the
+    probabilities with the top qubit summed out after each step.
+    """
     m, dim = states.shape
     out = np.empty((m, num_qubits, 3), dtype=np.float64)
+    if states.dtype != np.complex128:
+        out[:, :, 1] = 0.0
+        for k in range(num_qubits):
+            v = states.reshape(m, dim >> (k + 1), 2, 1 << k)
+            out[:, k, 0] = 2.0 * np.einsum("ijk,ijk->i", v[:, :, 0, :], v[:, :, 1, :])
+        prob = states * states
+        for k in reversed(range(num_qubits)):
+            p = prob.reshape(m, 2, 1 << k)
+            out[:, k, 2] = p[:, 0].sum(axis=1) - p[:, 1].sum(axis=1)
+            prob = p[:, 0] + p[:, 1]
+        return out
     bra = states.conj()
     prob = states.real * states.real + states.imag * states.imag
     for k in range(num_qubits):

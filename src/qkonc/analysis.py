@@ -26,9 +26,9 @@ from .core import (
     haar_random_states,
     trace_norm,
 )
-from .embeddings import EmbeddingSpec, _block_rows, embed_batch
+from .embeddings import EmbeddingSpec, _block_rows, _kernel_blocks, embed_batch
 from .estimators import projected_kernel_from_bloch_diff
-from .kernels import KernelKind, product_kernel, projected_kernel
+from .kernels import PRODUCT_FAMILIES, KernelKind, _block_bloch, product_kernel, projected_kernel
 
 
 def beta_haar(num_qubits: int) -> float:
@@ -97,31 +97,28 @@ def _chunk_kappas(
     low: float,
     high: float,
 ) -> list[np.ndarray]:
-    if spec.family == "tensor_ry":
+    if spec.family in PRODUCT_FAMILIES:
         xs, ys = _sample_inputs(spec, count, rng, low, high)
-        return [product_kernel(xs, ys, kind) for kind in kinds]
+        return [product_kernel(xs, ys, kind, spec.family) for kind in kinds]
     # states are made and reduced in row blocks, which bounds memory at any
     # pair count; haar draws each block's first states, then its second states
     n, step = spec.num_qubits, _block_rows(spec.num_qubits)
     if spec.family == "haar":
         sizes = (min(step, count - i) for i in range(0, count, step))
-        blocks = ((haar_random_states(n, k, rng), haar_random_states(n, k, rng)) for k in sizes)
+        blocks = (((haar_random_states(n, k, rng), False), (haar_random_states(n, k, rng), False)) for k in sizes)
     else:  # the chunk's inputs are drawn at once
         xs, ys = _sample_inputs(spec, count, rng, low, high)
-        blocks = (
-            (embed_batch(spec, xs[i : i + step]), embed_batch(spec, ys[i : i + step]))
-            for i in range(0, count, step)
-        )
+        blocks = zip(_kernel_blocks(spec, xs), _kernel_blocks(spec, ys))
 
     out = [[] for _ in kinds]
-    for a, b in blocks:
+    for (a, phased), (b, _) in blocks:
         diff = None
         for acc, kind in zip(out, kinds):
             if kind.variant == "fidelity":
                 acc.append(_accel.pair_absq(a, b))
                 continue
             if diff is None:
-                diff = _accel.bloch_batch(a, n) - _accel.bloch_batch(b, n)
+                diff = _block_bloch(a, phased, n) - _block_bloch(b, phased, n)
             acc.append(projected_kernel_from_bloch_diff(diff, kind.gamma))
     return [np.concatenate(acc) for acc in out]
 

@@ -60,6 +60,7 @@ from .datasets import Dataset, gen_hypercube, gen_uniform, load_csv, save_csv
 from .embeddings import EmbeddingSpec, _block_rows
 from .estimators import STRATEGIES, EstimatorSpec
 from .kernels import (
+    PRODUCT_FAMILIES,
     KernelKind,
     gram,
     product_kernel,
@@ -399,9 +400,10 @@ def _check_fits(
     statevectors, do not fit. Both kernels hold one row block of states with
     its working copies (about 10 MiB), and per point (``same_points``: the
     cols are the rows) a fidelity kernel holds its complex state and a
-    projected kernel its Bloch vectors; tensor_ry holds no states."""
+    projected kernel its Bloch vectors; the product families (tensor_ry,
+    single_layer_rot) hold no states."""
     states = 0
-    if family != "tensor_ry":
+    if family not in PRODUCT_FAMILIES:
         points = rows if same_points else rows + cols
         per_point = 16 * 2**n if variant == "fidelity" else 24 * n
         states = 160 * _block_rows(n) * 2**n + per_point * points
@@ -622,7 +624,9 @@ def _run_train(cfg, master_seed, outdir, threads):
     est = _estimator("train", cfg["estimator"], kind, master_seed)
     ds = _dataset(
         "train", cfg["dataset"], cfg["dataset"]["qubits"], master_seed,
-        lambda m, dim: _check_fits("train", "dataset.count", cfg["family"], cfg["kernel"], dim, m, m),
+        lambda m, dim: _check_fits(
+            "train", "dataset.count", cfg["family"], cfg["kernel"], dim, m, m, same_points=est is None
+        ),
     )
     if ds.labels is None:
         raise _reject("train", "dataset", "has no labels to train on")
@@ -634,7 +638,7 @@ def _run_train(cfg, master_seed, outdir, threads):
         theta = point_rng(master_seed, 1).uniform(0.0, 2.0 * math.pi, n)
     elif theta is not None and len(theta) != n:
         raise _reject("train", "theta", f"= {theta!r} is not one angle per dataset feature ({n})")
-    model, fit = train(
+    model, fit, gm = train(
         spec, ds.inputs, ds.labels, kind, cfg["algorithm"], cfg["lambda"], cfg["ridge_sign"], est, theta
     )
     if cfg["algorithm"] == "krr":
@@ -653,7 +657,9 @@ def _run_train(cfg, master_seed, outdir, threads):
     model_path = outdir / "model.json"
     with open(model_path, "w", newline="\n") as fh:
         fh.write(model.to_json() + "\n")
-    preds = predict(model, ds.inputs)
+    # exact runs take the model values from the Gram matrix they were fitted
+    # on; a shot-estimated fit is scored against the exact kernel
+    preds = gm.matrix @ model.weights if est is None else predict(model, ds.inputs)
     extras["train_error_max"] = float(np.max(np.abs(preds - ds.labels)))
     pred_path = outdir / "predictions.csv"
     write_csv(
@@ -943,7 +949,10 @@ def run_experiment(name: str, config: dict, seed=None, out=".", threads=None) ->
             "numpy SeedSequence((master_seed, *sweep_indices)); shot-estimated kernel matrices v3: "
             "per-row SeedSequence((estimator_seed, 0x73686F74, row_offset + row)), 0x73686F74 the shot-stream tag"
         ),
-        "statevector_engine": "v2: tensor_ry and cz hardware_efficient as a real Ry circuit times (-i)^popcount",
+        "statevector_engine": (
+            "v3: exact kernels read tensor_ry and cz hardware_efficient as a real Ry circuit times "
+            "(-i)^popcount, and single_layer_rot from each qubit's state"
+        ),
         "tensor_ry_kernel": "v2: angle-addition products",
         "package_version": __version__,
         "threads": threads,

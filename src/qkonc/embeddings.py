@@ -129,13 +129,14 @@ def _block_rows(num_qubits: int) -> int:
     return max(1, (1 << 16) >> num_qubits)
 
 
-def _first_columns(spec: EmbeddingSpec, xs: np.ndarray, theta) -> np.ndarray:
-    """(m, n, 2, 1) state of every qubit after the gates before the first
-    entangler, for the families that run in complex arithmetic."""
+def _first_columns(family: str, xs: np.ndarray, theta) -> np.ndarray:
+    """(..., n, 2, 1) state of every qubit after the gates before the first
+    entangler, for the families that run in complex arithmetic; for
+    ``single_layer_rot``, a product state, each qubit's whole state."""
     c, s = np.cos(0.5 * xs), np.sin(0.5 * xs)
-    if spec.family == "hardware_efficient":  # Rx(x)|0>
+    if family == "hardware_efficient":  # Rx(x)|0>
         pair = (c, -1j * s)
-    elif spec.family == "parameterized":  # Rx(x) Ry(theta)|0>
+    elif family == "parameterized":  # Rx(x) Ry(theta)|0>
         ct, st = np.cos(0.5 * theta), np.sin(0.5 * theta)
         pair = (c * ct - 1j * (s * st), c * st - 1j * (s * ct))
     else:  # single_layer_rot: Rz(x) H Ry(x) Rx(x)|0>, written out elementwise
@@ -219,52 +220,35 @@ def _haar_rng_for(spec: EmbeddingSpec, x: np.ndarray) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def embed_batch(spec: EmbeddingSpec, xs, theta=None) -> np.ndarray:
-    """Embed ``m`` feature vectors at once; returns a (m, 2**n) state batch.
+def _is_real(spec: EmbeddingSpec) -> bool:
+    """The real circuits (see above): tensor_ry and cz hardware_efficient."""
+    return spec.family == "tensor_ry" or (spec.family == "hardware_efficient" and spec.entangler == "cz")
 
-    Each row's amplitudes depend on that row alone, bit for bit.
-    """
-    if spec.num_qubits > MAX_STATEVECTOR_QUBITS:
-        raise ValueError(
-            f"statevector embedding is limited to {MAX_STATEVECTOR_QUBITS} qubits; "
-            "use the closed-form kernel paths for larger product-state systems"
-        )
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[1] != spec.num_qubits:
-        raise ValueError(f"expected (m, {spec.num_qubits}) features, got {xs.shape}")
-    theta = _check_theta(spec, theta)
-    m = xs.shape[0]
-    n = spec.num_qubits
 
-    if spec.family == "haar":
-        dim = 1 << n
-        out = np.empty((m, dim), dtype=np.complex128)
-        for r in range(m):
-            g = _haar_rng_for(spec, xs[r])
-            z = g.standard_normal(dim) + 1j * g.standard_normal(dim)
-            out[r] = z / np.linalg.norm(z)
-        return out
-
+def _state_blocks(spec: EmbeddingSpec, xs: np.ndarray, theta, out: np.ndarray | None):
+    """Build the states of ``xs`` one row block at a time; yield (rows, psi)
+    per block. For the real circuits psi is the block's float64 state, in a
+    buffer the next block overwrites; the circuit's state is psi itself for
+    ``tensor_ry`` and ``_accel.sdg_phase(n) * psi`` for cz
+    ``hardware_efficient``. Otherwise psi is ``out[rows]``, built in place."""
+    m, n = xs.shape
     h = n // 2
     entangled = spec.family in ("hardware_efficient", "parameterized")
     later = spec.layers - 1 if entangled else 0
-    # the real circuits (see above): phase is their S^dag on every qubit
-    real = spec.family == "tensor_ry" or (spec.family == "hardware_efficient" and spec.entangler == "cz")
-    phase = _accel.sdg_phase(n) if real and entangled else None
-    cols = _ry_gates(xs)[..., :1] if real else _first_columns(spec, xs, theta)
-    out = np.empty((m, 1 << n), dtype=np.complex128)
+    real = _is_real(spec)
+    cols = _ry_gates(xs)[..., :1] if real else _first_columns(spec.family, xs, theta)
     step = _block_rows(n)
     # Up to 4 qubits the factors are at most 4x4, and one BLAS call per row
     # costs more than the product, so those layers run with the rows last.
     rows_last = n <= 4
     dtype = np.float64 if real else np.complex128
-    # a real block is built here and written to ``out`` once, at its end
     work = np.empty(min(step, m) << n) if real else None
     tmp = np.empty(min(step, m) << n, dtype=dtype) if later else None
     for lo in range(0, m, step):
-        block = out[lo : lo + step]
-        b, rows = len(block), slice(lo, lo + len(block))
-        psi = work[: b << n].reshape(b, 1 << n) if real else block
+        b = min(step, m - lo)
+        rows = slice(lo, lo + b)
+        block = work[: b << n].reshape(b, 1 << n) if real else out[rows]
+        psi = block
         state = psi.reshape(b, 1 << (n - h), 1 << h)
         np.multiply(_kron_rows(cols[rows, h:]), _kron_rows(cols[rows, :h]).swapaxes(1, 2), out=state)
         if entangled:
@@ -282,11 +266,69 @@ def embed_batch(spec: EmbeddingSpec, xs, theta=None) -> np.ndarray:
                 matmul(state, a_lo_t, out=t)
                 matmul(a_hi, t, out=state)
                 _apply_entangler_batch(spec, psi)
-        if phase is not None:
-            np.multiply(psi, phase, out=block)
-        elif psi is not block:
+        if psi is not block:
             block[...] = psi
+        yield rows, block
+
+
+def _check_batch(spec: EmbeddingSpec, xs) -> np.ndarray:
+    if spec.num_qubits > MAX_STATEVECTOR_QUBITS:
+        raise ValueError(
+            f"statevector embedding is limited to {MAX_STATEVECTOR_QUBITS} qubits; "
+            "use the closed-form kernel paths for larger product-state systems"
+        )
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim != 2 or xs.shape[1] != spec.num_qubits:
+        raise ValueError(f"expected (m, {spec.num_qubits}) features, got {xs.shape}")
+    return xs
+
+
+def embed_batch(spec: EmbeddingSpec, xs, theta=None) -> np.ndarray:
+    """Embed ``m`` feature vectors at once; returns a (m, 2**n) state batch.
+
+    Each row's amplitudes depend on that row alone, bit for bit.
+    """
+    xs = _check_batch(spec, xs)
+    theta = _check_theta(spec, theta)
+    m, n = xs.shape
+    out = np.empty((m, 1 << n), dtype=np.complex128)
+    if spec.family == "haar":
+        dim = 1 << n
+        for r in range(m):
+            g = _haar_rng_for(spec, xs[r])
+            z = g.standard_normal(dim) + 1j * g.standard_normal(dim)
+            out[r] = z / np.linalg.norm(z)
+        return out
+    # each real block is written to ``out`` once
+    real = _is_real(spec)
+    phase = _accel.sdg_phase(n) if real and spec.family != "tensor_ry" else None
+    for rows, psi in _state_blocks(spec, xs, theta, out):
+        if phase is not None:
+            np.multiply(psi, phase, out=out[rows])
+        elif real:
+            out[rows] = psi
     return out
+
+
+def _kernel_blocks(spec: EmbeddingSpec, xs, theta=None):
+    """The states of ``xs`` in row blocks of ``_block_rows(n)``, in the
+    narrowest exact form a kernel needs; yields (states, phased) per block.
+
+    For the real circuits the states are the float64 rows the engine builds
+    (valid until the next block), and ``phased`` says that the embedded
+    states are ``_accel.sdg_phase(n)`` times them: fidelities are the same,
+    and each Bloch vector (X, 0, Z) becomes (0, -X, Z). Every other family
+    yields ``embed_batch`` blocks and ``phased`` False.
+    """
+    xs = _check_batch(spec, xs)
+    if not _is_real(spec):
+        step = _block_rows(spec.num_qubits)
+        for lo in range(0, len(xs), step):
+            yield embed_batch(spec, xs[lo : lo + step], theta=theta), False
+        return
+    _check_theta(spec, theta)
+    for _, phi in _state_blocks(spec, xs, None, None):
+        yield phi, spec.family != "tensor_ry"
 
 
 def embed(spec: EmbeddingSpec, x, theta=None) -> StateVector:

@@ -7,15 +7,20 @@ Two kernels are supported between embedded states rho(x), rho(x'):
   over single-qubit reduced states; for pure global states each term equals
   half the squared Bloch-vector difference.
 
-The tensor-Ry product family additionally has closed forms valid at any
-qubit count (no statevector is ever materialized):
+The product families, tensor_ry and single_layer_rot, additionally have
+closed forms valid at any qubit count (no statevector is ever materialized):
+with u_k and b_k qubit k's state and Bloch vector,
 
-  kappa_FQ = prod_k cos^2((x_k - x'_k)/2)
-  kappa_PQ = exp(-gamma * sum_k (1 - cos(x_k - x'_k)))
+  kappa_FQ = prod_k |<u_k(x)|u_k(x')>|^2
+  kappa_PQ = exp(-gamma * sum_k (1 - b_k(x) . b_k(x')))
 
-evaluated by angle addition from each input's own cosines and sines, so the
-transcendentals cost O((m + m') n) and the (m, m') pairs only multiplies and
-adds.
+For tensor_ry, u_k = (cos(x_k/2), sin(x_k/2)) and b_k = (sin x_k, 0, cos x_k),
+so these are prod_k cos^2((x_k - x'_k)/2) and exp(-gamma * sum_k
+(1 - cos(x_k - x'_k))), evaluated by angle addition from each input's own
+cosines and sines: the transcendentals cost O((m + m') n) and the (m, m')
+pairs only multiplies and adds. single_layer_rot's u_k is its qubit column
+``embeddings._first_columns``; its exact projected Gram takes the b_k through
+the matrix formula of the statevector families.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import numpy as np
 
 from . import _accel
 from .core import StateVector, _reduced_matrix, bloch_vectors, fidelity, hs_inner
-from .embeddings import EmbeddingSpec, _block_rows, embed_batch
+from .embeddings import EmbeddingSpec, _block_rows, _first_columns, _kernel_blocks, embed_batch
 from .estimators import EstimatorSpec, projected_estimate_from_bloch, sample_fidelity
 
 KERNEL_VARIANTS = ("fidelity", "projected")
@@ -85,46 +90,75 @@ def projected_kernel(a, b, gamma: float = 1.0) -> float:
 
 
 # ---------------------------------------------------------------------------
-# tensor-Ry closed forms
+# product-state closed forms
 # ---------------------------------------------------------------------------
 
+# the families whose states are products of one-qubit states
+PRODUCT_FAMILIES = ("tensor_ry", "single_layer_rot")
 
-def product_kernel(xs, ys, kind: KernelKind) -> np.ndarray:
-    """Tensor-Ry kernel over the broadcast of ``xs`` and ``ys`` (shape ``(..., n)``).
 
-    Cosines and sines are taken once per input row; each qubit's factor then
-    follows by angle addition, cos(a - b) = cos a cos b + sin a sin b, with
-    a = x/2 for the fidelity amplitude and a = x for the projected Bloch
-    overlap. A loop over the qubits multiplies in one signed amplitude
-    (fidelity, squared once at the end) or adds one 1 - cos term (projected)
-    per step, in place in a buffer of the broadcast shape: pass ``(m, n)``
-    against ``(m, n)`` for row-wise pairs, ``xs[:, None]`` against ``ys[None]``
-    for an (m, m') matrix, which is bitwise symmetric when ``ys`` is ``xs``.
+def _qubit_vectors(xs: np.ndarray, fid: bool, family: str, bra: bool = False) -> np.ndarray:
+    """(..., n, d) per-qubit vectors whose dot product over the last axis is
+    each qubit's kernel factor: the qubit's amplitudes (conjugated on the
+    ``bra`` side) for the fidelity kernel, its Bloch vector for the projected
+    kernel. tensor_ry's are (cos a, sin a), with a = x/2 for the amplitudes
+    and a = x for the Bloch vector (sin x, 0, cos x) without its zero."""
+    if family == "tensor_ry":
+        a = 0.5 * xs if fid else xs
+        return np.stack([np.cos(a), np.sin(a)], axis=-1)
+    if not fid:
+        return product_bloch_vectors(xs, family)
+    col = _first_columns(family, xs, None)[..., 0]
+    return col.conj() if bra else col
+
+
+def product_kernel(xs, ys, kind: KernelKind, family: str = "tensor_ry") -> np.ndarray:
+    """Product-family kernel over the broadcast of ``xs`` and ``ys`` (shape ``(..., n)``).
+
+    Each input row's per-qubit vectors (``_qubit_vectors``) are made once;
+    the loop over the qubits then multiplies in one amplitude overlap
+    (fidelity, absolute-squared once at the end) or adds one 1 - (Bloch
+    overlap) term (projected) per step, in place in a buffer of the
+    broadcast shape. For tensor_ry the overlaps are cos(a - b) by angle
+    addition, cos a cos b + sin a sin b. Pass ``(m, n)`` against ``(m, n)``
+    for row-wise pairs, ``xs[:, None]`` against ``ys[None]`` for an (m, m')
+    matrix, which for tensor_ry is bitwise symmetric when ``ys`` is ``xs``.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     if xs.shape[-1] != ys.shape[-1]:
         raise ValueError(f"inputs of widths {xs.shape[-1]} and {ys.shape[-1]}")
+    if family not in PRODUCT_FAMILIES:
+        raise ValueError(f"family {family!r} is not a product family {PRODUCT_FAMILIES}")
     fid = kind.variant == "fidelity"
-    if fid:
-        xs, ys = 0.5 * xs, 0.5 * ys
-    cx, sx, cy, sy = np.cos(xs), np.sin(xs), np.cos(ys), np.sin(ys)
+    u, v = _qubit_vectors(xs, fid, family, bra=True), _qubit_vectors(ys, fid, family)
     shape = np.broadcast_shapes(xs.shape[:-1], ys.shape[:-1])
-    out, term, ss = np.full(shape, 1.0 if fid else 0.0), np.empty(shape), np.empty(shape)
+    dtype = np.result_type(u, v)
+    out = np.full(shape, 1.0, dtype) if fid else np.zeros(shape)
+    term, ss = np.empty(shape, dtype), np.empty(shape, dtype)
     for k in range(xs.shape[-1]):
-        np.multiply(cx[..., k], cy[..., k], out=term)
-        term += np.multiply(sx[..., k], sy[..., k], out=ss)
+        np.multiply(u[..., k, 0], v[..., k, 0], out=term)
+        for d in range(1, u.shape[-1]):
+            term += np.multiply(u[..., k, d], v[..., k, d], out=ss)
         if fid:
             out *= term
-        else:  # Bloch vectors (sin x, 0, cos x): ||rho_k - rho'_k||_2^2 = 1 - cos(x_k - x'_k)
+        else:  # pure one-qubit states: ||rho_k - rho'_k||_2^2 = 1 - (Bloch overlap)
             out += np.subtract(1.0, term, out=term)
-    return np.square(out, out=out) if fid else np.exp(-kind.gamma * out, out=out)
+    if not fid:
+        return np.exp(-kind.gamma * out, out=out)
+    del term, ss  # before |out|^2 of a complex product allocates three more
+    return out.real**2 + out.imag**2 if out.dtype.kind == "c" else np.square(out, out=out)
 
 
-def product_bloch_vectors(xs) -> np.ndarray:
-    """(m, n, 3) Bloch vectors of tensor-Ry states, any qubit count."""
+def product_bloch_vectors(xs, family: str = "tensor_ry") -> np.ndarray:
+    """(..., n, 3) Bloch vectors of product-family states, any qubit count."""
     xs = np.asarray(xs, dtype=np.float64)
-    return np.stack([np.sin(xs), np.zeros_like(xs), np.cos(xs)], axis=2)
+    if family == "tensor_ry":
+        return np.stack([np.sin(xs), np.zeros_like(xs), np.cos(xs)], axis=-1)
+    col = _first_columns(family, xs, None)
+    a, b = col[..., 0, 0], col[..., 1, 0]
+    t = a.conj() * b
+    return np.stack([2.0 * t.real, 2.0 * t.imag, (a.real**2 + a.imag**2) - (b.real**2 + b.imag**2)], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +203,9 @@ def _exact_kernel_matrix(
 ) -> np.ndarray:
     """Exact kernel values between two point sets. ys=None means xs vs xs,
     of which only the upper triangle and the diagonal are certain to be set."""
-    if spec.family == "tensor_ry":
-        return product_kernel(xs[:, None], (xs if ys is None else ys)[None], kind)
+    # the projected kernel of single_layer_rot takes the Bloch-vector path below
+    if spec.family == "tensor_ry" or (spec.family in PRODUCT_FAMILIES and kind.variant == "fidelity"):
+        return product_kernel(xs[:, None], (xs if ys is None else ys)[None], kind, spec.family)
     if kind.variant == "fidelity":
         # |<a|b>|^2 against one row block of b states at a time, each block
         # conjugated on its own; xs vs xs takes only the rows up to the block's
@@ -201,12 +236,22 @@ def _exact_kernel_matrix(
 def _all_bloch(spec: EmbeddingSpec, xs: np.ndarray, theta) -> np.ndarray:
     """(m, n, 3) Bloch vectors of the embedded points. Statevectors are built
     and reduced one row block of ``_block_rows(n)`` at a time."""
-    if spec.family == "tensor_ry":
-        return product_bloch_vectors(xs)
-    n, step = spec.num_qubits, _block_rows(spec.num_qubits)
-    out = np.empty((len(xs), n, 3))
-    for lo in range(0, len(xs), step):
-        out[lo : lo + step] = _accel.bloch_batch(embed_batch(spec, xs[lo : lo + step], theta=theta), n)
+    if spec.family in PRODUCT_FAMILIES:
+        return product_bloch_vectors(xs, spec.family)
+    out = np.empty((len(xs), spec.num_qubits, 3))
+    lo = 0
+    for states, phased in _kernel_blocks(spec, xs, theta):
+        out[lo : lo + len(states)] = _block_bloch(states, phased, spec.num_qubits)
+        lo += len(states)
+    return out
+
+
+def _block_bloch(states: np.ndarray, phased: bool, num_qubits: int) -> np.ndarray:
+    """Bloch vectors of one ``_kernel_blocks`` block."""
+    out = _accel.bloch_batch(states, num_qubits)
+    if phased:  # the (-i)**popcount phase turns (X, 0, Z) into (0, -X, Z)
+        out[..., 1] = -out[..., 0]
+        out[..., 0] = 0.0
     return out
 
 

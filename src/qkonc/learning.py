@@ -12,7 +12,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSpec
 from .estimators import EstimatorSpec, sample_fidelity
-from .kernels import KernelKind, gram, kernel_matrix
+from .kernels import GramMatrix, KernelKind, gram, kernel_matrix
 
 MAX_CONDITION = 1e12
 
@@ -163,6 +163,15 @@ class TrainedModel:
     theta: np.ndarray | None = None
     labels: np.ndarray | None = None  # training labels (svm decision function)
 
+    @property
+    def weights(self) -> np.ndarray:
+        """Per-anchor weights of the model values: the coefficients, times the labels for SVM."""
+        if self.algorithm != "svm":
+            return self.coefficients
+        if self.labels is None:
+            raise ValueError("SVM model is missing training labels")
+        return self.coefficients * self.labels
+
     def to_json(self) -> str:
         payload = {
             "spec": {
@@ -207,9 +216,12 @@ def train(
     sign: str = "minus",
     estimator: EstimatorSpec | None = None,
     theta=None,
-) -> tuple[TrainedModel, KrrResult | SvmResult]:
+) -> tuple[TrainedModel, KrrResult | SvmResult, GramMatrix]:
     """Fit ``algorithm``, "krr" (``krr_fit`` with ``lam`` and ``sign``) or "svm" (``svm_fit``,
-    no ridge term: ``lam`` and ``sign`` keep their defaults), on the Gram matrix of ``xs``."""
+    no ridge term: ``lam`` and ``sign`` keep their defaults), on the Gram matrix of ``xs``.
+
+    Returns the model, the solver's report and the Gram matrix it was fitted on,
+    whose product with ``model.weights`` gives the model values at ``xs``."""
     if algorithm not in ("krr", "svm"):
         raise ValueError(f"unknown algorithm {algorithm!r}, expected 'krr' or 'svm'")
     svm = algorithm == "svm"
@@ -227,7 +239,7 @@ def train(
         theta=None if theta is None else np.asarray(theta, dtype=np.float64),
         labels=np.asarray(y, dtype=np.float64) if svm else None,
     )
-    return model, fit
+    return model, fit, gm
 
 
 def predict(
@@ -240,12 +252,7 @@ def predict(
     All-zero kernel estimates give predictions of exactly 0.
     """
     kmat = kernel_matrix(model.spec, xs, model.anchors, model.kind, estimator, model.theta)
-    weights = model.coefficients
-    if model.algorithm == "svm":
-        if model.labels is None:
-            raise ValueError("SVM model is missing training labels")
-        weights = weights * model.labels
-    return kmat @ weights
+    return kmat @ model.weights
 
 
 # ---------------------------------------------------------------------------

@@ -419,6 +419,22 @@ class TestTrain:
         header = read_header(tmp_path / "predictions.csv")
         assert header == ["f1", "f2", "f3", "label", "prediction"]
 
+    @pytest.mark.parametrize("algorithm", ["krr", "svm"])
+    def test_exact_predictions_come_from_the_fitted_gram(self, tmp_path, monkeypatch, algorithm):
+        # an exact fit evaluates the kernel once: the predictions are its Gram
+        # matrix times the weights, equal to predict() up to rounding
+        from qkonc.learning import TrainedModel, predict
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the training points were embedded again")
+
+        cfg = {"family": "hardware_efficient", "algorithm": algorithm, "dataset": {"count": 10, "qubits": 3}}
+        monkeypatch.setattr(qkonc.cli, "predict", refuse)
+        run_experiment("train", cfg, seed=8, out=tmp_path)
+        rows = np.loadtxt(tmp_path / "predictions.csv", delimiter=",", skiprows=1)
+        model = TrainedModel.from_json((tmp_path / "model.json").read_text())
+        np.testing.assert_allclose(rows[:, -1], predict(model, rows[:, :3]), rtol=0.0, atol=1e-12)
+
     def test_svm_reports_convergence(self, tmp_path):
         cfg = {
             "family": "hardware_efficient",
@@ -636,13 +652,39 @@ class TestMemoryCheck:
         # 300 twelve-qubit points: the fidelity kernel is charged every state
         # and one row block (30 MB); the projected kernel one row block (about 10 MB)
         monkeypatch.setattr(qkonc.cli, "_available_memory", lambda: 25 * 10**6)
-        cfg = {"family": "single_layer_rot", "qubits": 12, "kernel": kernel, "dataset": {"count": 300}}
+        cfg = {"family": "hardware_efficient", "qubits": 12, "kernel": kernel, "dataset": {"count": 300}}
         if fits:
             run_experiment("gram", cfg, seed=1, out=tmp_path)
             assert (tmp_path / "gram.csv").exists()
         else:
             with pytest.raises(click.ClickException, match="'dataset.count' asks for 300 x 300 kernel matrices"):
                 run_experiment("gram", cfg, seed=1, out=tmp_path)
+
+    @pytest.mark.parametrize("kernel", ["fidelity", "projected"])
+    def test_product_family_gram_is_charged_no_states(self, tmp_path, monkeypatch, kernel):
+        # single_layer_rot kernels come from each qubit's state, like
+        # tensor_ry's: 300 points need only the matrices (about 4.3 MB)
+        monkeypatch.setattr(qkonc.cli, "_available_memory", lambda: 6 * 10**6)
+        cfg = {"family": "single_layer_rot", "qubits": 12, "kernel": kernel, "dataset": {"count": 300}}
+        run_experiment("gram", cfg, seed=1, out=tmp_path)
+        assert (tmp_path / "gram.csv").exists()
+
+    @pytest.mark.parametrize("strategy, fits", [("exact", True), ("loschmidt", False)])
+    def test_exact_train_is_charged_one_copy_of_its_states(self, tmp_path, monkeypatch, strategy, fits):
+        # 300 twelve-qubit states take 19.7 MB: an exact train holds them once
+        # (about 35 MB with one row block and the matrices), a shot-estimated
+        # one again for its exact predictions (about 55 MB)
+        monkeypatch.setattr(qkonc.cli, "_available_memory", lambda: 45 * 10**6)
+        cfg = {
+            "family": "hardware_efficient", "kernel": "fidelity", "lambda": 0.1, "ridge_sign": "plus",
+            "estimator": {"strategy": strategy}, "dataset": {"count": 300, "qubits": 12},
+        }
+        if fits:
+            run_experiment("train", cfg, seed=1, out=tmp_path)
+            assert (tmp_path / "predictions.csv").exists()
+        else:
+            with pytest.raises(click.ClickException, match="'dataset.count' asks for 300 x 300 kernel matrices"):
+                run_experiment("train", cfg, seed=1, out=tmp_path)
 
     def test_fidelity_gram_is_charged_one_copy_of_its_states(self, tmp_path, monkeypatch):
         # 300 twelve-qubit states take 19.7 MB; with one row block and the

@@ -16,6 +16,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # every shipped config file and the experiment it is written for
 SHIPPED = {
+    "configs/gram_projected.json": "gram",
     "configs/noise_scan.json": "noise-scan",
     "configs/train_krr.json": "train",
     "configs/variance_scan.json": "variance-scan",

@@ -9,13 +9,22 @@ import numpy as np
 import pytest
 
 from qkonc import _accel, kernels
-from qkonc.core import DensityMatrix, bloch_vectors, maximally_mixed, reduce_to_qubit
-from qkonc.embeddings import EmbeddingSpec, _block_rows, embed, embed_batch
+from qkonc.core import (
+    DensityMatrix,
+    apply_gate,
+    bloch_vectors,
+    computational_basis_state,
+    fidelity,
+    maximally_mixed,
+    reduce_to_qubit,
+)
+from qkonc.embeddings import EmbeddingSpec, _block_rows, _kernel_blocks, embed, embed_batch, layer_decomposition
 from qkonc.estimators import EstimatorSpec, projected_estimate_from_bloch, sample_fidelity
 from qkonc.kernels import (
     GramMatrix,
     KernelKind,
     _all_bloch,
+    _block_bloch,
     fidelity_kernel,
     gram,
     kernel_matrix,
@@ -387,24 +396,35 @@ class TestRectangularKernelMatrix:
         assert peak < 8 * m * m * 8
 
 
+def _whole_bloch(spec, xs, theta=None):
+    """Bloch vectors of the whole batch at once, in the arithmetic of the
+    kernel path: each qubit's own state for single_layer_rot, the real rows
+    for cz hardware_efficient (its states times conj((-i)**popcount), which
+    is exactly real), the complex statevectors otherwise."""
+    n = spec.num_qubits
+    if spec.family == "single_layer_rot":
+        return product_bloch_vectors(xs, spec.family)
+    psi = embed_batch(spec, xs, theta=theta)
+    if spec.family == "hardware_efficient" and spec.entangler == "cz":
+        return _block_bloch(np.ascontiguousarray((psi * _accel.sdg_phase(n).conj()).real), True, n)
+    return _accel.bloch_batch(psi, n)
+
+
 def _dense_projected(spec, xs, ys, gamma, theta=None):
-    """Projected kernel from the whole statevector batch at once, in the
+    """Projected kernel from the whole batch's Bloch vectors at once, in the
     floating-point order of the exact path."""
-    psi_a = embed_batch(spec, xs, theta=theta)
-    ca = _accel.bloch_batch(psi_a, spec.num_qubits).reshape(len(xs), -1)
-    if ys is None:
-        cb = ca
-    else:
-        cb = _accel.bloch_batch(embed_batch(spec, ys, theta=theta), spec.num_qubits).reshape(len(ys), -1)
+    ca = _whole_bloch(spec, xs, theta).reshape(len(xs), -1)
+    cb = ca if ys is None else _whole_bloch(spec, ys, theta).reshape(len(ys), -1)
     sq_a = np.sum(ca * ca, axis=1)
     sq_b = np.sum(cb * cb, axis=1)
     d = 0.5 * (sq_a[:, None] + sq_b[None, :] - 2.0 * (ca @ cb.T))
     return np.exp(-gamma * d)
 
 
+# the families whose kernels reduce statevectors, one row block at a time
 STATEVECTOR_SPECS = [
     (family, entangler)
-    for family in ("single_layer_rot", "hardware_efficient", "parameterized", "haar")
+    for family in ("hardware_efficient", "parameterized", "haar")
     for entangler in ("cz", "cnot")
 ]
 
@@ -417,11 +437,10 @@ class TestBlockedProjectedKernels:
         rng = np.random.default_rng(n)
         xs = rng.uniform(0.0, 2.0 * np.pi, (_block_rows(n) + 3, n))
         theta = rng.uniform(0.0, 2.0 * np.pi, n) if family == "parameterized" else None
-        whole = _accel.bloch_batch(embed_batch(spec, xs, theta=theta), n)
-        assert np.array_equal(_all_bloch(spec, xs, theta), whole)
+        assert np.array_equal(_all_bloch(spec, xs, theta), _whole_bloch(spec, xs, theta))
 
     @pytest.mark.parametrize("gamma", [1.0, 0.37])
-    @pytest.mark.parametrize("family, entangler", STATEVECTOR_SPECS)
+    @pytest.mark.parametrize("family, entangler", STATEVECTOR_SPECS + [("single_layer_rot", "cz")])
     def test_exact_gram_and_matrix_are_bitwise_the_dense_formula(self, family, entangler, gamma):
         n = 10
         spec = EmbeddingSpec(n, family, 2, entangler, seed=4)
@@ -439,11 +458,15 @@ class TestBlockedProjectedKernels:
         rect = kernel_matrix(spec, ys, xs, kind, theta=theta)
         assert np.array_equal(rect, _dense_projected(spec, ys, xs, gamma, theta))
 
-    def test_exact_projected_gram_never_holds_the_state_batch(self):
+    @pytest.mark.parametrize(
+        "family, entangler", [("single_layer_rot", "cz"), ("hardware_efficient", "cz"), ("hardware_efficient", "cnot")]
+    )
+    def test_exact_projected_gram_never_holds_the_state_batch(self, family, entangler):
         # 300 twelve-qubit states take 19.7 MB, and a whole-batch Bloch
         # reduction adds a conjugate and a |psi|^2 copy (about 49 MB); one row
-        # block of states and two 300 x 300 matrices take about 3 MB
-        spec = EmbeddingSpec(12, "single_layer_rot")
+        # block of states and two 300 x 300 matrices take about 3 MB, and
+        # single_layer_rot makes no statevector at all
+        spec = EmbeddingSpec(12, family, entangler=entangler)
         xs = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, (300, 12))
         tracemalloc.start()
         try:
@@ -464,7 +487,7 @@ def _dense_fidelity(spec, xs, ys, theta=None):
 
 class TestBlockedFidelityKernels:
     @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
-    @pytest.mark.parametrize("family", ["single_layer_rot", "hardware_efficient", "parameterized", "haar"])
+    @pytest.mark.parametrize("family", ["hardware_efficient", "parameterized", "haar"])
     def test_exact_gram_and_matrix_are_bitwise_the_dense_formula(self, family, n):
         spec = EmbeddingSpec(n, family, 2, seed=4)
         rng = np.random.default_rng(n)
@@ -493,6 +516,94 @@ class TestBlockedFidelityKernels:
         finally:
             tracemalloc.stop()
         assert peak < 28 * 10**6
+
+
+def _gate_state(spec, x):
+    """The embedded state built gate by gate."""
+    state = computational_basis_state(spec.num_qubits)
+    for layer in layer_decomposition(spec, x):
+        for gate in layer:
+            state = apply_gate(state, gate)
+    return state
+
+
+def _real_rows(spec, xs):
+    """The float64 rows of ``_kernel_blocks``, copied out of its reused buffer."""
+    blocks = [(phi.copy(), phased) for phi, phased in _kernel_blocks(spec, xs)]
+    assert {phased for _, phased in blocks} == {spec.family == "hardware_efficient"}
+    return np.concatenate([phi for phi, _ in blocks])
+
+
+class TestNarrowStateForms:
+    """Float64 rows of the real circuits and per-qubit states of
+    single_layer_rot against the complex statevector path and the oracles."""
+
+    @pytest.mark.parametrize("family", ["tensor_ry", "hardware_efficient"])
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_real_rows_match_the_complex_path(self, family, n):
+        rng = np.random.default_rng(n)
+        xs, ys = rng.uniform(-np.pi, np.pi, (2, 40, n))
+        phase = _accel.sdg_phase(n) if family == "hardware_efficient" else 1.0
+        for layers in (1, 2, 3, 6):
+            spec = EmbeddingSpec(n, family, layers=layers)
+            psi_a, psi_b = embed_batch(spec, xs), embed_batch(spec, ys)
+            phi_a, phi_b = _real_rows(spec, xs), _real_rows(spec, ys)
+            assert phi_a.dtype == np.float64
+            assert np.array_equal(phi_a * phase, psi_a), layers
+            np.testing.assert_allclose(
+                _all_bloch(spec, xs, None) if family == "hardware_efficient"
+                else _block_bloch(phi_a, False, n),
+                _accel.bloch_batch(psi_a, n), rtol=0.0, atol=1e-13,
+            )
+            np.testing.assert_allclose(
+                _accel.pair_absq(phi_a, phi_b), _accel.pair_absq(psi_a, psi_b), rtol=0.0, atol=1e-13
+            )
+
+    @pytest.mark.parametrize("n", [3, 10])
+    def test_real_rows_do_not_depend_on_the_batch(self, n):
+        # n = 3 runs its later layers with the rows last, n = 10 through BLAS;
+        # both batches cross a block boundary
+        step = _block_rows(n)
+        rng = np.random.default_rng(n)
+        xs, ys = rng.uniform(-np.pi, np.pi, (2, step + 3, n))
+        spec = EmbeddingSpec(n, "hardware_efficient", layers=3)
+        phi_a, phi_b = _real_rows(spec, xs), _real_rows(spec, ys)
+        bloch, overlap = _all_bloch(spec, xs, None), _accel.pair_absq(phi_a, phi_b)
+        for r in (0, 1, step - 1, step, step + 2):
+            one_a, one_b = _real_rows(spec, xs[r : r + 1]), _real_rows(spec, ys[r : r + 1])
+            assert np.array_equal(phi_a[r], one_a[0]), r
+            assert np.array_equal(bloch[r], _all_bloch(spec, xs[r : r + 1], None)[0]), r
+            assert overlap[r] == _accel.pair_absq(one_a, one_b)[0], r
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_single_layer_rot_matches_the_state_oracles(self, n):
+        spec = EmbeddingSpec(n, "single_layer_rot")
+        rng = np.random.default_rng(n)
+        xs, ys = rng.uniform(-np.pi, np.pi, (2, 5, n))
+        bloch = product_bloch_vectors(xs, spec.family)
+        fid = product_kernel(xs, ys, KernelKind.fidelity(), spec.family)
+        proj = product_kernel(xs, ys, KernelKind.projected(0.7), spec.family)
+        for i in range(len(xs)):
+            a, b = _gate_state(spec, xs[i]), _gate_state(spec, ys[i])
+            np.testing.assert_allclose(bloch[i], bloch_vectors(a), rtol=0.0, atol=1e-13)
+            assert abs(fid[i] - fidelity(a, b)) <= 1e-13
+            assert abs(proj[i] - projected_kernel(a, b, 0.7)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    def test_single_layer_rot_fidelity_matrix_matches_the_statevectors(self, n):
+        spec = EmbeddingSpec(n, "single_layer_rot")
+        rng = np.random.default_rng(n)
+        xs, ys = rng.uniform(0.0, 2.0 * np.pi, (40, n)), rng.uniform(0.0, 2.0 * np.pi, (7, n))
+        kind = KernelKind.fidelity()
+        matrix = gram(spec, xs, kind).matrix
+        np.testing.assert_allclose(matrix, _dense_fidelity(spec, xs, None), rtol=0.0, atol=1e-13)
+        assert np.array_equal(np.diag(matrix), np.ones(len(xs)))
+        rect = kernel_matrix(spec, ys, xs, kind)
+        np.testing.assert_allclose(rect, _dense_fidelity(spec, ys, xs), rtol=0.0, atol=1e-13)
+
+    def test_product_kernel_rejects_a_statevector_family(self):
+        with pytest.raises(ValueError, match="not a product family"):
+            product_kernel(np.zeros((2, 3)), np.zeros((2, 3)), KernelKind.fidelity(), "hardware_efficient")
 
 
 def read_gram_csv(path) -> tuple[np.ndarray, dict]:

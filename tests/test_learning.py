@@ -229,20 +229,20 @@ class TestTrainedModels:
         self.y = gm.matrix @ w
 
     def test_krr_interpolates_training_data(self):
-        model, fit = train(self.spec, self.xs, self.y, self.kind)
+        model, fit, _ = train(self.spec, self.xs, self.y, self.kind)
         preds = predict(model, self.xs)
         np.testing.assert_allclose(preds, self.y, atol=1e-8)
         assert fit.condition_number < 1e12
 
     def test_krr_with_ridge_shrinks_residuals_smoothly(self):
-        model, _ = train(self.spec, self.xs, self.y, self.kind, lam=0.01, sign="plus")
+        model, _, _ = train(self.spec, self.xs, self.y, self.kind, lam=0.01, sign="plus")
         preds = predict(model, self.xs)
         assert float(np.max(np.abs(preds - self.y))) < 0.1
 
     def test_svm_separates_training_signs(self):
         y = np.sign(self.y - np.median(self.y))
         y[y == 0.0] = 1.0
-        model, fit = train(self.spec, self.xs, y, self.kind, "svm")
+        model, fit, _ = train(self.spec, self.xs, y, self.kind, "svm")
         assert fit.converged
         margins = y * predict(model, self.xs)
         assert np.all(margins > 0.0)
@@ -251,7 +251,7 @@ class TestTrainedModels:
         from qkonc.kernels import kernel_matrix
 
         rng = np.random.default_rng(3)
-        model, _ = train(self.spec, self.xs, self.y, self.kind)
+        model, _, _ = train(self.spec, self.xs, self.y, self.kind)
         new = rng.uniform(-np.pi, np.pi, (4, 3))
         kmat = kernel_matrix(self.spec, new, self.xs, self.kind)
         np.testing.assert_allclose(
@@ -259,7 +259,7 @@ class TestTrainedModels:
         )
 
     def test_json_roundtrip_preserves_predictions(self):
-        model, _ = train(self.spec, self.xs, self.y, self.kind, lam=0.05, sign="plus")
+        model, _, _ = train(self.spec, self.xs, self.y, self.kind, lam=0.05, sign="plus")
         back = TrainedModel.from_json(model.to_json())
         rng = np.random.default_rng(3)
         new = rng.uniform(-np.pi, np.pi, (4, 3))
@@ -271,7 +271,7 @@ class TestTrainedModels:
     def test_svm_json_keeps_labels(self):
         y = np.sign(self.y - np.median(self.y))
         y[y == 0.0] = 1.0
-        model, _ = train(self.spec, self.xs, y, self.kind, "svm")
+        model, _, _ = train(self.spec, self.xs, y, self.kind, "svm")
         back = TrainedModel.from_json(model.to_json())
         np.testing.assert_allclose(
             predict(back, self.xs), predict(model, self.xs), atol=1e-14
@@ -279,7 +279,7 @@ class TestTrainedModels:
 
     def test_estimated_gram_training(self):
         est = EstimatorSpec("swap", shots=400000, seed=2)
-        model, _ = train(
+        model, _, _ = train(
             self.spec, self.xs, self.y, self.kind, lam=0.01, sign="plus", estimator=est
         )
         preds = predict(model, self.xs)

@@ -1,9 +1,12 @@
 """Every public function and class, and every public method and property of
 an exported class, is used by the package itself, or is on an allowlist that
-says why it is exported anyway."""
+says why it is exported anyway; and every function the benchmark's span
+tracer counts still exists with the parameters the tracer reads."""
 
 import ast
+import importlib
 import inspect
+import types
 from pathlib import Path
 
 import qkonc
@@ -107,3 +110,44 @@ def test_every_unused_member_is_allowlisted():
 
 def test_member_allowlist_names_only_unused_members():
     assert sorted(MEMBER_ALLOWLIST.keys() - unused_members()) == []
+
+
+def _tracer():
+    """perfbench/tracer.py, run from its source (it imports only the standard
+    library) without writing a bytecode cache under perfbench/."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    module = types.ModuleType("perfbench_tracer")
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+# span names of the tracer's counters whose functions the package has deleted;
+# their per-layer metrics read 0 until the benchmark drops them
+RETIRED_COUNTERS = {
+    "accel.apply_1q_rows": "replaced by the Kronecker-block engine in 0.3.0",
+    "accel.product_cos2": "folded into kernels.product_kernel",
+    "estimators.loschmidt_record": "deleted in 0.4.0",
+    "estimators.swap_record": "deleted in 0.4.0",
+}
+
+
+def test_every_traced_counter_finds_its_function_and_parameters():
+    # install() wraps _accel primitives only through IMPLEMENTATIONS["numpy"],
+    # and a counter reads its arguments by parameter name, so a renamed
+    # function or parameter would silently empty a per-layer metric
+    tracer = _tracer()
+    missing = set()
+    for name, (params, _) in tracer.COUNTERS.items():
+        module, _, attr = name.partition(".")
+        if module == "accel":
+            fn = qkonc._accel.IMPLEMENTATIONS["numpy"].get(attr)
+        else:
+            fn = getattr(importlib.import_module(f"qkonc.{module}"), attr.split(".")[0], None)
+            for part in attr.split(".")[1:]:
+                fn = getattr(fn, part, None)
+        if fn is None:
+            missing.add(name)
+            continue
+        assert callable(fn), name
+        tracer._argument_getter(fn, params)  # raises when a parameter is gone
+    assert sorted(missing - RETIRED_COUNTERS.keys()) == []
