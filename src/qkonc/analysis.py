@@ -26,9 +26,9 @@ from .core import (
     haar_random_states,
     trace_norm,
 )
-from .embeddings import EmbeddingSpec, _block_rows, _kernel_blocks, embed_batch
+from .embeddings import EmbeddingSpec, _block_bloch, _block_rows, _state_blocks, embed_batch
 from .estimators import projected_kernel_from_bloch_diff
-from .kernels import PRODUCT_FAMILIES, KernelKind, _block_bloch, product_kernel, projected_kernel
+from .kernels import PRODUCT_FAMILIES, KernelKind, product_kernel, projected_kernel
 
 
 def beta_haar(num_qubits: int) -> float:
@@ -105,20 +105,20 @@ def _chunk_kappas(
     n, step = spec.num_qubits, _block_rows(spec.num_qubits)
     if spec.family == "haar":
         sizes = (min(step, count - i) for i in range(0, count, step))
-        blocks = (((haar_random_states(n, k, rng), False), (haar_random_states(n, k, rng), False)) for k in sizes)
+        blocks = ((haar_random_states(n, k, rng), haar_random_states(n, k, rng)) for k in sizes)
     else:  # the chunk's inputs are drawn at once
         xs, ys = _sample_inputs(spec, count, rng, low, high)
-        blocks = zip(_kernel_blocks(spec, xs), _kernel_blocks(spec, ys))
+        blocks = zip(_state_blocks(spec, xs, None, None), _state_blocks(spec, ys, None, None))
 
     out = [[] for _ in kinds]
-    for (a, phased), (b, _) in blocks:
+    for a, b in blocks:
         diff = None
         for acc, kind in zip(out, kinds):
             if kind.variant == "fidelity":
                 acc.append(_accel.pair_absq(a, b))
                 continue
             if diff is None:
-                diff = _block_bloch(a, phased, n) - _block_bloch(b, phased, n)
+                diff = _block_bloch(spec, a) - _block_bloch(spec, b)
             acc.append(projected_kernel_from_bloch_diff(diff, kind.gamma))
     return [np.concatenate(acc) for acc in out]
 

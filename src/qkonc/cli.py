@@ -575,7 +575,7 @@ def _run_noise_scan(cfg, master_seed, outdir, threads):
         rows,
     )
     return [path], {
-        "noisy_state_engine": "v3: Pauli-transfer vectors",
+        "noisy_state_engine": "v4: Pauli-transfer vectors; single_layer_rot gates from the elementwise column",
         "noise_scan_inputs": "v2: per q, SeedSequence((master_seed, i)); every depth reads the same 2*pairs inputs",
     }
 

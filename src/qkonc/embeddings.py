@@ -26,10 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _accel
-from .core import _HADAMARD, Gate, StateVector
+from .core import Gate, StateVector
 
 FAMILIES = ("tensor_ry", "single_layer_rot", "hardware_efficient", "parameterized", "haar")
 ENTANGLERS = ("cz", "cnot")
+# the families that re-upload x in each of their ``layers`` entangled layers
+REUPLOADING_FAMILIES = ("hardware_efficient", "parameterized")
 
 MAX_STATEVECTOR_QUBITS = 14
 
@@ -83,11 +85,6 @@ def _check_theta(spec: EmbeddingSpec, theta) -> np.ndarray | None:
     return arr
 
 
-def _entangler_gates(spec: EmbeddingSpec) -> list[Gate]:
-    mk = Gate.cz if spec.entangler == "cz" else Gate.cnot
-    return [mk(k, k + 1) for k in range(spec.num_qubits - 1)]
-
-
 def layer_decomposition(spec: EmbeddingSpec, x, theta=None) -> list[list[Gate]]:
     """The circuit as a list of layers, each a list of gates in application order."""
     x = _check_x(spec, x)
@@ -101,8 +98,9 @@ def layer_decomposition(spec: EmbeddingSpec, x, theta=None) -> list[list[Gate]]:
         layer += [Gate.h(k) for k in range(n)]
         layer += [Gate.rz(x[k], k) for k in range(n)]
         return [layer]
-    if spec.family in ("hardware_efficient", "parameterized"):
-        ent = _entangler_gates(spec)
+    if spec.family in REUPLOADING_FAMILIES:
+        mk = Gate.cz if spec.entangler == "cz" else Gate.cnot
+        ent = [mk(k, k + 1) for k in range(n - 1)]
         data = [[Gate.rx(x[k], k) for k in range(n)] + ent for _ in range(spec.layers)]
         return data if theta is None else [[Gate.ry(theta[k], k) for k in range(n)]] + data
     raise ValueError(f"no gate decomposition for the {spec.family!r} family")
@@ -111,17 +109,19 @@ def layer_decomposition(spec: EmbeddingSpec, x, theta=None) -> list[list[Gate]]:
 # ---------------------------------------------------------------------------
 # batched state preparation
 # ---------------------------------------------------------------------------
-# A layer puts one gate on every qubit, so on the (2**(n-h), 2**h) view S of
-# a row (the low h = n // 2 qubits on the last axis) it is A_hi @ S @ A_lo^T,
-# where A_lo and A_hi are the row's Kronecker factors of the two halves. The
-# first layer acts on |0...0>, so it is the Kronecker product of each qubit's
-# first gate column. Rows run in blocks of ``_block_rows(n)``.
+# ``_layer_gates`` is the one table of every family's one-qubit gates. A layer
+# puts one gate on every qubit, so on the (2**(n-h), 2**h) view S of a row
+# (the low h = n // 2 qubits on the last axis) it is A_hi @ S @ A_lo^T, where
+# A_lo and A_hi are the row's Kronecker factors of the two halves. The first
+# layer acts on |0...0>, so it is the Kronecker product of each qubit's first
+# gate column. ``_state_blocks`` builds the rows of every family in blocks of
+# ``_block_rows(n)``.
 #
 # Rx(x) = S^dag Ry(x) S with S = diag(1, i), and S is diagonal, so it commutes
 # with CZ and fixes |0>. A ``hardware_efficient`` circuit on a CZ ladder is
-# therefore diag((-i)**popcount(k)) times the same circuit with Ry in place of
-# Rx, which is real; ``tensor_ry`` is real already. Both run in float64, and
-# each block is written to the complex output once, as phase * real state.
+# therefore diag((-i)**popcount(k)) (``_phase``) times the same circuit with
+# the tensor_ry layer in place of Rx, which is real; ``tensor_ry`` is real
+# already. Both run in float64, and only this module applies the phase.
 
 
 def _block_rows(num_qubits: int) -> int:
@@ -129,26 +129,9 @@ def _block_rows(num_qubits: int) -> int:
     return max(1, (1 << 16) >> num_qubits)
 
 
-def _first_columns(family: str, xs: np.ndarray, theta) -> np.ndarray:
-    """(..., n, 2, 1) state of every qubit after the gates before the first
-    entangler, for the families that run in complex arithmetic; for
-    ``single_layer_rot``, a product state, each qubit's whole state."""
-    c, s = np.cos(0.5 * xs), np.sin(0.5 * xs)
-    if family == "hardware_efficient":  # Rx(x)|0>
-        pair = (c, -1j * s)
-    elif family == "parameterized":  # Rx(x) Ry(theta)|0>
-        ct, st = np.cos(0.5 * theta), np.sin(0.5 * theta)
-        pair = (c * ct - 1j * (s * st), c * st - 1j * (s * ct))
-    else:  # single_layer_rot: Rz(x) H Ry(x) Rx(x)|0>, written out elementwise
-        cc, ss, cs, r = c * c, s * s, c * s, math.sqrt(0.5)
-        pair = ((c - 1j * s) * ((cc + cs) + 1j * (ss - cs)) * r, (c + 1j * s) * ((cc - cs) + 1j * (ss + cs)) * r)
-    out = np.empty(xs.shape + (2, 1), dtype=np.complex128)
-    out[..., 0, 0], out[..., 1, 0] = pair
-    return out
-
-
 def _layer_gates(spec: EmbeddingSpec, xs: np.ndarray, theta) -> list[np.ndarray]:
-    """(m, n, 2, 2) one-qubit gates of every row, one array per distinct layer.
+    """(m, n, 2, 2) one-qubit gates of every row, one array per distinct layer,
+    float64 where every entry is real.
 
     In application order: the Ry(theta) column first for ``parameterized``,
     then the data layer, Rx(x) (run ``spec.layers`` times by the entangled
@@ -159,29 +142,35 @@ def _layer_gates(spec: EmbeddingSpec, xs: np.ndarray, theta) -> list[np.ndarray]
     if spec.family == "haar":
         raise ValueError("no gate decomposition for the 'haar' family")
     c, s = np.cos(0.5 * xs), np.sin(0.5 * xs)
+    if spec.family == "tensor_ry":
+        return [_gates(c, -s, s, c)]
+    if spec.family == "single_layer_rot":
+        # column 0 (a, b) written out elementwise; the determinant is -1, so
+        # column 1 is (conj(b), -conj(a))
+        cc, ss, cs, r = c * c, s * s, c * s, math.sqrt(0.5)
+        a = (c - 1j * s) * ((cc + cs) + 1j * (ss - cs)) * r
+        b = (c + 1j * s) * ((cc - cs) + 1j * (ss + cs)) * r
+        return [_gates(a, b.conj(), b, -a.conj())]
     rx = _gates(c, -1j * s, -1j * s, c)
     if spec.family == "hardware_efficient":
         return [rx]
-    if spec.family == "parameterized":
-        ct, st = np.cos(0.5 * theta), np.sin(0.5 * theta)
-        return [np.broadcast_to(_gates(ct, -st, st, ct), rx.shape), rx]
-    ry = _gates(c, -s, s, c)
-    if spec.family == "tensor_ry":
-        return [ry]
-    phase = np.exp(-0.5j * xs)
-    return [_gates(phase, 0.0, 0.0, phase.conj()) @ (_HADAMARD @ (ry @ rx))]
+    ct, st = np.cos(0.5 * theta), np.sin(0.5 * theta)
+    return [np.broadcast_to(_gates(ct, -st, st, ct), rx.shape), rx]
 
 
 def _gates(g00, g01, g10, g11) -> np.ndarray:
-    """(..., 2, 2) complex gates from their broadcast entries."""
-    entries = np.broadcast_arrays(g00, g01, g10, g11)
-    return np.stack(entries, axis=-1).astype(np.complex128, copy=False).reshape(entries[0].shape + (2, 2))
+    """(..., 2, 2) gates from their entries, arrays of one shape."""
+    return np.stack([g00, g01, g10, g11], axis=-1).reshape(g00.shape + (2, 2))
 
 
-def _ry_gates(xs: np.ndarray) -> np.ndarray:
-    """(m, n, 2, 2) real Ry(x) gates of every row; column 0 is Ry(x)|0>."""
-    c, s = np.cos(0.5 * xs), np.sin(0.5 * xs)
-    return np.stack([c, -s, s, c], axis=-1).reshape(xs.shape + (2, 2))
+def _first_columns(spec: EmbeddingSpec, xs: np.ndarray, theta) -> np.ndarray:
+    """(..., n, 2, 1) state of every qubit after the gates before the first
+    entangler; for the product families, each qubit's whole state."""
+    first, *rest = _layer_gates(spec, xs, theta)
+    col = first[..., :1]
+    for gates in rest:
+        col = gates @ col
+    return col
 
 
 def _kron_rows(factors: np.ndarray) -> np.ndarray:
@@ -214,40 +203,55 @@ def _apply_entangler_batch(spec: EmbeddingSpec, states: np.ndarray) -> None:
         _accel.apply_perm(states, _accel.cnot_ladder_perm(spec.num_qubits))
 
 
-def _haar_rng_for(spec: EmbeddingSpec, x: np.ndarray) -> np.random.Generator:
+def _haar_state(spec: EmbeddingSpec, x: np.ndarray) -> np.ndarray:
+    """The normalized complex Gaussian of the (spec.seed, x) stream."""
     bits = np.ascontiguousarray(x).view(np.uint64)
-    ss = np.random.SeedSequence((int(spec.seed),) + tuple(int(b) for b in bits))
-    return np.random.default_rng(ss)
+    g = np.random.default_rng(np.random.SeedSequence((int(spec.seed),) + tuple(int(b) for b in bits)))
+    z = g.standard_normal(1 << spec.num_qubits) + 1j * g.standard_normal(1 << spec.num_qubits)
+    return z / np.linalg.norm(z)
 
 
-def _is_real(spec: EmbeddingSpec) -> bool:
-    """The real circuits (see above): tensor_ry and cz hardware_efficient."""
-    return spec.family == "tensor_ry" or (spec.family == "hardware_efficient" and spec.entangler == "cz")
+def _phase(spec: EmbeddingSpec) -> np.ndarray | None:
+    """The diagonal that turns ``_state_blocks`` rows into the embedded
+    states: (-i)**popcount(k) for cz ``hardware_efficient``, else None."""
+    if spec.family == "hardware_efficient" and spec.entangler == "cz":
+        return _accel.sdg_phase(spec.num_qubits)
+    return None
 
 
-def _state_blocks(spec: EmbeddingSpec, xs: np.ndarray, theta, out: np.ndarray | None):
-    """Build the states of ``xs`` one row block at a time; yield (rows, psi)
-    per block. For the real circuits psi is the block's float64 state, in a
-    buffer the next block overwrites; the circuit's state is psi itself for
-    ``tensor_ry`` and ``_accel.sdg_phase(n) * psi`` for cz
-    ``hardware_efficient``. Otherwise psi is ``out[rows]``, built in place."""
+def _state_blocks(spec: EmbeddingSpec, xs, theta, out: np.ndarray | None):
+    """The states of ``xs`` in row blocks of ``_block_rows(n)``, each in its
+    narrowest exact form.
+
+    ``tensor_ry`` and cz ``hardware_efficient`` rows are float64, the rest
+    complex128. A block's embedded states are ``_phase(spec)`` times it where
+    that is not None, else the block itself. Complex blocks are built in place
+    in ``out[rows]`` when ``out`` is given; every other block is a buffer the
+    next block overwrites. ``haar`` rows are drawn one at a time, each from
+    its own (spec.seed, x) stream.
+    """
+    xs = _check_batch(spec, xs)
+    theta = _check_theta(spec, theta)
     m, n = xs.shape
-    h = n // 2
-    entangled = spec.family in ("hardware_efficient", "parameterized")
+    h, step = n // 2, _block_rows(n)
+    real = spec.family == "tensor_ry" or _phase(spec) is not None
+    buf = np.empty(min(step, m) << n, np.float64 if real else np.complex128) if real or out is None else None
+    gate_spec = EmbeddingSpec(n, "tensor_ry") if real else spec
+    cols = None if spec.family == "haar" else _first_columns(gate_spec, xs, theta)
+    entangled = spec.family in REUPLOADING_FAMILIES
     later = spec.layers - 1 if entangled else 0
-    real = _is_real(spec)
-    cols = _ry_gates(xs)[..., :1] if real else _first_columns(spec.family, xs, theta)
-    step = _block_rows(n)
     # Up to 4 qubits the factors are at most 4x4, and one BLAS call per row
     # costs more than the product, so those layers run with the rows last.
     rows_last = n <= 4
-    dtype = np.float64 if real else np.complex128
-    work = np.empty(min(step, m) << n) if real else None
-    tmp = np.empty(min(step, m) << n, dtype=dtype) if later else None
     for lo in range(0, m, step):
         b = min(step, m - lo)
         rows = slice(lo, lo + b)
-        block = work[: b << n].reshape(b, 1 << n) if real else out[rows]
+        block = out[rows] if buf is None else buf[: b << n].reshape(b, 1 << n)
+        if cols is None:  # haar
+            for r, x in enumerate(xs[rows]):
+                block[r] = _haar_state(spec, x)
+            yield block
+            continue
         psi = block
         state = psi.reshape(b, 1 << (n - h), 1 << h)
         np.multiply(_kron_rows(cols[rows, h:]), _kron_rows(cols[rows, :h]).swapaxes(1, 2), out=state)
@@ -255,20 +259,29 @@ def _state_blocks(spec: EmbeddingSpec, xs: np.ndarray, theta, out: np.ndarray | 
             _apply_entangler_batch(spec, psi)
         if later:
             # x is re-uploaded, so every later layer has the same factors
-            gates = _ry_gates(xs[rows]) if real else _layer_gates(spec, xs[rows], theta)[-1]
+            gates = _layer_gates(gate_spec, xs[rows], theta)[-1]
             a_lo_t, a_hi = _kron_rows(gates[:, :h].swapaxes(2, 3)), _kron_rows(gates[:, h:])
             if rows_last:
                 state, a_lo_t, a_hi = (np.ascontiguousarray(np.moveaxis(a, 0, -1)) for a in (state, a_lo_t, a_hi))
                 psi = state.reshape(1 << n, b).T
             matmul = _matmul_rows_last if rows_last else np.matmul
-            t = tmp[: b << n].reshape(state.shape)
+            t = np.empty_like(state)
             for _ in range(later):
                 matmul(state, a_lo_t, out=t)
                 matmul(a_hi, t, out=state)
                 _apply_entangler_batch(spec, psi)
         if psi is not block:
             block[...] = psi
-        yield rows, block
+        yield block
+
+
+def _block_bloch(spec: EmbeddingSpec, states: np.ndarray) -> np.ndarray:
+    """(m, n, 3) Bloch vectors of the embedded states of one ``_state_blocks`` block."""
+    out = _accel.bloch_batch(states, spec.num_qubits)
+    if _phase(spec) is not None:  # the (-i)**popcount phase turns (X, 0, Z) into (0, -X, Z)
+        out[..., 1] = -out[..., 0]
+        out[..., 0] = 0.0
+    return out
 
 
 def _check_batch(spec: EmbeddingSpec, xs) -> np.ndarray:
@@ -289,46 +302,13 @@ def embed_batch(spec: EmbeddingSpec, xs, theta=None) -> np.ndarray:
     Each row's amplitudes depend on that row alone, bit for bit.
     """
     xs = _check_batch(spec, xs)
-    theta = _check_theta(spec, theta)
-    m, n = xs.shape
-    out = np.empty((m, 1 << n), dtype=np.complex128)
-    if spec.family == "haar":
-        dim = 1 << n
-        for r in range(m):
-            g = _haar_rng_for(spec, xs[r])
-            z = g.standard_normal(dim) + 1j * g.standard_normal(dim)
-            out[r] = z / np.linalg.norm(z)
-        return out
-    # each real block is written to ``out`` once
-    real = _is_real(spec)
-    phase = _accel.sdg_phase(n) if real and spec.family != "tensor_ry" else None
-    for rows, psi in _state_blocks(spec, xs, theta, out):
-        if phase is not None:
-            np.multiply(psi, phase, out=out[rows])
-        elif real:
-            out[rows] = psi
+    out = np.empty((len(xs), 1 << spec.num_qubits), dtype=np.complex128)
+    phase, lo = _phase(spec), 0
+    for psi in _state_blocks(spec, xs, theta, out):
+        if psi.dtype == np.float64:  # complex blocks are built in ``out``
+            np.multiply(psi, 1.0 if phase is None else phase, out=out[lo : lo + len(psi)])
+        lo += len(psi)
     return out
-
-
-def _kernel_blocks(spec: EmbeddingSpec, xs, theta=None):
-    """The states of ``xs`` in row blocks of ``_block_rows(n)``, in the
-    narrowest exact form a kernel needs; yields (states, phased) per block.
-
-    For the real circuits the states are the float64 rows the engine builds
-    (valid until the next block), and ``phased`` says that the embedded
-    states are ``_accel.sdg_phase(n)`` times them: fidelities are the same,
-    and each Bloch vector (X, 0, Z) becomes (0, -X, Z). Every other family
-    yields ``embed_batch`` blocks and ``phased`` False.
-    """
-    xs = _check_batch(spec, xs)
-    if not _is_real(spec):
-        step = _block_rows(spec.num_qubits)
-        for lo in range(0, len(xs), step):
-            yield embed_batch(spec, xs[lo : lo + step], theta=theta), False
-        return
-    _check_theta(spec, theta)
-    for _, phi in _state_blocks(spec, xs, None, None):
-        yield phi, spec.family != "tensor_ry"
 
 
 def embed(spec: EmbeddingSpec, x, theta=None) -> StateVector:

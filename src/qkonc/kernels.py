@@ -18,9 +18,9 @@ For tensor_ry, u_k = (cos(x_k/2), sin(x_k/2)) and b_k = (sin x_k, 0, cos x_k),
 so these are prod_k cos^2((x_k - x'_k)/2) and exp(-gamma * sum_k
 (1 - cos(x_k - x'_k))), evaluated by angle addition from each input's own
 cosines and sines: the transcendentals cost O((m + m') n) and the (m, m')
-pairs only multiplies and adds. single_layer_rot's u_k is its qubit column
-``embeddings._first_columns``; its exact projected Gram takes the b_k through
-the matrix formula of the statevector families.
+pairs only multiplies and adds. single_layer_rot's u_k is column 0 of its
+qubit gate in ``embeddings._layer_gates``; its exact projected Gram takes the
+b_k through the matrix formula of the statevector families.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import _accel
 from .core import StateVector, _reduced_matrix, bloch_vectors, fidelity, hs_inner
-from .embeddings import EmbeddingSpec, _block_rows, _first_columns, _kernel_blocks, embed_batch
+from .embeddings import EmbeddingSpec, _block_bloch, _block_rows, _first_columns, _state_blocks, embed_batch
 from .estimators import EstimatorSpec, projected_estimate_from_bloch, sample_fidelity
 
 KERNEL_VARIANTS = ("fidelity", "projected")
@@ -108,7 +108,7 @@ def _qubit_vectors(xs: np.ndarray, fid: bool, family: str, bra: bool = False) ->
         return np.stack([np.cos(a), np.sin(a)], axis=-1)
     if not fid:
         return product_bloch_vectors(xs, family)
-    col = _first_columns(family, xs, None)[..., 0]
+    col = _first_columns(EmbeddingSpec(xs.shape[-1], family), xs, None)[..., 0]
     return col.conj() if bra else col
 
 
@@ -155,7 +155,7 @@ def product_bloch_vectors(xs, family: str = "tensor_ry") -> np.ndarray:
     xs = np.asarray(xs, dtype=np.float64)
     if family == "tensor_ry":
         return np.stack([np.sin(xs), np.zeros_like(xs), np.cos(xs)], axis=-1)
-    col = _first_columns(family, xs, None)
+    col = _first_columns(EmbeddingSpec(xs.shape[-1], family), xs, None)
     a, b = col[..., 0, 0], col[..., 1, 0]
     t = a.conj() * b
     return np.stack([2.0 * t.real, 2.0 * t.imag, (a.real**2 + a.imag**2) - (b.real**2 + b.imag**2)], axis=-1)
@@ -240,18 +240,9 @@ def _all_bloch(spec: EmbeddingSpec, xs: np.ndarray, theta) -> np.ndarray:
         return product_bloch_vectors(xs, spec.family)
     out = np.empty((len(xs), spec.num_qubits, 3))
     lo = 0
-    for states, phased in _kernel_blocks(spec, xs, theta):
-        out[lo : lo + len(states)] = _block_bloch(states, phased, spec.num_qubits)
+    for states in _state_blocks(spec, xs, theta, None):
+        out[lo : lo + len(states)] = _block_bloch(spec, states)
         lo += len(states)
-    return out
-
-
-def _block_bloch(states: np.ndarray, phased: bool, num_qubits: int) -> np.ndarray:
-    """Bloch vectors of one ``_kernel_blocks`` block."""
-    out = _accel.bloch_batch(states, num_qubits)
-    if phased:  # the (-i)**popcount phase turns (X, 0, Z) into (0, -X, Z)
-        out[..., 1] = -out[..., 0]
-        out[..., 0] = 0.0
     return out
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _accel
 from .core import DensityMatrix
-from .embeddings import EmbeddingSpec, _check_x, _kron_rows, _layer_gates
+from .embeddings import REUPLOADING_FAMILIES, EmbeddingSpec, _check_batch, _check_x, _kron_rows, _layer_gates
 from .estimators import projected_kernel_from_bloch_diff
 
 NOISE_MAX_QUBITS = 6
@@ -161,13 +161,11 @@ def noisy_pauli_depths(
     depths = sorted(set(depths))
     if depths and depths[0] < 1:
         raise ValueError(f"depths must be >= 1, got {depths[0]}")
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[1] != n:
-        raise ValueError(f"expected (m, {n}) features, got {xs.shape}")
+    xs = _check_batch(spec, xs)
     transfers = [_transfer(g) for g in _layer_gates(spec, xs, theta)]
     # x is re-uploaded: the entangled families run their data layer (the last
     # one) once per layer, each followed by the ladder; the others run it once
-    repeated = spec.family in ("hardware_efficient", "parameterized")
+    repeated = spec.family in REUPLOADING_FAMILIES
     ladder = repeated and n > 1
     lam = _channel_diagonal(params, n)
     if ladder:  # the ladder and then the channel, as one signed gather

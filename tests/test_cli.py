@@ -283,7 +283,7 @@ class TestNoiseScan:
 
     def test_manifest_names_noisy_state_engine(self, tmp_path):
         manifest = run_experiment("noise-scan", self.CFG, seed=5, out=tmp_path)
-        assert manifest["noisy_state_engine"] == "v3: Pauli-transfer vectors"
+        assert manifest["noisy_state_engine"] == "v4: Pauli-transfer vectors; single_layer_rot gates from the elementwise column"
         assert manifest["noise_scan_inputs"] == (
             "v2: per q, SeedSequence((master_seed, i)); every depth reads the same 2*pairs inputs"
         )

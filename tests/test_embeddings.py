@@ -12,6 +12,8 @@ from qkonc.embeddings import (
     EmbeddingSpec,
     _block_rows,
     _layer_gates,
+    _phase,
+    _state_blocks,
     embed,
     embed_batch,
     layer_decomposition,
@@ -337,7 +339,7 @@ class TestKroneckerEngine:
             batch = embed_batch(EmbeddingSpec(n, family, layers=layers), xs)
             assert np.all((batch * phase.conj()).imag == 0.0), layers
 
-    @pytest.mark.parametrize("family", GATE_FAMILIES)
+    @pytest.mark.parametrize("family", GATE_FAMILIES + ["haar"])
     @pytest.mark.parametrize("entangler", ["cz", "cnot"])
     @pytest.mark.parametrize("n", [3, 10])
     def test_rows_do_not_depend_on_the_batch(self, family, entangler, n):
@@ -347,12 +349,34 @@ class TestKroneckerEngine:
         rng = np.random.default_rng(n)
         xs = rng.uniform(-np.pi, np.pi, (step + 3, n))
         theta = rng.uniform(-np.pi, np.pi, n) if family == "parameterized" else None
-        spec = EmbeddingSpec(n, family, layers=3, entangler=entangler)
+        spec = EmbeddingSpec(n, family, layers=3, entangler=entangler, seed=9)
         batch = embed_batch(spec, xs, theta=theta)
         for r in (0, 1, step - 1, step, step + 2):
             single = embed_batch(spec, xs[r : r + 1], theta=theta)[0]
             assert np.array_equal(batch[r], single), r
+            if family == "haar":  # the normalized complex Gaussian of the row's own stream
+                g = np.random.default_rng(np.random.SeedSequence((spec.seed, *xs[r].view(np.uint64))))
+                z = g.standard_normal(1 << n) + 1j * g.standard_normal(1 << n)
+                assert np.array_equal(single, z / np.linalg.norm(z)), r
         assert np.array_equal(batch, embed_batch(spec, xs, theta=theta))
+
+    @pytest.mark.parametrize("family", GATE_FAMILIES + ["haar"])
+    @pytest.mark.parametrize("entangler", ["cz", "cnot"])
+    def test_state_blocks_are_the_narrowest_exact_rows(self, family, entangler):
+        # float64 exactly for the real circuits; the phase times each block is
+        # embed_batch's rows, bit for bit, across a block boundary
+        n = 5
+        rng = np.random.default_rng(len(family))
+        xs = rng.uniform(-np.pi, np.pi, (_block_rows(n) + 3, n))
+        theta = rng.uniform(-np.pi, np.pi, n) if family == "parameterized" else None
+        spec = EmbeddingSpec(n, family, layers=2, entangler=entangler, seed=9)
+        real = family == "tensor_ry" or (family == "hardware_efficient" and entangler == "cz")
+        phase = _phase(spec)
+        blocks = [psi.copy() for psi in _state_blocks(spec, xs, theta, None)]
+        assert [len(psi) for psi in blocks] == [_block_rows(n), 3]
+        assert {psi.dtype for psi in blocks} == {np.dtype(np.float64 if real else np.complex128)}
+        rows = np.concatenate([psi if phase is None else phase * psi for psi in blocks])
+        assert np.array_equal(rows, embed_batch(spec, xs, theta=theta))
 
     @pytest.mark.parametrize("family, layers", [("hardware_efficient", 3), ("single_layer_rot", 1)])
     def test_memory_stays_near_the_output_size(self, family, layers):

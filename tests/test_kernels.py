@@ -18,13 +18,20 @@ from qkonc.core import (
     maximally_mixed,
     reduce_to_qubit,
 )
-from qkonc.embeddings import EmbeddingSpec, _block_rows, _kernel_blocks, embed, embed_batch, layer_decomposition
+from qkonc.embeddings import (
+    EmbeddingSpec,
+    _block_bloch,
+    _block_rows,
+    _state_blocks,
+    embed,
+    embed_batch,
+    layer_decomposition,
+)
 from qkonc.estimators import EstimatorSpec, projected_estimate_from_bloch, sample_fidelity
 from qkonc.kernels import (
     GramMatrix,
     KernelKind,
     _all_bloch,
-    _block_bloch,
     fidelity_kernel,
     gram,
     kernel_matrix,
@@ -406,7 +413,7 @@ def _whole_bloch(spec, xs, theta=None):
         return product_bloch_vectors(xs, spec.family)
     psi = embed_batch(spec, xs, theta=theta)
     if spec.family == "hardware_efficient" and spec.entangler == "cz":
-        return _block_bloch(np.ascontiguousarray((psi * _accel.sdg_phase(n).conj()).real), True, n)
+        return _block_bloch(spec, np.ascontiguousarray((psi * _accel.sdg_phase(n).conj()).real))
     return _accel.bloch_batch(psi, n)
 
 
@@ -528,10 +535,8 @@ def _gate_state(spec, x):
 
 
 def _real_rows(spec, xs):
-    """The float64 rows of ``_kernel_blocks``, copied out of its reused buffer."""
-    blocks = [(phi.copy(), phased) for phi, phased in _kernel_blocks(spec, xs)]
-    assert {phased for _, phased in blocks} == {spec.family == "hardware_efficient"}
-    return np.concatenate([phi for phi, _ in blocks])
+    """The float64 rows of ``_state_blocks``, copied out of its reused buffer."""
+    return np.concatenate([phi.copy() for phi in _state_blocks(spec, xs, None, None)])
 
 
 class TestNarrowStateForms:
@@ -552,7 +557,7 @@ class TestNarrowStateForms:
             assert np.array_equal(phi_a * phase, psi_a), layers
             np.testing.assert_allclose(
                 _all_bloch(spec, xs, None) if family == "hardware_efficient"
-                else _block_bloch(phi_a, False, n),
+                else _block_bloch(spec, phi_a),
                 _accel.bloch_batch(psi_a, n), rtol=0.0, atol=1e-13,
             )
             np.testing.assert_allclose(
