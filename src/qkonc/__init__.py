@@ -7,7 +7,7 @@ noise bounds.  Batched statevector updates run as vectorized numpy
 primitives in ``qkonc._accel``.
 """
 
-__version__ = "0.9.1"
+__version__ = "0.9.2"
 
 import os as _os
 import sys as _sys

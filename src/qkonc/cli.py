@@ -13,7 +13,8 @@ against that table before any work: an unknown key, a value of the wrong
 type or an out-of-range value stops the run with a ``click.ClickException``
 that names the key.
 
-Determinism: the generator of sweep point ``(i, j, ...)`` is
+Determinism: ``_sweep`` is the one place of the seed and worker rule. The
+generator of sweep point ``(i, j, ...)`` is
 ``numpy.random.default_rng(SeedSequence((master_seed, i, j, ...)))`` (for
 ``noise-scan`` the point is q value ``i``, whose inputs every depth reads), so
 reruns with the same config and seed produce byte-identical CSV files
@@ -22,6 +23,10 @@ order by the parent thread). ``--threads`` falls back to the QKONC_THREADS
 environment variable, then to 1; a count below 1 or not an integer is
 rejected before any work. Every loaded OpenBLAS runs one thread for the
 length of a run, so the bytes do not depend on the host's core count either.
+
+Runners build their CSV rows as dicts from column name to value, so each
+column is named once, beside its value; ``write_csv`` takes the header from
+the first row's keys.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from __future__ import annotations
 import atexit
 import gc
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -100,11 +106,12 @@ def _fmt(v) -> str:
     return f"{float(v):.17g}"
 
 
-def write_csv(path: Path, header: list[str], rows) -> None:
+def write_csv(path: Path, rows: list[dict]) -> None:
+    """Write ``rows``, dicts from column name to value, with the first row's keys as the header."""
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(",".join(rows[0]) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(_fmt(v) for v in row.values()) + "\n")
 
 
 def _sha256_file(path: Path) -> str:
@@ -115,13 +122,21 @@ def _sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
-def _map_points(points, fn, threads: int):
+def _sweep(master_seed: int, threads: int, sizes, fn) -> list:
+    """``fn(point_rng(master_seed, *point), *point)`` for every point of the
+    grid ``sizes`` in C order, spread over ``threads`` workers; the results
+    come back in point order."""
+    points = list(itertools.product(*map(range, sizes)))
+
+    def at(point):
+        return fn(point_rng(master_seed, *point), *point)
+
     if threads <= 1:
-        return [fn(p) for p in points]
+        return [at(p) for p in points]
     from concurrent.futures import ThreadPoolExecutor  # only here: it imports logging
 
     with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, points))
+        return list(ex.map(at, points))
 
 
 # (get, set) thread-count symbols: numpy's wheel build of OpenBLAS, then a
@@ -449,27 +464,18 @@ def _run_variance_scan(cfg, master_seed, outdir, threads):
         raise _reject("variance-scan", "pairs", f"= {pairs} is too few for a variance, need >= 2")
     if cfg["low"] == cfg["high"] and cfg["family"] != "haar":
         raise _reject("variance-scan", "high", f"= {cfg['high']} equals 'low', an empty input interval")
-    points = [(i, j) for i in range(len(qubits)) for j in range(len(layer_list))]
+    if len(set(cfg["kernels"])) < len(cfg["kernels"]):
+        raise _reject("variance-scan", "kernels", f"= {cfg['kernels']!r} names a kernel twice")
 
-    def work(pt):
-        i, j = pt
+    def work(rng, i, j):
         spec = _embedding(cfg, qubits[i], layer_list[j])
-        reports = concentration_scan(
-            spec, kinds, pairs, point_rng(master_seed, i, j), cfg["low"], cfg["high"]
-        )
-        row = [qubits[i], layer_list[j], pairs]
-        for rep in reports:
-            row += [rep.mean, rep.variance]
-        row.append(master_seed)
-        return row
+        row = {"n": qubits[i], "layers": layer_list[j], "pairs": pairs}
+        for kind, rep in zip(kinds, concentration_scan(spec, kinds, pairs, rng, cfg["low"], cfg["high"])):
+            row |= {f"mean_{kind.variant}": rep.mean, f"var_{kind.variant}": rep.variance}
+        return row | {"seed": master_seed}
 
-    rows = _map_points(points, work, threads)
-    header = ["n", "layers", "pairs"]
-    for kind in kinds:
-        header += [f"mean_{kind.variant}", f"var_{kind.variant}"]
-    header.append("seed")
     path = outdir / "variance_scan.csv"
-    write_csv(path, header, rows)
+    write_csv(path, _sweep(master_seed, threads, (len(qubits), len(layer_list)), work))
     return [path], {"haar_state_rule": HAAR_STATE_RULE} if cfg["family"] == "haar" else {}
 
 
@@ -482,33 +488,23 @@ def _run_expressivity(cfg, master_seed, outdir, threads):
     qubits, layer_list, samples, gamma = cfg["qubits"], cfg["layers"], cfg["samples"], cfg["gamma"]
     if any(n > MAX_EXPRESSIVITY_QUBITS for n in qubits):
         raise _reject("expressivity", "qubits", f"= {qubits} has an entry outside 1..{MAX_EXPRESSIVITY_QUBITS}")
-    points = [(i, j) for i in range(len(qubits)) for j in range(len(layer_list))]
 
-    def work(pt):
-        i, j = pt
-        spec = _embedding(cfg, qubits[i], layer_list[j])
-        est = expressivity_epsilon(
-            spec, samples, point_rng(master_seed, i, j), cfg["low"], cfg["high"]
-        )
+    def work(rng, i, j):
         n = qubits[i]
-        return [
-            n,
-            layer_list[j],
-            samples,
-            est.value,
-            est.mc_error,
-            bound_expressivity(n, KernelKind.fidelity(), est.value),
-            bound_expressivity(n, KernelKind.projected(gamma), est.value),
-            master_seed,
-        ]
+        est = expressivity_epsilon(_embedding(cfg, n, layer_list[j]), samples, rng, cfg["low"], cfg["high"])
+        return {
+            "n": n,
+            "layers": layer_list[j],
+            "samples": samples,
+            "eps": est.value,
+            "eps_mc_error": est.mc_error,
+            "bound_fidelity": bound_expressivity(n, KernelKind.fidelity(), est.value),
+            "bound_projected": bound_expressivity(n, KernelKind.projected(gamma), est.value),
+            "seed": master_seed,
+        }
 
-    rows = _map_points(points, work, threads)
     path = outdir / "expressivity.csv"
-    write_csv(
-        path,
-        ["n", "layers", "samples", "eps", "eps_mc_error", "bound_fidelity", "bound_projected", "seed"],
-        rows,
-    )
+    write_csv(path, _sweep(master_seed, threads, (len(qubits), len(layer_list)), work))
     return [path], {"expressivity_moment": "v2: symmetric subspace"}
 
 
@@ -524,15 +520,15 @@ def _run_noise_scan(cfg, master_seed, outdir, threads):
     if family == "haar":
         raise _reject("noise-scan", "family", "= 'haar' has no gate layers to add noise to")
     _no_theta("noise-scan", family)
-    noise = [PauliNoiseParams(q, q, q) for q in q_values]
     # per q worker and row: a float64 Pauli vector, and the gates and transfer
     # matrices with their temporaries (about 512 bytes per qubit, traced)
     concurrent = min(threads, len(q_values))
     need = concurrent * 2 * pairs * (8 * 4**n + 512 * n)
     _check_memory("noise-scan", "pairs", need, f"{2 * pairs} noisy {n}-qubit states per q")
 
-    def work(i):
-        params, rng = noise[i], point_rng(master_seed, i)
+    def work(rng, i):
+        q = q_values[i]
+        params = PauliNoiseParams(q, q, q)
         # rows x_0, y_0, x_1, y_1, ...: the draws of one pair after another;
         # every depth reads the same inputs
         xs = rng.uniform(low, high, (2 * pairs, n))
@@ -540,40 +536,23 @@ def _run_noise_scan(cfg, master_seed, outdir, threads):
         for layers, states in noisy_pauli_depths(_embedding(cfg, n, max(layer_list)), xs, params, layer_list):
             bnd = noise_bounds(params, n, layers, gamma)
             a, b = states[0::2], states[1::2]
-            by_depth[layers] = [
-                n,
-                q_values[i],
-                layers,
-                pairs,
-                np.abs(pauli_fidelity_kernel(a, b) - bnd.fidelity_mean).sum() / pairs,
-                bnd.fidelity_deviation,
-                np.abs(1.0 - pauli_projected_kernel(a, b, gamma)).sum() / pairs,
-                bnd.projected_deviation,
-                pauli_mixed_distance(a).sum() / pairs,
-                bnd.state_distance,
-                master_seed,
-            ]
+            by_depth[layers] = {
+                "n": n,
+                "q": q,
+                "layers": layers,
+                "pairs": pairs,
+                "fidelity_dev": np.abs(pauli_fidelity_kernel(a, b) - bnd.fidelity_mean).sum() / pairs,
+                "fidelity_bound": bnd.fidelity_deviation,
+                "projected_dev": np.abs(1.0 - pauli_projected_kernel(a, b, gamma)).sum() / pairs,
+                "projected_bound": bnd.projected_deviation,
+                "state_dist": pauli_mixed_distance(a).sum() / pairs,
+                "state_bound": bnd.state_distance,
+                "seed": master_seed,
+            }
         return [by_depth[layers] for layers in layer_list]
 
-    rows = [row for q_rows in _map_points(range(len(q_values)), work, threads) for row in q_rows]
     path = outdir / "noise_scan.csv"
-    write_csv(
-        path,
-        [
-            "n",
-            "q",
-            "layers",
-            "pairs",
-            "fidelity_dev",
-            "fidelity_bound",
-            "projected_dev",
-            "projected_bound",
-            "state_dist",
-            "state_bound",
-            "seed",
-        ],
-        rows,
-    )
+    write_csv(path, [row for q_rows in _sweep(master_seed, threads, (len(q_values),), work) for row in q_rows])
     return [path], {
         "noisy_state_engine": "v4: Pauli-transfer vectors; single_layer_rot gates from the elementwise column",
         "noise_scan_inputs": "v2: per q, SeedSequence((master_seed, i)); every depth reads the same 2*pairs inputs",
@@ -662,11 +641,10 @@ def _run_train(cfg, master_seed, outdir, threads):
     preds = gm.matrix @ model.weights if est is None else predict(model, ds.inputs)
     extras["train_error_max"] = float(np.max(np.abs(preds - ds.labels)))
     pred_path = outdir / "predictions.csv"
-    write_csv(
-        pred_path,
-        [f"f{k + 1}" for k in range(n)] + ["label", "prediction"],
-        (list(ds.inputs[i]) + [ds.labels[i], preds[i]] for i in range(ds.count)),
-    )
+    write_csv(pred_path, [
+        {**{f"f{k + 1}": v for k, v in enumerate(x)}, "label": label, "prediction": pred}
+        for x, label, pred in zip(ds.inputs, ds.labels, preds)
+    ])
     return [model_path, pred_path], extras
 
 
@@ -688,38 +666,37 @@ def _run_generalization(cfg, master_seed, outdir, threads):
         low=cfg["low"],
         high=cfg["high"],
     )
-
-    results = _map_points(
-        list(range(repeats)),
-        lambda r: generalization_experiment(point_rng(master_seed, r), **kwargs),
-        threads,
-    )
-    loss_ex = np.vstack([res.loss_exact for res in results])
-    loss_est = np.vstack([res.loss_estimated for res in results])
-    terr_ex = np.vstack([res.train_error_exact for res in results])
-    terr_est = np.vstack([res.train_error_estimated for res in results])
+    results = _sweep(master_seed, threads, (repeats,), lambda rng, r: generalization_experiment(rng, **kwargs))
 
     rep_path = outdir / "generalization_repeats.csv"
-    write_csv(
-        rep_path,
-        ["repeat", "train_size", "loss_exact", "loss_estimated", "train_error_exact", "train_error_estimated"],
-        (
-            [r, sizes[s], loss_ex[r, s], loss_est[r, s], terr_ex[r, s], terr_est[r, s]]
-            for r in range(repeats)
-            for s in range(len(sizes))
-        ),
-    )
+    write_csv(rep_path, [
+        {
+            "repeat": r,
+            "train_size": size,
+            "loss_exact": res.loss_exact[s],
+            "loss_estimated": res.loss_estimated[s],
+            "train_error_exact": res.train_error_exact[s],
+            "train_error_estimated": res.train_error_estimated[s],
+        }
+        for r, res in enumerate(results)
+        for s, size in enumerate(sizes)
+    ])
+    loss_ex = np.vstack([res.loss_exact for res in results])
+    loss_est = np.vstack([res.loss_estimated for res in results])
     eta_ex = np.mean(loss_ex / loss_ex[:, :1], axis=0)
     eta_est = np.mean(loss_est / loss_est[:, :1], axis=0)
     sum_path = outdir / "generalization.csv"
-    write_csv(
-        sum_path,
-        ["train_size", "eta_exact", "eta_estimated", "loss_exact_mean", "loss_estimated_mean", "seed"],
-        (
-            [sizes[s], eta_ex[s], eta_est[s], float(loss_ex[:, s].mean()), float(loss_est[:, s].mean()), master_seed]
-            for s in range(len(sizes))
-        ),
-    )
+    write_csv(sum_path, [
+        {
+            "train_size": size,
+            "eta_exact": eta_ex[s],
+            "eta_estimated": eta_est[s],
+            "loss_exact_mean": loss_ex[:, s].mean(),
+            "loss_estimated_mean": loss_est[:, s].mean(),
+            "seed": master_seed,
+        }
+        for s, size in enumerate(sizes)
+    ])
     return [rep_path, sum_path], {}
 
 
@@ -731,68 +708,52 @@ def _cached_pvalue(successes: int, shots: int, null_ppm: int) -> float:
 _QUBIT_PAIRS = {"qubits": list(range(6, 15)), "pairs": 1000, **_INPUT_RANGE}
 
 
+def _pair_fidelities(cfg: dict, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The tensor-Ry fidelity kernel of ``cfg["pairs"]`` uniform ``n``-qubit
+    input pairs: every x is drawn, then every y."""
+    xs = rng.uniform(cfg["low"], cfg["high"], (cfg["pairs"], n))
+    ys = rng.uniform(cfg["low"], cfg["high"], (cfg["pairs"], n))
+    return product_kernel(xs, ys, KernelKind.fidelity())
+
+
 @_experiment("indistinguishability", {"mode": {
     "zero_ratio": {**_QUBIT_PAIRS, "shots": [1000, 10_000, 100_000]},
     "swap_test": {**_QUBIT_PAIRS, "shots": 10_000, "alpha": 0.01},
     "decision": {"shots": [1, 10, 100], "eps": [0.0, 0.01, 0.1], "trials": 100_000, "p0": 0.5},
 }})
 def _run_indistinguishability(cfg, master_seed, outdir, threads):
+    shots = cfg["shots"]
     if cfg["mode"] == "decision":
-        shot_grid, eps_grid, trials = cfg["shots"], cfg["eps"], cfg["trials"]
+        eps_grid, trials = cfg["eps"], cfg["trials"]
         if not 0.0 < cfg["p0"] < 1.0 or not all(0.0 <= cfg["p0"] + e <= 1.0 for e in eps_grid):
             raise _reject("indistinguishability", "p0", f"= {cfg['p0']!r} is not in (0, 1) with p0 + eps in [0, 1]")
-        points = [(i, j) for i in range(len(shot_grid)) for j in range(len(eps_grid))]
 
-        def work(pt):
-            i, j = pt
-            shots, eps = shot_grid[i], eps_grid[j]
-            success = simulate_distinguish(
-                shots, eps, trials, point_rng(master_seed, i, j), cfg["p0"]
-            )
-            return [shots, eps, trials, success, distinguish_success_bound(shots, eps), master_seed]
+        def work(rng, i, j):
+            success = simulate_distinguish(shots[i], eps_grid[j], trials, rng, cfg["p0"])
+            bound = distinguish_success_bound(shots[i], eps_grid[j])
+            return {"shots": shots[i], "eps": eps_grid[j], "trials": trials, "success": success, "bound": bound}
 
-        rows = _map_points(points, work, threads)
-        path = outdir / "decision.csv"
-        write_csv(path, ["shots", "eps", "trials", "success", "bound", "seed"], rows)
-        return [path], {}
+        name, sizes = "decision", (len(shots), len(eps_grid))
+    elif cfg["mode"] == "zero_ratio":
 
-    qubits, pairs, low, high = cfg["qubits"], cfg["pairs"], cfg["low"], cfg["high"]
-    if cfg["mode"] == "zero_ratio":
-        shot_grid = cfg["shots"]
-        points = [(i, j) for i in range(len(qubits)) for j in range(len(shot_grid))]
+        def work(rng, i, j):
+            n = cfg["qubits"][i]
+            counts = rng.binomial(shots[j], _pair_fidelities(cfg, n, rng))
+            return {"n": n, "shots": shots[j], "pairs": cfg["pairs"], "zero_ratio": np.mean(counts == 0)}
 
-        def work(pt):
-            i, j = pt
-            n, shots = qubits[i], shot_grid[j]
-            rng = point_rng(master_seed, i, j)
-            xs = rng.uniform(low, high, (pairs, n))
-            ys = rng.uniform(low, high, (pairs, n))
-            kappa = product_kernel(xs, ys, KernelKind.fidelity())
-            counts = rng.binomial(shots, kappa)
-            return [n, shots, pairs, float(np.mean(counts == 0)), master_seed]
+        name, sizes = "zero_ratio", (len(cfg["qubits"]), len(shots))
+    else:
 
-        rows = _map_points(points, work, threads)
-        path = outdir / "zero_ratio.csv"
-        write_csv(path, ["n", "shots", "pairs", "zero_ratio", "seed"], rows)
-        return [path], {}
+        def work(rng, i):
+            n, alpha = cfg["qubits"][i], cfg["alpha"]
+            counts = rng.binomial(shots, 0.5 * (1.0 + _pair_fidelities(cfg, n, rng)))
+            pvals = np.array([_cached_pvalue(int(k), shots, 500_000) for k in counts])
+            success_ratio = np.mean(pvals < alpha)
+            return {"n": n, "shots": shots, "pairs": cfg["pairs"], "alpha": alpha, "success_ratio": success_ratio}
 
-    shots, alpha = cfg["shots"], cfg["alpha"]
-
-    def work(i):
-        n = qubits[i]
-        rng = point_rng(master_seed, i)
-        xs = rng.uniform(low, high, (pairs, n))
-        ys = rng.uniform(low, high, (pairs, n))
-        kappa = product_kernel(xs, ys, KernelKind.fidelity())
-        counts = rng.binomial(shots, 0.5 * (1.0 + kappa))
-        pvals = np.array(
-            [_cached_pvalue(int(k), shots, 500_000) for k in counts]
-        )
-        return [n, shots, pairs, alpha, float(np.mean(pvals < alpha)), master_seed]
-
-    rows = _map_points(list(range(len(qubits))), work, threads)
-    path = outdir / "swap_success.csv"
-    write_csv(path, ["n", "shots", "pairs", "alpha", "success_ratio", "seed"], rows)
+        name, sizes = "swap_success", (len(cfg["qubits"]),)
+    path = outdir / f"{name}.csv"
+    write_csv(path, [row | {"seed": master_seed} for row in _sweep(master_seed, threads, sizes, work)])
     return [path], {}
 
 
@@ -807,32 +768,27 @@ def _run_kta_scan(cfg, master_seed, outdir, threads):
     _unread_gamma("kta-scan", cfg, [cfg["kernel"]])
     kind = KernelKind(cfg["kernel"], cfg["gamma"])
 
-    def work(i):
+    def work(rng, i):
         n = qubits[i]
-        rng = point_rng(master_seed, i)
         ds = gen_hypercube(npts, n, rng)
         spec = EmbeddingSpec(n, cfg["family"], cfg["layers"], cfg["entangler"])
         scan = kta_variance_over_theta(spec, ds.inputs, ds.labels, num_thetas, rng, kind)
-        return [
-            n,
-            npts,
-            num_thetas,
-            scan.ta_variance,
-            float(np.sum(scan.kernel_variances)),
-            kta_variance_bound(scan.kernel_variances, npts, "statement"),
-            kta_variance_bound(scan.kernel_variances, npts, "proof"),
-            master_seed,
-        ]
+        return {
+            "n": n,
+            "points": npts,
+            "num_thetas": num_thetas,
+            "ta_variance": scan.ta_variance,
+            "kernel_variance_sum": np.sum(scan.kernel_variances),
+            "bound_statement": kta_variance_bound(scan.kernel_variances, npts, "statement"),
+            "bound_proof": kta_variance_bound(scan.kernel_variances, npts, "proof"),
+            "seed": master_seed,
+        }
 
-    rows = _map_points(list(range(len(qubits))), work, threads)
+    rows = _sweep(master_seed, threads, (len(qubits),), work)
     path = outdir / "kta_scan.csv"
-    write_csv(
-        path,
-        ["n", "points", "num_thetas", "ta_variance", "kernel_variance_sum", "bound_statement", "bound_proof", "seed"],
-        rows,
-    )
+    write_csv(path, rows)
     # a violated bound is reported, never clipped
-    violations = sum(row[3] > row[6] for row in rows)
+    violations = sum(row["ta_variance"] > row["bound_proof"] for row in rows)
     return [path], {"checks": {"kta_bound_violations": violations}}
 
 
@@ -846,9 +802,10 @@ def _run_shots_budget(cfg, master_seed, outdir, threads):
     rows = []
     for i, n in enumerate(qubits):
         var = float(variances[i]) if variances else product_ry_moments(n)[2]
-        rows.append([n, var, shots_budget(var, cfg["precision"], cfg["fail_prob"]), master_seed])
+        shots = shots_budget(var, cfg["precision"], cfg["fail_prob"])
+        rows.append({"n": n, "variance": var, "shots": shots, "seed": master_seed})
     path = outdir / "shots_budget.csv"
-    write_csv(path, ["n", "variance", "shots", "seed"], rows)
+    write_csv(path, rows)
     return [path], {}
 
 
@@ -858,52 +815,29 @@ def _run_bounds(cfg, master_seed, outdir, threads):
     layers, gamma, eps, q = cfg["layers"], cfg["gamma"], cfg["eps"], cfg["q"]
     if eps < 0:
         raise _reject("bounds", "eps", f"= {eps} is not an expressivity, which is >= 0")
-    params = PauliNoiseParams(q, q, q)
     rows = []
     for n in cfg["qubits"]:
-        mean, second, var = product_ry_moments(n)
-        nb = noise_bounds(params, n, layers, gamma)
-        rows.append(
-            [
-                n,
-                layers,
-                q,
-                gamma,
-                eps,
-                beta_haar(n),
-                beta_haar_projected(n),
-                bound_expressivity(n, KernelKind.fidelity(), eps),
-                bound_expressivity(n, KernelKind.projected(gamma), eps),
-                nb.fidelity_deviation,
-                nb.projected_deviation,
-                nb.state_distance,
-                mean,
-                var,
-                master_seed,
-            ]
-        )
+        mean, _, var = product_ry_moments(n)
+        nb = noise_bounds(PauliNoiseParams(q, q, q), n, layers, gamma)
+        rows.append({
+            "n": n,
+            "layers": layers,
+            "q": q,
+            "gamma": gamma,
+            "eps": eps,
+            "beta_haar": beta_haar(n),
+            "beta_haar_projected": beta_haar_projected(n),
+            "bound_expressivity_fidelity": bound_expressivity(n, KernelKind.fidelity(), eps),
+            "bound_expressivity_projected": bound_expressivity(n, KernelKind.projected(gamma), eps),
+            "noise_fidelity_bound": nb.fidelity_deviation,
+            "noise_projected_bound": nb.projected_deviation,
+            "noise_state_bound": nb.state_distance,
+            "product_mean": mean,
+            "product_variance": var,
+            "seed": master_seed,
+        })
     path = outdir / "bounds.csv"
-    write_csv(
-        path,
-        [
-            "n",
-            "layers",
-            "q",
-            "gamma",
-            "eps",
-            "beta_haar",
-            "beta_haar_projected",
-            "bound_expressivity_fidelity",
-            "bound_expressivity_projected",
-            "noise_fidelity_bound",
-            "noise_projected_bound",
-            "noise_state_bound",
-            "product_mean",
-            "product_variance",
-            "seed",
-        ],
-        rows,
-    )
+    write_csv(path, rows)
     return [path], {}
 
 

@@ -218,8 +218,9 @@ def _exact_kernel_matrix(
             ov = psi_a[:rows] @ psi_b[lo : lo + step].conj().T
             np.add(ov.real**2, ov.imag**2, out=out[:rows, lo : lo + step])
         return out
-    ca = _all_bloch(spec, xs, theta).reshape(len(xs), -1)
-    cb = ca if ys is None else _all_bloch(spec, ys, theta).reshape(len(ys), -1)
+    width = 3 * spec.num_qubits
+    ca = _all_bloch(spec, xs, theta).reshape(len(xs), width)
+    cb = ca if ys is None else _all_bloch(spec, ys, theta).reshape(len(ys), width)
     sq_a = np.sum(ca * ca, axis=1)
     sq_b = np.sum(cb * cb, axis=1)
     # exp(-gamma * 0.5 * (|a|^2 + |b|^2 - 2 a.b)) in that order, in place in

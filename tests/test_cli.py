@@ -183,6 +183,33 @@ class TestReproducibility:
         b2 = (tmp_path / "b" / "variance_scan.csv").read_bytes()
         assert b1 == b2
 
+    @pytest.mark.parametrize(
+        "experiment, cfg, name",
+        [
+            ("expressivity", {"qubits": [2, 3], "layers": [1, 4], "samples": 100}, "expressivity.csv"),
+            ("kta-scan", {"qubits": [2, 3, 4], "points": 4, "num_thetas": 10}, "kta_scan.csv"),
+            (
+                "indistinguishability",
+                {"mode": "zero_ratio", "qubits": [4, 6, 8], "shots": [10, 100], "pairs": 50},
+                "zero_ratio.csv",
+            ),
+            (
+                "indistinguishability",
+                {"mode": "swap_test", "qubits": [4, 6, 8], "shots": 100, "pairs": 50},
+                "swap_success.csv",
+            ),
+            (
+                "indistinguishability",
+                {"mode": "decision", "shots": [1, 10], "eps": [0.0, 0.1], "trials": 500},
+                "decision.csv",
+            ),
+        ],
+    )
+    def test_every_sweep_writes_the_same_bytes_on_any_thread_count(self, tmp_path, experiment, cfg, name):
+        run_experiment(experiment, cfg, seed=3, out=tmp_path / "a", threads=1)
+        run_experiment(experiment, cfg, seed=3, out=tmp_path / "b", threads=3)
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
     def test_csv_format_conventions(self, tmp_path):
         run_experiment("variance-scan", self.CFG, seed=3, out=tmp_path)
         raw = (tmp_path / "variance_scan.csv").read_bytes()
@@ -259,7 +286,19 @@ class TestNoiseScan:
         }
         run_experiment("noise-scan", cfg, seed=4, out=tmp_path)
         path = tmp_path / "noise_scan.csv"
-        assert read_header(path)[:4] == ["n", "q", "layers", "pairs"]
+        assert read_header(path) == [
+            "n",
+            "q",
+            "layers",
+            "pairs",
+            "fidelity_dev",
+            "fidelity_bound",
+            "projected_dev",
+            "projected_bound",
+            "state_dist",
+            "state_bound",
+            "seed",
+        ]
         rows = np.loadtxt(path, delimiter=",", skiprows=1)
         # measured deviations never exceed their bounds
         assert np.all(rows[:, 4] <= rows[:, 5] + 1e-12)
@@ -502,6 +541,14 @@ class TestGeneralization:
         repeats = np.loadtxt(
             tmp_path / "generalization_repeats.csv", delimiter=",", skiprows=1
         )
+        assert read_header(tmp_path / "generalization_repeats.csv") == [
+            "repeat",
+            "train_size",
+            "loss_exact",
+            "loss_estimated",
+            "train_error_exact",
+            "train_error_estimated",
+        ]
         assert repeats.shape == (4, 6)  # 2 repeats x 2 sizes
 
     def test_repeats_parallelize_identically(self, tmp_path):
@@ -616,7 +663,8 @@ class TestKtaScan:
     def test_planted_violation_is_counted_not_clipped(self, tmp_path, monkeypatch):
         import qkonc.cli
 
-        monkeypatch.setattr(qkonc.cli, "kta_variance_bound", lambda *args: 0.0)
+        # only the proof bound is planted: violations are counted against it
+        monkeypatch.setattr(qkonc.cli, "kta_variance_bound", lambda v, m, form: 0.0 if form == "proof" else 1e9)
         cfg = {"qubits": [2, 3], "points": 4, "num_thetas": 40}
         manifest = run_experiment("kta-scan", cfg, seed=5, out=tmp_path)
         assert manifest["checks"] == {"kta_bound_violations": 2}
@@ -770,8 +818,23 @@ class TestShotsBudgetAndBounds:
         run_experiment("bounds", {"qubits": [2, 4], "layers": 5}, seed=1, out=tmp_path)
         rows = np.loadtxt(tmp_path / "bounds.csv", delimiter=",", skiprows=1)
         header = read_header(tmp_path / "bounds.csv")
-        assert header[0] == "n"
-        assert "beta_haar" in header
+        assert header == [
+            "n",
+            "layers",
+            "q",
+            "gamma",
+            "eps",
+            "beta_haar",
+            "beta_haar_projected",
+            "bound_expressivity_fidelity",
+            "bound_expressivity_projected",
+            "noise_fidelity_bound",
+            "noise_projected_bound",
+            "noise_state_bound",
+            "product_mean",
+            "product_variance",
+            "seed",
+        ]
         from qkonc.analysis import beta_haar
 
         i = header.index("beta_haar")

@@ -171,6 +171,8 @@ class TestResolver:
             ("bounds", {"qubits": []}, "qubits"),
             ("shots-budget", {"qubits": []}, "qubits"),
             ("variance-scan", {"kernels": []}, "kernels"),
+            # each kernel names two columns, which a second copy would repeat
+            ("variance-scan", {"kernels": ["fidelity", "projected", "fidelity"]}, "kernels"),
             ("indistinguishability", {"mode": "decision", "eps": []}, "eps"),
             # a number key takes no bool or non-finite number; an int key no fractional one
             ("variance-scan", {"qubits": [2.9, 3], "layers": [1.5], "pairs": 10.7}, "qubits"),

@@ -464,6 +464,10 @@ class TestBlockedProjectedKernels:
         assert np.array_equal(gram(spec, xs, kind, theta=theta).matrix, ref)
         rect = kernel_matrix(spec, ys, xs, kind, theta=theta)
         assert np.array_equal(rect, _dense_projected(spec, ys, xs, gamma, theta))
+        # an empty point set on either side gives an empty matrix
+        assert gram(spec, xs[:0], kind, theta=theta).matrix.shape == (0, 0)
+        assert kernel_matrix(spec, ys[:2], xs[:0], kind, theta=theta).shape == (2, 0)
+        assert kernel_matrix(spec, xs[:0], ys[:2], kind, theta=theta).shape == (0, 2)
 
     @pytest.mark.parametrize(
         "family, entangler", [("single_layer_rot", "cz"), ("hardware_efficient", "cz"), ("hardware_efficient", "cnot")]
