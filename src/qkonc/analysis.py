@@ -219,24 +219,19 @@ def expressivity_epsilon(
     return expressivity_from_states(states, spec.num_qubits)
 
 
-def bound_expressivity(
-    num_qubits: int, kind: KernelKind, eps: float, eps2: float | None = None
-) -> float:
-    """Variance upper bound G_n from ensemble expressivities.
-
-    With one ensemble (eps2 omitted) the two-ensemble forms reduce to
+def bound_expressivity(num_qubits: int, kind: KernelKind, eps: float) -> float:
+    """Variance upper bound G_n from the expressivity ``eps`` of one ensemble:
     beta + eps (eps + 2 sqrt(beta)) for the fidelity kernel and
     4 gamma n (beta~ + eps) for the projected kernel.
     """
-    e1 = float(eps)
-    e2 = e1 if eps2 is None else float(eps2)
-    if e1 < 0 or e2 < 0:
+    e = float(eps)
+    if e < 0:
         raise ValueError("expressivities must be nonnegative")
     if kind.variant == "fidelity":
         b = beta_haar(num_qubits)
-        return b + e1 * e2 + math.sqrt(b) * (e1 + e2)
+        return b + e * e + math.sqrt(b) * (e + e)
     bt = beta_haar_projected(num_qubits)
-    return 2.0 * kind.gamma * num_qubits * (2.0 * bt + e1 + e2)
+    return 2.0 * kind.gamma * num_qubits * (2.0 * bt + e + e)
 
 
 # ---------------------------------------------------------------------------

@@ -243,6 +243,7 @@ _CHECKS = {
     "q_values": _check_q,
     "precision": lambda precision: shots_budget(1.0, precision),
     "fail_prob": lambda fail_prob: shots_budget(1.0, 1.0, fail_prob),
+    "variances": lambda variance: shots_budget(variance, 1.0),
     "strategy": _one_of("exact", *STRATEGIES),
     "dataset": _check_dataset,
     "source": _one_of("csv", "hypercube", "uniform"),
@@ -466,6 +467,9 @@ def _run_variance_scan(cfg, master_seed, outdir, threads):
         raise _reject("variance-scan", "high", f"= {cfg['high']} equals 'low', an empty input interval")
     if len(set(cfg["kernels"])) < len(cfg["kernels"]):
         raise _reject("variance-scan", "kernels", f"= {cfg['kernels']!r} names a kernel twice")
+    concurrent = min(threads, len(qubits) * len(layer_list))
+    need = concurrent * 8 * len(kinds) * pairs
+    _check_memory("variance-scan", "pairs", need, f"{len(kinds)} x {pairs} kernel values per sweep point")
 
     def work(rng, i, j):
         spec = _embedding(cfg, qubits[i], layer_list[j])
@@ -655,6 +659,8 @@ def _run_train(cfg, master_seed, outdir, threads):
 def _run_generalization(cfg, master_seed, outdir, threads):
     sizes, repeats = tuple(cfg["train_sizes"]), cfg["repeats"]
     n, pool, concurrent = cfg["qubits"], max(sizes), min(threads, repeats)
+    if cfg["low"] == cfg["high"]:
+        raise _reject("generalization", "high", f"= {cfg['high']} equals 'low', an empty input interval")
     _check_fits("generalization", "train_sizes", "tensor_ry", "fidelity", n, pool, pool, concurrent)
     _check_fits("generalization", "num_test", "tensor_ry", "fidelity", n, pool + cfg["num_test"], pool, concurrent)
     kwargs = dict(
@@ -727,6 +733,8 @@ def _run_indistinguishability(cfg, master_seed, outdir, threads):
         eps_grid, trials = cfg["eps"], cfg["trials"]
         if not 0.0 < cfg["p0"] < 1.0 or not all(0.0 <= cfg["p0"] + e <= 1.0 for e in eps_grid):
             raise _reject("indistinguishability", "p0", f"= {cfg['p0']!r} is not in (0, 1) with p0 + eps in [0, 1]")
+        # five float64 arrays of trials entries (4.2 at once, traced)
+        key, need, what = "trials", 40 * trials, f"{trials}-long arrays"
 
         def work(rng, i, j):
             success = simulate_distinguish(shots[i], eps_grid[j], trials, rng, cfg["p0"])
@@ -734,24 +742,31 @@ def _run_indistinguishability(cfg, master_seed, outdir, threads):
             return {"shots": shots[i], "eps": eps_grid[j], "trials": trials, "success": success, "bound": bound}
 
         name, sizes = "decision", (len(shots), len(eps_grid))
-    elif cfg["mode"] == "zero_ratio":
-
-        def work(rng, i, j):
-            n = cfg["qubits"][i]
-            counts = rng.binomial(shots[j], _pair_fidelities(cfg, n, rng))
-            return {"n": n, "shots": shots[j], "pairs": cfg["pairs"], "zero_ratio": np.mean(counts == 0)}
-
-        name, sizes = "zero_ratio", (len(cfg["qubits"]), len(shots))
     else:
+        # five copies of the 2 x pairs x n inputs (4.5 with their cosines and sines, traced)
+        pairs, widest = cfg["pairs"], max(cfg["qubits"])
+        key, need, what = "pairs", 80 * pairs * widest, f"2 x {pairs} x {widest} inputs"
+        if cfg["mode"] == "zero_ratio":
 
-        def work(rng, i):
-            n, alpha = cfg["qubits"][i], cfg["alpha"]
-            counts = rng.binomial(shots, 0.5 * (1.0 + _pair_fidelities(cfg, n, rng)))
-            pvals = np.array([_cached_pvalue(int(k), shots, 500_000) for k in counts])
-            success_ratio = np.mean(pvals < alpha)
-            return {"n": n, "shots": shots, "pairs": cfg["pairs"], "alpha": alpha, "success_ratio": success_ratio}
+            def work(rng, i, j):
+                n = cfg["qubits"][i]
+                counts = rng.binomial(shots[j], _pair_fidelities(cfg, n, rng))
+                return {"n": n, "shots": shots[j], "pairs": pairs, "zero_ratio": np.mean(counts == 0)}
 
-        name, sizes = "swap_success", (len(cfg["qubits"]),)
+            name, sizes = "zero_ratio", (len(cfg["qubits"]), len(shots))
+        else:
+            if not 0.0 < cfg["alpha"] < 1.0:
+                raise _reject("indistinguishability", "alpha", f"= {cfg['alpha']!r} is not a test level in (0, 1)")
+
+            def work(rng, i):
+                n, alpha = cfg["qubits"][i], cfg["alpha"]
+                counts = rng.binomial(shots, 0.5 * (1.0 + _pair_fidelities(cfg, n, rng)))
+                pvals = np.array([_cached_pvalue(int(k), shots, 500_000) for k in counts])
+                success_ratio = np.mean(pvals < alpha)
+                return {"n": n, "shots": shots, "pairs": pairs, "alpha": alpha, "success_ratio": success_ratio}
+
+            name, sizes = "swap_success", (len(cfg["qubits"]),)
+    _check_memory("indistinguishability", key, min(threads, math.prod(sizes)) * need, f"{what} per sweep point")
     path = outdir / f"{name}.csv"
     write_csv(path, [row | {"seed": master_seed} for row in _sweep(master_seed, threads, sizes, work)])
     return [path], {}
@@ -767,6 +782,9 @@ def _run_kta_scan(cfg, master_seed, outdir, threads):
         raise _reject("kta-scan", "family", f"= {cfg['family']!r} has no parameters to vary")
     _unread_gamma("kta-scan", cfg, [cfg["kernel"]])
     kind = KernelKind(cfg["kernel"], cfg["gamma"])
+    # every theta's kernel matrix is kept, and their variance takes one more copy (traced)
+    need = min(threads, len(qubits)) * 16 * num_thetas * npts**2
+    _check_memory("kta-scan", "num_thetas", need, f"{num_thetas} x {npts} x {npts} kernel values")
 
     def work(rng, i):
         n = qubits[i]

@@ -289,8 +289,8 @@ class TestExpressivity:
 class TestExpressivityBounds:
     def test_fidelity_bound_formula(self):
         b = beta_haar(3)
-        want = b + 0.01 * 0.02 + math.sqrt(b) * 0.03
-        assert bound_expressivity(3, KernelKind.fidelity(), 0.01, 0.02) == pytest.approx(
+        want = b + 0.01 * 0.01 + math.sqrt(b) * 0.02
+        assert bound_expressivity(3, KernelKind.fidelity(), 0.01) == pytest.approx(
             want, abs=1e-15
         )
 
@@ -302,9 +302,9 @@ class TestExpressivityBounds:
         )
 
     def test_projected_bound_formula(self):
-        want = 2.0 * 1.5 * 4 * (2.0 * beta_haar_projected(4) + 0.01 + 0.03)
+        want = 2.0 * 1.5 * 4 * (2.0 * beta_haar_projected(4) + 0.02)
         assert bound_expressivity(
-            4, KernelKind.projected(1.5), 0.01, 0.03
+            4, KernelKind.projected(1.5), 0.01
         ) == pytest.approx(want, abs=1e-14)
 
     def test_zero_expressivity_recovers_haar_constants(self):

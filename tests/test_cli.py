@@ -682,9 +682,18 @@ class TestMemoryCheck:
             ("train", {"dataset": {"count": 10**8}}, "dataset.count"),
             ("generalization", {"qubits": 4, "train_sizes": [5, 10**8]}, "train_sizes"),
             ("generalization", {"qubits": 4, "train_sizes": [5], "num_test": 10**13}, "num_test"),
+            ("variance-scan", {"pairs": 10**13}, "pairs"),
+            ("kta-scan", {"points": 10**7, "num_thetas": 10**6}, "num_thetas"),
+            ("indistinguishability", {"pairs": 10**13}, "pairs"),
+            ("indistinguishability", {"mode": "swap_test", "pairs": 10**13}, "pairs"),
+            ("indistinguishability", {"mode": "decision", "trials": 10**13}, "trials"),
         ],
     )
-    def test_count_that_cannot_fit_is_rejected(self, tmp_path, experiment, cfg, key):
+    def test_count_that_cannot_fit_is_rejected(self, tmp_path, monkeypatch, experiment, cfg, key):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(qkonc.cli, "point_rng", refuse)  # every sweep point and dataset draws from one
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         outdir = tmp_path / "out"
@@ -768,6 +777,21 @@ class TestMemoryCheck:
         else:
             with pytest.raises(click.ClickException, match="'pairs' asks for 2000 noisy 2-qubit states per q"):
                 run_experiment("noise-scan", cfg, seed=1, out=tmp_path, threads=threads)
+
+    @pytest.mark.parametrize("threads, fits", [(1, True), (2, False)])
+    def test_variance_scan_values_are_checked_per_worker(self, tmp_path, monkeypatch, threads, fits):
+        # two kernels of 10**6 pairs hold 16 MB of values per sweep point
+        class Started(Exception):
+            pass
+
+        def started(*args, **kwargs):
+            raise Started
+
+        monkeypatch.setattr(qkonc.cli, "_available_memory", lambda: 20 * 10**6)
+        monkeypatch.setattr(qkonc.cli, "point_rng", started)
+        cfg = {"qubits": [2, 3], "pairs": 10**6}
+        with pytest.raises(Started if fits else click.ClickException):
+            run_experiment("variance-scan", cfg, seed=1, out=tmp_path, threads=threads)
 
     def test_noise_scan_pairs_that_cannot_fit_allocate_nothing(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):

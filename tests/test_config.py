@@ -1,5 +1,6 @@
 """Config tables: every config resolves against its experiment's table of
-keys and defaults before any work, and the README lists the same keys."""
+keys and defaults before any work, and the README lists the same keys, the
+same manifest version fields and a quick start that runs."""
 
 import json
 import math
@@ -194,6 +195,9 @@ class TestResolver:
             ("gram", {"dataset": {"source": "csv", "path": 5}}, "path"),
             ("train", {"family": "parameterized", "theta": [True, 0.1, 0.2]}, "theta"),
             ("shots-budget", {"qubits": [2], "variances": [False]}, "variances"),
+            ("shots-budget", {"qubits": [2, 4], "variances": [0.1, 0.0]}, "variances"),
+            ("generalization", {"qubits": 4, "train_sizes": [5], "low": 1.0, "high": 1.0}, "high"),
+            ("indistinguishability", {"mode": "swap_test", "qubits": [4], "alpha": 1.0}, "alpha"),
             ("train", {"dataset": {"count": 4}, "algorithm": "svm", "lambda": 0.5}, "lambda"),
             ("train", {"dataset": {"count": 4}, "algorithm": "svm", "ridge_sign": "plus"}, "ridge_sign"),
             # gamma scales only the projected kernel; an exact estimator draws no shots
@@ -284,7 +288,47 @@ class TestResolver:
         assert a == (tmp_path / "b" / "predictions.csv").read_text()
 
 
+# a tiny config of every experiment and mode, with the haar variance-scan
+# and the SVM train whose manifests add a version field of their own
+TINY = [
+    ("variance-scan", {"qubits": [2], "pairs": 10}),
+    ("variance-scan", {"family": "haar", "qubits": [2], "pairs": 10}),
+    ("expressivity", {"qubits": [2], "layers": [1], "samples": 10}),
+    ("noise-scan", {"qubits": 2, "layers": [1], "q_values": [0.9]}),
+    ("gram", {"dataset": {"count": 3}}),
+    ("train", {"dataset": {"count": 4}}),
+    ("train", {"dataset": {"count": 4}, "algorithm": "svm"}),
+    ("generalization", {"qubits": 4, "train_sizes": [4, 6], "num_test": 3, "repeats": 1}),
+    ("indistinguishability", {"qubits": [2], "pairs": 5, "shots": [10]}),
+    ("indistinguishability", {"mode": "swap_test", "qubits": [2], "pairs": 5, "shots": 10}),
+    ("indistinguishability", {"mode": "decision", "shots": [1], "eps": [0.1], "trials": 10}),
+    ("kta-scan", {"qubits": [2], "points": 4, "num_thetas": 2}),
+    ("shots-budget", {"qubits": [2]}),
+    ("bounds", {"qubits": [2]}),
+]
+
+
+def readme_version_rows(text):
+    """The field named in each row of the README's version-field table."""
+    section = text.split("#### Version fields\n", 1)[1].split("\n#", 1)[0]
+    return {m[1] for m in re.finditer(r"^\| `(\w+)` \|", section, re.M)}
+
+
 class TestReadme:
+    def test_readme_has_one_row_per_manifest_version_field(self, tmp_path):
+        assert {experiment for experiment, _ in TINY} == set(_EXPERIMENTS)
+        written = set()
+        for i, (experiment, cfg) in enumerate(TINY):
+            manifest = run_experiment(experiment, cfg, seed=1, out=tmp_path / str(i))
+            written |= {key for key, value in manifest.items() if isinstance(value, str)}
+        written -= {"experiment", "config_sha256", "package_version"}
+        assert readme_version_rows((ROOT / "README.md").read_text()) == written
+
+    def test_quick_start_runs(self):
+        blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+        assert len(blocks) == 1
+        exec(compile(blocks[0], "README.md", "exec"), {})
+
     def test_readme_lists_every_key_of_every_table(self):
         text = (ROOT / "README.md").read_text()
         listed = {}
