@@ -7,7 +7,7 @@ noise bounds.  Batched statevector updates run as vectorized numpy
 primitives in ``qkonc._accel``.
 """
 
-__version__ = "0.9.3"
+__version__ = "0.10.0"
 
 import os as _os
 import sys as _sys
@@ -65,7 +65,6 @@ from .noise import (
     PauliNoiseParams,
     noise_bounds,
     noisy_embed,
-    noisy_pauli_batch,
     noisy_pauli_depths,
     pauli_fidelity_kernel,
     pauli_mixed_distance,

@@ -108,7 +108,7 @@ def _chunk_kappas(
         blocks = ((haar_random_states(n, k, rng), haar_random_states(n, k, rng)) for k in sizes)
     else:  # the chunk's inputs are drawn at once
         xs, ys = _sample_inputs(spec, count, rng, low, high)
-        blocks = zip(_state_blocks(spec, xs, None, None), _state_blocks(spec, ys, None, None))
+        blocks = zip(_state_blocks(spec, xs, None), _state_blocks(spec, ys, None))
 
     out = [[] for _ in kinds]
     for a, b in blocks:

@@ -40,6 +40,7 @@ import math
 import os
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -72,6 +73,7 @@ from .kernels import (
     product_kernel,
 )
 from .learning import (
+    KTA_VARIANCE_RULE,
     generalization_experiment,
     kta_variance_over_theta,
     predict,
@@ -621,9 +623,8 @@ def _run_train(cfg, master_seed, outdir, threads):
         theta = point_rng(master_seed, 1).uniform(0.0, 2.0 * math.pi, n)
     elif theta is not None and len(theta) != n:
         raise _reject("train", "theta", f"= {theta!r} is not one angle per dataset feature ({n})")
-    model, fit, gm = train(
-        spec, ds.inputs, ds.labels, kind, cfg["algorithm"], cfg["lambda"], cfg["ridge_sign"], est, theta
-    )
+    spec = replace(spec, theta=theta)
+    model, fit, gm = train(spec, ds.inputs, ds.labels, kind, cfg["algorithm"], cfg["lambda"], cfg["ridge_sign"], est)
     if cfg["algorithm"] == "krr":
         extras = {"condition_number": fit.condition_number}
     else:
@@ -650,6 +651,16 @@ def _run_train(cfg, master_seed, outdir, threads):
         for x, label, pred in zip(ds.inputs, ds.labels, preds)
     ])
     return [model_path, pred_path], extras
+
+
+def _eta(losses: np.ndarray) -> np.ndarray:
+    """The mean over repeats of each repeat's (repeats, sizes) losses divided
+    by its first-size loss. A repeat whose first-size loss is exactly 0 is
+    left out; where every repeat is, the mean is nan."""
+    kept = losses[losses[:, 0] != 0.0]
+    if not len(kept):
+        return np.full(losses.shape[1], np.nan)
+    return np.mean(kept / kept[:, :1], axis=0)
 
 
 @_experiment("generalization", {
@@ -689,8 +700,7 @@ def _run_generalization(cfg, master_seed, outdir, threads):
     ])
     loss_ex = np.vstack([res.loss_exact for res in results])
     loss_est = np.vstack([res.loss_estimated for res in results])
-    eta_ex = np.mean(loss_ex / loss_ex[:, :1], axis=0)
-    eta_est = np.mean(loss_est / loss_est[:, :1], axis=0)
+    eta_ex, eta_est = _eta(loss_ex), _eta(loss_est)
     sum_path = outdir / "generalization.csv"
     write_csv(sum_path, [
         {
@@ -782,9 +792,10 @@ def _run_kta_scan(cfg, master_seed, outdir, threads):
         raise _reject("kta-scan", "family", f"= {cfg['family']!r} has no parameters to vary")
     _unread_gamma("kta-scan", cfg, [cfg["kernel"]])
     kind = KernelKind(cfg["kernel"], cfg["gamma"])
-    # every theta's kernel matrix is kept, and their variance takes one more copy (traced)
-    need = min(threads, len(qubits)) * 16 * num_thetas * npts**2
-    _check_memory("kta-scan", "num_thetas", need, f"{num_thetas} x {npts} x {npts} kernel values")
+    # the running mean and squared deviations, the last theta's Gram and the
+    # next Gram with its working copies: eight points x points arrays (traced)
+    need = min(threads, len(qubits)) * 64 * npts**2
+    _check_memory("kta-scan", "points", need, f"8 x {npts} x {npts} kernel values per sweep point")
 
     def work(rng, i):
         n = qubits[i]
@@ -807,7 +818,7 @@ def _run_kta_scan(cfg, master_seed, outdir, threads):
     write_csv(path, rows)
     # a violated bound is reported, never clipped
     violations = sum(row["ta_variance"] > row["bound_proof"] for row in rows)
-    return [path], {"checks": {"kta_bound_violations": violations}}
+    return [path], {"kta_variance_rule": KTA_VARIANCE_RULE, "checks": {"kta_bound_violations": violations}}
 
 
 # variances None: the tensor-Ry kernel variance at each qubit count

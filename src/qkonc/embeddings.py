@@ -42,6 +42,9 @@ class EmbeddingSpec:
 
     ``layers`` is the hardware-efficient depth (also the data-block depth of
     the parameterized family); ``seed`` only matters for the haar family.
+    ``theta`` holds the parameterized family's angles, one per qubit, as a
+    tuple of floats, so a spec stays hashable; a parameterized spec without
+    them is rejected when its circuit is first built.
     """
 
     num_qubits: int
@@ -49,6 +52,7 @@ class EmbeddingSpec:
     layers: int = 1
     entangler: str = "cz"
     seed: int = 0
+    theta: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.num_qubits < 1:
@@ -59,10 +63,13 @@ class EmbeddingSpec:
             raise ValueError("layers must be >= 1")
         if self.entangler not in ENTANGLERS:
             raise ValueError(f"unknown entangler {self.entangler!r}")
-
-    @property
-    def theta_dim(self) -> int:
-        return self.num_qubits if self.family == "parameterized" else 0
+        if self.theta is not None:
+            if self.family != "parameterized":
+                raise ValueError(f"family {self.family!r} takes no parameters")
+            arr = np.asarray(self.theta, dtype=np.float64)
+            if arr.shape != (self.num_qubits,):
+                raise ValueError(f"expected {self.num_qubits} parameters, got shape {arr.shape}")
+            object.__setattr__(self, "theta", tuple(arr.tolist()))
 
 
 def _check_x(spec: EmbeddingSpec, x) -> np.ndarray:
@@ -72,23 +79,16 @@ def _check_x(spec: EmbeddingSpec, x) -> np.ndarray:
     return arr
 
 
-def _check_theta(spec: EmbeddingSpec, theta) -> np.ndarray | None:
-    if spec.family != "parameterized":
-        if theta is not None:
-            raise ValueError(f"family {spec.family!r} takes no parameters")
-        return None
-    if theta is None:
+def _theta(spec: EmbeddingSpec) -> np.ndarray:
+    """The parameterized family's angles as an array."""
+    if spec.theta is None:
         raise ValueError("parameterized family needs a theta vector")
-    arr = np.asarray(theta, dtype=np.float64)
-    if arr.shape != (spec.num_qubits,):
-        raise ValueError(f"expected {spec.num_qubits} parameters, got shape {arr.shape}")
-    return arr
+    return np.array(spec.theta)
 
 
-def layer_decomposition(spec: EmbeddingSpec, x, theta=None) -> list[list[Gate]]:
+def layer_decomposition(spec: EmbeddingSpec, x) -> list[list[Gate]]:
     """The circuit as a list of layers, each a list of gates in application order."""
     x = _check_x(spec, x)
-    theta = _check_theta(spec, theta)
     n = spec.num_qubits
     if spec.family == "tensor_ry":
         return [[Gate.ry(x[k], k) for k in range(n)]]
@@ -102,7 +102,9 @@ def layer_decomposition(spec: EmbeddingSpec, x, theta=None) -> list[list[Gate]]:
         mk = Gate.cz if spec.entangler == "cz" else Gate.cnot
         ent = [mk(k, k + 1) for k in range(n - 1)]
         data = [[Gate.rx(x[k], k) for k in range(n)] + ent for _ in range(spec.layers)]
-        return data if theta is None else [[Gate.ry(theta[k], k) for k in range(n)]] + data
+        if spec.family == "hardware_efficient":
+            return data
+        return [[Gate.ry(t, k) for k, t in enumerate(_theta(spec))]] + data
     raise ValueError(f"no gate decomposition for the {spec.family!r} family")
 
 
@@ -129,7 +131,7 @@ def _block_rows(num_qubits: int) -> int:
     return max(1, (1 << 16) >> num_qubits)
 
 
-def _layer_gates(spec: EmbeddingSpec, xs: np.ndarray, theta) -> list[np.ndarray]:
+def _layer_gates(spec: EmbeddingSpec, xs: np.ndarray) -> list[np.ndarray]:
     """(m, n, 2, 2) one-qubit gates of every row, one array per distinct layer,
     float64 where every entry is real.
 
@@ -138,7 +140,6 @@ def _layer_gates(spec: EmbeddingSpec, xs: np.ndarray, theta) -> list[np.ndarray]
     families), Ry(x) for ``tensor_ry`` or Rz(x) H Ry(x) Rx(x) for
     ``single_layer_rot``.
     """
-    theta = _check_theta(spec, theta)
     if spec.family == "haar":
         raise ValueError("no gate decomposition for the 'haar' family")
     c, s = np.cos(0.5 * xs), np.sin(0.5 * xs)
@@ -154,7 +155,8 @@ def _layer_gates(spec: EmbeddingSpec, xs: np.ndarray, theta) -> list[np.ndarray]
     rx = _gates(c, -1j * s, -1j * s, c)
     if spec.family == "hardware_efficient":
         return [rx]
-    ct, st = np.cos(0.5 * theta), np.sin(0.5 * theta)
+    half = 0.5 * _theta(spec)
+    ct, st = np.cos(half), np.sin(half)
     return [np.broadcast_to(_gates(ct, -st, st, ct), rx.shape), rx]
 
 
@@ -163,10 +165,10 @@ def _gates(g00, g01, g10, g11) -> np.ndarray:
     return np.stack([g00, g01, g10, g11], axis=-1).reshape(g00.shape + (2, 2))
 
 
-def _first_columns(spec: EmbeddingSpec, xs: np.ndarray, theta) -> np.ndarray:
+def _first_columns(spec: EmbeddingSpec, xs: np.ndarray) -> np.ndarray:
     """(..., n, 2, 1) state of every qubit after the gates before the first
     entangler; for the product families, each qubit's whole state."""
-    first, *rest = _layer_gates(spec, xs, theta)
+    first, *rest = _layer_gates(spec, xs)
     col = first[..., :1]
     for gates in rest:
         col = gates @ col
@@ -219,7 +221,7 @@ def _phase(spec: EmbeddingSpec) -> np.ndarray | None:
     return None
 
 
-def _state_blocks(spec: EmbeddingSpec, xs, theta, out: np.ndarray | None):
+def _state_blocks(spec: EmbeddingSpec, xs, out: np.ndarray | None):
     """The states of ``xs`` in row blocks of ``_block_rows(n)``, each in its
     narrowest exact form.
 
@@ -231,13 +233,12 @@ def _state_blocks(spec: EmbeddingSpec, xs, theta, out: np.ndarray | None):
     its own (spec.seed, x) stream.
     """
     xs = _check_batch(spec, xs)
-    theta = _check_theta(spec, theta)
     m, n = xs.shape
     h, step = n // 2, _block_rows(n)
     real = spec.family == "tensor_ry" or _phase(spec) is not None
     buf = np.empty(min(step, m) << n, np.float64 if real else np.complex128) if real or out is None else None
     gate_spec = EmbeddingSpec(n, "tensor_ry") if real else spec
-    cols = None if spec.family == "haar" else _first_columns(gate_spec, xs, theta)
+    cols = None if spec.family == "haar" else _first_columns(gate_spec, xs)
     entangled = spec.family in REUPLOADING_FAMILIES
     later = spec.layers - 1 if entangled else 0
     # Up to 4 qubits the factors are at most 4x4, and one BLAS call per row
@@ -259,7 +260,7 @@ def _state_blocks(spec: EmbeddingSpec, xs, theta, out: np.ndarray | None):
             _apply_entangler_batch(spec, psi)
         if later:
             # x is re-uploaded, so every later layer has the same factors
-            gates = _layer_gates(gate_spec, xs[rows], theta)[-1]
+            gates = _layer_gates(gate_spec, xs[rows])[-1]
             a_lo_t, a_hi = _kron_rows(gates[:, :h].swapaxes(2, 3)), _kron_rows(gates[:, h:])
             if rows_last:
                 state, a_lo_t, a_hi = (np.ascontiguousarray(np.moveaxis(a, 0, -1)) for a in (state, a_lo_t, a_hi))
@@ -296,7 +297,7 @@ def _check_batch(spec: EmbeddingSpec, xs) -> np.ndarray:
     return xs
 
 
-def embed_batch(spec: EmbeddingSpec, xs, theta=None) -> np.ndarray:
+def embed_batch(spec: EmbeddingSpec, xs) -> np.ndarray:
     """Embed ``m`` feature vectors at once; returns a (m, 2**n) state batch.
 
     Each row's amplitudes depend on that row alone, bit for bit.
@@ -304,15 +305,15 @@ def embed_batch(spec: EmbeddingSpec, xs, theta=None) -> np.ndarray:
     xs = _check_batch(spec, xs)
     out = np.empty((len(xs), 1 << spec.num_qubits), dtype=np.complex128)
     phase, lo = _phase(spec), 0
-    for psi in _state_blocks(spec, xs, theta, out):
+    for psi in _state_blocks(spec, xs, out):
         if psi.dtype == np.float64:  # complex blocks are built in ``out``
             np.multiply(psi, 1.0 if phase is None else phase, out=out[lo : lo + len(psi)])
         lo += len(psi)
     return out
 
 
-def embed(spec: EmbeddingSpec, x, theta=None) -> StateVector:
+def embed(spec: EmbeddingSpec, x) -> StateVector:
     """Embed a single feature vector."""
     x = _check_x(spec, x)
-    batch = embed_batch(spec, x.reshape(1, -1), theta=theta)
+    batch = embed_batch(spec, x.reshape(1, -1))
     return StateVector(spec.num_qubits, batch[0])

@@ -108,7 +108,7 @@ def _qubit_vectors(xs: np.ndarray, fid: bool, family: str, bra: bool = False) ->
         return np.stack([np.cos(a), np.sin(a)], axis=-1)
     if not fid:
         return product_bloch_vectors(xs, family)
-    col = _first_columns(EmbeddingSpec(xs.shape[-1], family), xs, None)[..., 0]
+    col = _first_columns(EmbeddingSpec(xs.shape[-1], family), xs)[..., 0]
     return col.conj() if bra else col
 
 
@@ -155,7 +155,7 @@ def product_bloch_vectors(xs, family: str = "tensor_ry") -> np.ndarray:
     xs = np.asarray(xs, dtype=np.float64)
     if family == "tensor_ry":
         return np.stack([np.sin(xs), np.zeros_like(xs), np.cos(xs)], axis=-1)
-    col = _first_columns(EmbeddingSpec(xs.shape[-1], family), xs, None)
+    col = _first_columns(EmbeddingSpec(xs.shape[-1], family), xs)
     a, b = col[..., 0, 0], col[..., 1, 0]
     t = a.conj() * b
     return np.stack([2.0 * t.real, 2.0 * t.imag, (a.real**2 + a.imag**2) - (b.real**2 + b.imag**2)], axis=-1)
@@ -198,9 +198,7 @@ def _points(spec: EmbeddingSpec, xs) -> np.ndarray:
     return xs
 
 
-def _exact_kernel_matrix(
-    spec: EmbeddingSpec, xs: np.ndarray, ys: np.ndarray | None, kind: KernelKind, theta
-) -> np.ndarray:
+def _exact_kernel_matrix(spec: EmbeddingSpec, xs: np.ndarray, ys: np.ndarray | None, kind: KernelKind) -> np.ndarray:
     """Exact kernel values between two point sets. ys=None means xs vs xs,
     of which only the upper triangle and the diagonal are certain to be set."""
     # the projected kernel of single_layer_rot takes the Bloch-vector path below
@@ -210,8 +208,8 @@ def _exact_kernel_matrix(
         # |<a|b>|^2 against one row block of b states at a time, each block
         # conjugated on its own; xs vs xs takes only the rows up to the block's
         # end, so below the diagonal blocks the matrix is 0
-        psi_a = embed_batch(spec, xs, theta=theta)
-        psi_b = psi_a if ys is None else embed_batch(spec, ys, theta=theta)
+        psi_a = embed_batch(spec, xs)
+        psi_b = psi_a if ys is None else embed_batch(spec, ys)
         out, step = np.zeros((len(psi_a), len(psi_b))), _block_rows(spec.num_qubits)
         for lo in range(0, len(psi_b), step):
             rows = lo + step if ys is None else len(psi_a)
@@ -219,8 +217,8 @@ def _exact_kernel_matrix(
             np.add(ov.real**2, ov.imag**2, out=out[:rows, lo : lo + step])
         return out
     width = 3 * spec.num_qubits
-    ca = _all_bloch(spec, xs, theta).reshape(len(xs), width)
-    cb = ca if ys is None else _all_bloch(spec, ys, theta).reshape(len(ys), width)
+    ca = _all_bloch(spec, xs).reshape(len(xs), width)
+    cb = ca if ys is None else _all_bloch(spec, ys).reshape(len(ys), width)
     sq_a = np.sum(ca * ca, axis=1)
     sq_b = np.sum(cb * cb, axis=1)
     # exp(-gamma * 0.5 * (|a|^2 + |b|^2 - 2 a.b)) in that order, in place in
@@ -234,14 +232,14 @@ def _exact_kernel_matrix(
     return np.exp(out, out=out)
 
 
-def _all_bloch(spec: EmbeddingSpec, xs: np.ndarray, theta) -> np.ndarray:
+def _all_bloch(spec: EmbeddingSpec, xs: np.ndarray) -> np.ndarray:
     """(m, n, 3) Bloch vectors of the embedded points. Statevectors are built
     and reduced one row block of ``_block_rows(n)`` at a time."""
     if spec.family in PRODUCT_FAMILIES:
         return product_bloch_vectors(xs, spec.family)
     out = np.empty((len(xs), spec.num_qubits, 3))
     lo = 0
-    for states in _state_blocks(spec, xs, theta, None):
+    for states in _state_blocks(spec, xs, None):
         out[lo : lo + len(states)] = _block_bloch(spec, states)
         lo += len(states)
     return out
@@ -249,7 +247,7 @@ def _all_bloch(spec: EmbeddingSpec, xs: np.ndarray, theta) -> np.ndarray:
 
 def _sampled_kernel_matrix(
     spec: EmbeddingSpec, xs: np.ndarray, ys: np.ndarray | None, kind: KernelKind,
-    estimator: EstimatorSpec, theta, row_offset: int,
+    estimator: EstimatorSpec, row_offset: int,
 ) -> np.ndarray:
     """Finite-shot kernel estimates between two point sets.
 
@@ -264,10 +262,10 @@ def _sampled_kernel_matrix(
             f"estimator {estimator.strategy!r} is incompatible with the {kind.variant} kernel"
         )
     if fidelity_strategy:
-        exact = _exact_kernel_matrix(spec, xs, ys, kind, theta)
+        exact = _exact_kernel_matrix(spec, xs, ys, kind)
     else:
-        ba = _all_bloch(spec, xs, theta)
-        bb = ba if ys is None else _all_bloch(spec, ys, theta)
+        ba = _all_bloch(spec, xs)
+        bb = ba if ys is None else _all_bloch(spec, ys)
     out = np.zeros((len(xs), len(xs) if ys is None else len(ys)))
     for i in range(out.shape[0]):
         lo = i + 1 if ys is None else 0
@@ -286,7 +284,6 @@ def gram(
     xs,
     kind: KernelKind,
     estimator: EstimatorSpec | None = None,
-    theta=None,
 ) -> GramMatrix:
     """Assemble a Gram matrix over a point set.
 
@@ -300,9 +297,9 @@ def gram(
     """
     xs = _points(spec, xs)
     if estimator is None:
-        out = _exact_kernel_matrix(spec, xs, None, kind, theta)
+        out = _exact_kernel_matrix(spec, xs, None, kind)
     else:
-        out = _sampled_kernel_matrix(spec, xs, None, kind, estimator, theta, 0)
+        out = _sampled_kernel_matrix(spec, xs, None, kind, estimator, 0)
     for i in range(len(out)):  # keep the strict upper triangle, mirrored
         out[i, i] = 1.0
         out[i + 1 :, i] = out[i, i + 1 :]
@@ -315,7 +312,6 @@ def kernel_matrix(
     ys,
     kind: KernelKind,
     estimator: EstimatorSpec | None = None,
-    theta=None,
 ) -> np.ndarray:
     """Rectangular kernel matrix between two point sets (e.g. test vs train).
 
@@ -325,5 +321,5 @@ def kernel_matrix(
     xs = _points(spec, xs)
     ys = _points(spec, ys)
     if estimator is None:
-        return _exact_kernel_matrix(spec, xs, ys, kind, theta)
-    return _sampled_kernel_matrix(spec, xs, ys, kind, estimator, theta, _ROW_OFFSET)
+        return _exact_kernel_matrix(spec, xs, ys, kind)
+    return _sampled_kernel_matrix(spec, xs, ys, kind, estimator, _ROW_OFFSET)

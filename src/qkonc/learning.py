@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -160,7 +160,6 @@ class TrainedModel:
     anchors: np.ndarray
     coefficients: np.ndarray
     lam: float = 0.0
-    theta: np.ndarray | None = None
     labels: np.ndarray | None = None  # training labels (svm decision function)
 
     @property
@@ -186,7 +185,7 @@ class TrainedModel:
             "anchors": self.anchors.tolist(),
             "coefficients": self.coefficients.tolist(),
             "lam": self.lam,
-            "theta": None if self.theta is None else self.theta.tolist(),
+            "theta": self.spec.theta,
             "labels": None if self.labels is None else self.labels.tolist(),
         }
         return json.dumps(payload, sort_keys=True)
@@ -195,13 +194,12 @@ class TrainedModel:
     def from_json(text: str) -> "TrainedModel":
         d = json.loads(text)
         return TrainedModel(
-            spec=EmbeddingSpec(**d["spec"]),
+            spec=EmbeddingSpec(**d["spec"], theta=d["theta"]),
             kind=KernelKind(**d["kind"]),
             algorithm=d["algorithm"],
             anchors=np.asarray(d["anchors"], dtype=np.float64),
             coefficients=np.asarray(d["coefficients"], dtype=np.float64),
             lam=d["lam"],
-            theta=None if d["theta"] is None else np.asarray(d["theta"]),
             labels=None if d["labels"] is None else np.asarray(d["labels"]),
         )
 
@@ -215,7 +213,6 @@ def train(
     lam: float = 0.0,
     sign: str = "minus",
     estimator: EstimatorSpec | None = None,
-    theta=None,
 ) -> tuple[TrainedModel, KrrResult | SvmResult, GramMatrix]:
     """Fit ``algorithm``, "krr" (``krr_fit`` with ``lam`` and ``sign``) or "svm" (``svm_fit``,
     no ridge term: ``lam`` and ``sign`` keep their defaults), on the Gram matrix of ``xs``.
@@ -227,7 +224,7 @@ def train(
     svm = algorithm == "svm"
     if svm and (lam != 0.0 or sign != "minus"):
         raise ValueError(f"'svm' has no ridge term, but lam = {lam!r} and sign = {sign!r} set one")
-    gm = gram(spec, xs, kind, estimator=estimator, theta=theta)
+    gm = gram(spec, xs, kind, estimator=estimator)
     fit = svm_fit(gm.matrix, y) if svm else krr_fit(gm.matrix, y, lam=lam, sign=sign)
     model = TrainedModel(
         spec,
@@ -236,7 +233,6 @@ def train(
         np.asarray(xs, dtype=np.float64),
         fit.coefficients,
         lam=lam,
-        theta=None if theta is None else np.asarray(theta, dtype=np.float64),
         labels=np.asarray(y, dtype=np.float64) if svm else None,
     )
     return model, fit, gm
@@ -251,7 +247,7 @@ def predict(
 
     All-zero kernel estimates give predictions of exactly 0.
     """
-    kmat = kernel_matrix(model.spec, xs, model.anchors, model.kind, estimator, model.theta)
+    kmat = kernel_matrix(model.spec, xs, model.anchors, model.kind, estimator)
     return kmat @ model.weights
 
 
@@ -260,10 +256,14 @@ def predict(
 # ---------------------------------------------------------------------------
 
 
+# how kta_variance_over_theta accumulates the per-entry variances, which the
+# kta-scan manifest names
+KTA_VARIANCE_RULE = "v2: Welford running mean and sum of squared deviations over the thetas"
+
+
 @dataclass(frozen=True, eq=False)
 class KtaScan:
     ta_values: np.ndarray  # (num_thetas,)
-    kernel_values: np.ndarray  # (num_thetas, n_pts, n_pts)
     ta_variance: float
     kernel_variances: np.ndarray  # (n_pts, n_pts), variance over theta per entry
 
@@ -276,23 +276,27 @@ def kta_variance_over_theta(
     rng: np.random.Generator,
     kind: KernelKind = KernelKind.fidelity(),
 ) -> KtaScan:
-    """Sample parameter vectors uniform on [0, 2 pi) and record alignment +
-    per-entry kernel variability (everything evaluated exactly)."""
+    """Sample parameter vectors uniform on [0, 2 pi), each the ``theta`` of
+    ``spec``, and record alignment + per-entry kernel variability (everything
+    evaluated exactly).
+
+    The per-entry variances come from Welford's running mean and sum of
+    squared deviations over the thetas, so the scan holds a few (n_pts,
+    n_pts) arrays at any number of thetas."""
     xs = np.asarray(xs, dtype=np.float64)
     npts = xs.shape[0]
     tas = np.empty(num_thetas)
-    kvals = np.empty((num_thetas, npts, npts))
+    mean, sq_dev = np.zeros((npts, npts)), np.zeros((npts, npts))
     for t in range(num_thetas):
-        theta = rng.uniform(0.0, 2.0 * math.pi, spec.theta_dim)
-        gm = gram(spec, xs, kind, theta=theta)
-        kvals[t] = gm.matrix
-        tas[t] = kernel_target_alignment(gm.matrix, y)
-    return KtaScan(
-        tas,
-        kvals,
-        float(tas.var(ddof=1)),
-        kvals.var(axis=0, ddof=1),
-    )
+        theta = rng.uniform(0.0, 2.0 * math.pi, spec.num_qubits)
+        k = gram(replace(spec, theta=theta), xs, kind).matrix
+        tas[t] = kernel_target_alignment(k, y)
+        k -= mean  # the deviation from the mean of the first t thetas
+        mean += k / (t + 1)
+        k *= k
+        k *= t / (t + 1)
+        sq_dev += k
+    return KtaScan(tas, float(tas.var(ddof=1)), sq_dev / (num_thetas - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,7 @@ so an L-layer embedding suffers L+1 channel applications per state. The
 single-qubit channel is diagonal in the Pauli basis, N(sigma) = q_sigma sigma
 for sigma in {X, Y, Z}, with characteristic strength q = max |q_sigma|, so
 states are simulated as real Pauli vectors: ``noisy_pauli_depths`` evolves a
-batch once and hands it out at each requested depth, ``noisy_pauli_batch``
-at one depth.
+batch once and hands it out at each requested depth.
 """
 
 from __future__ import annotations
@@ -142,7 +141,6 @@ def noisy_pauli_depths(
     xs,
     params: PauliNoiseParams,
     depths,
-    theta=None,
 ):
     """Noisy states of the rows of ``xs`` at several depths, from one evolution.
 
@@ -162,7 +160,7 @@ def noisy_pauli_depths(
     if depths and depths[0] < 1:
         raise ValueError(f"depths must be >= 1, got {depths[0]}")
     xs = _check_batch(spec, xs)
-    transfers = [_transfer(g) for g in _layer_gates(spec, xs, theta)]
+    transfers = [_transfer(g) for g in _layer_gates(spec, xs)]
     # x is re-uploaded: the entangled families run their data layer (the last
     # one) once per layer, each followed by the ladder; the others run it once
     repeated = spec.family in REUPLOADING_FAMILIES
@@ -206,19 +204,6 @@ def noisy_pauli_depths(
         yield depth, out
 
 
-def noisy_pauli_batch(
-    spec: EmbeddingSpec,
-    xs,
-    params: PauliNoiseParams,
-    theta=None,
-) -> np.ndarray:
-    """Noisy states of the rows of ``xs`` as a (m, 4**n) batch of Pauli vectors.
-
-    Row r holds c_p = Tr(P_p rho(xs[r])) of the layerwise noise model's state.
-    """
-    return next(noisy_pauli_depths(spec, xs, params, [spec.layers], theta))[1]
-
-
 def pauli_fidelity_kernel(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
     """Tr[rho_a rho_b] = sum_p c_a,p c_b,p / 2**n over the last axis."""
     return np.einsum("...p,...p->...", ca, cb) / math.isqrt(ca.shape[-1])
@@ -245,11 +230,10 @@ def noisy_embed(
     spec: EmbeddingSpec,
     x,
     params: PauliNoiseParams,
-    theta=None,
 ) -> DensityMatrix:
     """Embed under the layerwise noise model; returns the mixed output state."""
     x = _check_x(spec, x)
-    c = noisy_pauli_batch(spec, x[None], params, theta=theta)[0]
+    c = next(noisy_pauli_depths(spec, x[None], params, [spec.layers]))[1][0]
     return DensityMatrix(spec.num_qubits, _from_pauli(c, spec.num_qubits))
 
 

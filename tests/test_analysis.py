@@ -120,6 +120,17 @@ class TestConcentrationScan:
         assert r1[0].mean == r2[0].mean
         assert r1[1].mean == r2[1].mean
 
+    def test_parameterized_spec_at_zero_theta_is_hardware_efficient(self):
+        # theta = 0 makes the Ry column the identity; the scan reads theta from the spec
+        kinds = [KernelKind.fidelity(), KernelKind.projected(0.7)]
+        param = EmbeddingSpec(3, "parameterized", layers=2, theta=np.zeros(3))
+        plain = EmbeddingSpec(3, "hardware_efficient", layers=2)
+        got = concentration_scan(param, kinds, 300, np.random.default_rng(11))
+        want = concentration_scan(plain, kinds, 300, np.random.default_rng(11))
+        for a, b in zip(got, want):
+            assert a.mean == pytest.approx(b.mean, rel=1e-12, abs=1e-12)
+            assert a.variance == pytest.approx(b.variance, rel=1e-12, abs=1e-12)
+
     def test_chunking_covers_all_requested_pairs(self, monkeypatch):
         # different chunk sizes draw the rng in a different order, so the
         # results are distinct MC estimates of the same moments
@@ -256,6 +267,14 @@ class TestExpressivity:
         rng = np.random.default_rng(42)
         est = expressivity_epsilon(EmbeddingSpec(2, "tensor_ry"), 40000, rng)
         assert est.value > 0.4
+
+    def test_parameterized_spec_at_zero_theta_is_hardware_efficient(self):
+        param = EmbeddingSpec(2, "parameterized", layers=2, theta=np.zeros(2))
+        plain = EmbeddingSpec(2, "hardware_efficient", layers=2)
+        got = expressivity_epsilon(param, 2000, np.random.default_rng(5))
+        want = expressivity_epsilon(plain, 2000, np.random.default_rng(5))
+        assert got.value == pytest.approx(want.value, rel=1e-12, abs=1e-12)
+        assert got.mc_error == pytest.approx(want.mc_error, rel=1e-12, abs=1e-12)
 
     def test_split_half_error_shrinks_with_samples(self):
         rng = np.random.default_rng(42)

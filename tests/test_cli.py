@@ -565,6 +565,20 @@ class TestGeneralization:
             tmp_path / "b" / "generalization_repeats.csv"
         ).read_bytes()
 
+    def test_zero_first_size_loss_is_left_out_of_eta(self, tmp_path):
+        # at seed 1 the one repeat's exact arm interpolates its two test
+        # points, so its first-size loss is exactly 0 and eta has no repeat
+        cfg = {"qubits": 2, "train_sizes": [3], "num_test": 2, "repeats": 1}
+        run_experiment("generalization", cfg, seed=1, out=tmp_path)
+        header, row = (tmp_path / "generalization.csv").read_text().splitlines()
+        summary = dict(zip(header.split(","), row.split(",")))
+        assert summary["loss_exact_mean"] == "0"
+        assert summary["eta_exact"] == "nan"
+        assert summary["eta_estimated"] == "1"
+        # a left-out repeat does not move the others' mean
+        losses = np.array([[0.0, 0.5], [2.0, 1.0], [4.0, 1.0]])
+        np.testing.assert_array_equal(qkonc.cli._eta(losses), [1.0, 0.375])
+
 
 class TestIndistinguishability:
     def test_zero_ratio_mode(self, tmp_path):
@@ -683,7 +697,7 @@ class TestMemoryCheck:
             ("generalization", {"qubits": 4, "train_sizes": [5, 10**8]}, "train_sizes"),
             ("generalization", {"qubits": 4, "train_sizes": [5], "num_test": 10**13}, "num_test"),
             ("variance-scan", {"pairs": 10**13}, "pairs"),
-            ("kta-scan", {"points": 10**7, "num_thetas": 10**6}, "num_thetas"),
+            ("kta-scan", {"points": 10**7}, "points"),
             ("indistinguishability", {"pairs": 10**13}, "pairs"),
             ("indistinguishability", {"mode": "swap_test", "pairs": 10**13}, "pairs"),
             ("indistinguishability", {"mode": "decision", "trials": 10**13}, "trials"),
@@ -703,6 +717,16 @@ class TestMemoryCheck:
         assert result.output.startswith(f"Error: {experiment}: '{key}'")
         assert "GiB available" in result.output
         assert not outdir.exists() or not list(outdir.iterdir())
+
+    def test_kta_scan_is_not_charged_per_theta(self, monkeypatch, tmp_path):
+        # the variances are accumulated over the thetas, so 10**9 thetas of 10
+        # points pass the check and reach the first sweep point
+        def refuse(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(qkonc.cli, "point_rng", refuse)
+        with pytest.raises(AssertionError, match="the run started"):
+            run_experiment("kta-scan", {"points": 10, "num_thetas": 10**9}, seed=1, out=tmp_path)
 
     @pytest.mark.parametrize("kernel, fits", [("projected", True), ("fidelity", False)])
     def test_projected_gram_is_charged_one_block_of_states(self, tmp_path, monkeypatch, kernel, fits):

@@ -45,17 +45,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="num_qubits"):
             EmbeddingSpec(0, "tensor_ry")
 
-    def test_theta_dim(self):
-        assert EmbeddingSpec(3, "parameterized").theta_dim == 3
-        assert EmbeddingSpec(3, "tensor_ry").theta_dim == 0
-
     def test_wrong_feature_count(self):
         with pytest.raises(ValueError, match="features"):
             embed(EmbeddingSpec(3, "tensor_ry"), [0.1, 0.2])
 
     def test_theta_rejected_outside_parameterized(self):
         with pytest.raises(ValueError, match="takes no parameters"):
-            embed(EmbeddingSpec(2, "tensor_ry"), [0.1, 0.2], theta=[0.3, 0.4])
+            EmbeddingSpec(2, "tensor_ry", theta=[0.3, 0.4])
 
     def test_theta_required_for_parameterized(self):
         with pytest.raises(ValueError, match="needs a theta"):
@@ -63,7 +59,14 @@ class TestSpecValidation:
 
     def test_wrong_theta_count(self):
         with pytest.raises(ValueError, match="parameters"):
-            embed(EmbeddingSpec(2, "parameterized"), [0.1, 0.2], theta=[0.3])
+            EmbeddingSpec(2, "parameterized", theta=[0.3])
+
+    def test_theta_is_kept_as_a_tuple_of_floats(self):
+        spec = EmbeddingSpec(2, "parameterized", theta=np.array([0.25, 1.5]))
+        assert spec.theta == (0.25, 1.5)
+        assert all(type(t) is float for t in spec.theta)
+        assert spec == EmbeddingSpec(2, "parameterized", theta=[0.25, 1.5])
+        assert len({spec, EmbeddingSpec(2, "parameterized", theta=(0.25, 1.5))}) == 1
 
     def test_statevector_qubit_cap(self):
         n = MAX_STATEVECTOR_QUBITS + 1
@@ -140,11 +143,11 @@ class TestLayerDecomposition:
     )
     def test_composition_matches_embed(self, family, layers, entangler):
         rng = np.random.default_rng(42)
-        spec = EmbeddingSpec(3, family, layers=layers, entangler=entangler)
         x = rng.uniform(-np.pi, np.pi, 3)
         theta = rng.uniform(-np.pi, np.pi, 3) if family == "parameterized" else None
-        want = apply_layers(3, layer_decomposition(spec, x, theta=theta))
-        got = embed(spec, x, theta=theta)
+        spec = EmbeddingSpec(3, family, layers=layers, entangler=entangler, theta=theta)
+        want = apply_layers(3, layer_decomposition(spec, x))
+        got = embed(spec, x)
         np.testing.assert_allclose(got.amplitudes, want.amplitudes, atol=1e-12)
 
     def test_layer_counts(self):
@@ -157,7 +160,7 @@ class TestLayerDecomposition:
         assert (
             len(
                 layer_decomposition(
-                    EmbeddingSpec(3, "parameterized", layers=5), x, theta=np.zeros(3)
+                    EmbeddingSpec(3, "parameterized", layers=5, theta=np.zeros(3)), x
                 )
             )
             == 6
@@ -175,12 +178,12 @@ class TestLayerGates:
     def test_matches_products_of_declared_gates(self, family):
         rng = np.random.default_rng(3)
         n, m = 3, 5
-        spec = EmbeddingSpec(n, family)
         xs = rng.uniform(-np.pi, np.pi, (m, n))
         theta = rng.uniform(-np.pi, np.pi, n) if family == "parameterized" else None
-        got = _layer_gates(spec, xs, theta)
+        spec = EmbeddingSpec(n, family, theta=theta)
+        got = _layer_gates(spec, xs)
         for r in range(m):
-            layers = layer_decomposition(spec, xs[r], theta=theta)
+            layers = layer_decomposition(spec, xs[r])
             assert len(got) == len(layers)
             for gates, layer in zip(got, layers):
                 for k in range(n):
@@ -192,7 +195,7 @@ class TestLayerGates:
 
     def test_haar_has_no_gates(self):
         with pytest.raises(ValueError, match="decomposition"):
-            _layer_gates(EmbeddingSpec(2, "haar"), np.zeros((1, 2)), None)
+            _layer_gates(EmbeddingSpec(2, "haar"), np.zeros((1, 2)))
 
 
 class TestHardwareEfficient:
@@ -233,7 +236,7 @@ class TestParameterized:
         rng = np.random.default_rng(42)
         x = rng.uniform(-np.pi, np.pi, 3)
         plain = embed(EmbeddingSpec(3, "hardware_efficient", layers=2), x)
-        param = embed(EmbeddingSpec(3, "parameterized", layers=2), x, theta=np.zeros(3))
+        param = embed(EmbeddingSpec(3, "parameterized", layers=2, theta=np.zeros(3)), x)
         np.testing.assert_allclose(param.amplitudes, plain.amplitudes, atol=1e-13)
 
     def test_theta_column_applied_first(self):
@@ -246,7 +249,7 @@ class TestParameterized:
         for k in range(2):
             state = apply_gate(state, Gate.rx(x[k], k))
         state = apply_gate(state, Gate.cz(0, 1))
-        got = embed(EmbeddingSpec(2, "parameterized", layers=1), x, theta=theta)
+        got = embed(EmbeddingSpec(2, "parameterized", layers=1, theta=theta), x)
         np.testing.assert_allclose(got.amplitudes, state.amplitudes, atol=1e-13)
 
 
@@ -286,13 +289,13 @@ class TestBatchEmbedding:
 
     def test_parameterized_batch(self):
         rng = np.random.default_rng(42)
-        spec = EmbeddingSpec(3, "parameterized", layers=2)
         xs = rng.uniform(-np.pi, np.pi, (4, 3))
         theta = rng.uniform(-np.pi, np.pi, 3)
-        batch = embed_batch(spec, xs, theta=theta)
+        spec = EmbeddingSpec(3, "parameterized", layers=2, theta=theta)
+        batch = embed_batch(spec, xs)
         for row, x in zip(batch, xs):
             np.testing.assert_allclose(
-                row, embed(spec, x, theta=theta).amplitudes, atol=1e-13
+                row, embed(spec, x).amplitudes, atol=1e-13
             )
 
     def test_rows_are_normalized_states(self):
@@ -318,10 +321,10 @@ class TestKroneckerEngine:
         xs = rng.uniform(-np.pi, np.pi, (2, n))
         theta = rng.uniform(-np.pi, np.pi, n) if family == "parameterized" else None
         for layers in (1, 2, 3, 6):
-            spec = EmbeddingSpec(n, family, layers=layers, entangler=entangler)
-            batch = embed_batch(spec, xs, theta=theta)
+            spec = EmbeddingSpec(n, family, layers=layers, entangler=entangler, theta=theta)
+            batch = embed_batch(spec, xs)
             for row, x in zip(batch, xs):
-                want = apply_layers(n, layer_decomposition(spec, x, theta=theta))
+                want = apply_layers(n, layer_decomposition(spec, x))
                 np.testing.assert_allclose(row, want.amplitudes, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("family", ["tensor_ry", "hardware_efficient"])
@@ -349,16 +352,16 @@ class TestKroneckerEngine:
         rng = np.random.default_rng(n)
         xs = rng.uniform(-np.pi, np.pi, (step + 3, n))
         theta = rng.uniform(-np.pi, np.pi, n) if family == "parameterized" else None
-        spec = EmbeddingSpec(n, family, layers=3, entangler=entangler, seed=9)
-        batch = embed_batch(spec, xs, theta=theta)
+        spec = EmbeddingSpec(n, family, layers=3, entangler=entangler, seed=9, theta=theta)
+        batch = embed_batch(spec, xs)
         for r in (0, 1, step - 1, step, step + 2):
-            single = embed_batch(spec, xs[r : r + 1], theta=theta)[0]
+            single = embed_batch(spec, xs[r : r + 1])[0]
             assert np.array_equal(batch[r], single), r
             if family == "haar":  # the normalized complex Gaussian of the row's own stream
                 g = np.random.default_rng(np.random.SeedSequence((spec.seed, *xs[r].view(np.uint64))))
                 z = g.standard_normal(1 << n) + 1j * g.standard_normal(1 << n)
                 assert np.array_equal(single, z / np.linalg.norm(z)), r
-        assert np.array_equal(batch, embed_batch(spec, xs, theta=theta))
+        assert np.array_equal(batch, embed_batch(spec, xs))
 
     @pytest.mark.parametrize("family", GATE_FAMILIES + ["haar"])
     @pytest.mark.parametrize("entangler", ["cz", "cnot"])
@@ -369,14 +372,14 @@ class TestKroneckerEngine:
         rng = np.random.default_rng(len(family))
         xs = rng.uniform(-np.pi, np.pi, (_block_rows(n) + 3, n))
         theta = rng.uniform(-np.pi, np.pi, n) if family == "parameterized" else None
-        spec = EmbeddingSpec(n, family, layers=2, entangler=entangler, seed=9)
+        spec = EmbeddingSpec(n, family, layers=2, entangler=entangler, seed=9, theta=theta)
         real = family == "tensor_ry" or (family == "hardware_efficient" and entangler == "cz")
         phase = _phase(spec)
-        blocks = [psi.copy() for psi in _state_blocks(spec, xs, theta, None)]
+        blocks = [psi.copy() for psi in _state_blocks(spec, xs, None)]
         assert [len(psi) for psi in blocks] == [_block_rows(n), 3]
         assert {psi.dtype for psi in blocks} == {np.dtype(np.float64 if real else np.complex128)}
         rows = np.concatenate([psi if phase is None else phase * psi for psi in blocks])
-        assert np.array_equal(rows, embed_batch(spec, xs, theta=theta))
+        assert np.array_equal(rows, embed_batch(spec, xs))
 
     @pytest.mark.parametrize("family, layers", [("hardware_efficient", 3), ("single_layer_rot", 1)])
     def test_memory_stays_near_the_output_size(self, family, layers):

@@ -403,7 +403,7 @@ class TestRectangularKernelMatrix:
         assert peak < 8 * m * m * 8
 
 
-def _whole_bloch(spec, xs, theta=None):
+def _whole_bloch(spec, xs):
     """Bloch vectors of the whole batch at once, in the arithmetic of the
     kernel path: each qubit's own state for single_layer_rot, the real rows
     for cz hardware_efficient (its states times conj((-i)**popcount), which
@@ -411,17 +411,17 @@ def _whole_bloch(spec, xs, theta=None):
     n = spec.num_qubits
     if spec.family == "single_layer_rot":
         return product_bloch_vectors(xs, spec.family)
-    psi = embed_batch(spec, xs, theta=theta)
+    psi = embed_batch(spec, xs)
     if spec.family == "hardware_efficient" and spec.entangler == "cz":
         return _block_bloch(spec, np.ascontiguousarray((psi * _accel.sdg_phase(n).conj()).real))
     return _accel.bloch_batch(psi, n)
 
 
-def _dense_projected(spec, xs, ys, gamma, theta=None):
+def _dense_projected(spec, xs, ys, gamma):
     """Projected kernel from the whole batch's Bloch vectors at once, in the
     floating-point order of the exact path."""
-    ca = _whole_bloch(spec, xs, theta).reshape(len(xs), -1)
-    cb = ca if ys is None else _whole_bloch(spec, ys, theta).reshape(len(ys), -1)
+    ca = _whole_bloch(spec, xs).reshape(len(xs), -1)
+    cb = ca if ys is None else _whole_bloch(spec, ys).reshape(len(ys), -1)
     sq_a = np.sum(ca * ca, axis=1)
     sq_b = np.sum(cb * cb, axis=1)
     d = 0.5 * (sq_a[:, None] + sq_b[None, :] - 2.0 * (ca @ cb.T))
@@ -440,34 +440,34 @@ class TestBlockedProjectedKernels:
     @pytest.mark.parametrize("n", [10, 12])
     @pytest.mark.parametrize("family, entangler", STATEVECTOR_SPECS)
     def test_blocked_bloch_is_bitwise_the_whole_batch(self, family, entangler, n):
-        spec = EmbeddingSpec(n, family, 2, entangler, seed=4)
         rng = np.random.default_rng(n)
         xs = rng.uniform(0.0, 2.0 * np.pi, (_block_rows(n) + 3, n))
         theta = rng.uniform(0.0, 2.0 * np.pi, n) if family == "parameterized" else None
-        assert np.array_equal(_all_bloch(spec, xs, theta), _whole_bloch(spec, xs, theta))
+        spec = EmbeddingSpec(n, family, 2, entangler, seed=4, theta=theta)
+        assert np.array_equal(_all_bloch(spec, xs), _whole_bloch(spec, xs))
 
     @pytest.mark.parametrize("gamma", [1.0, 0.37])
     @pytest.mark.parametrize("family, entangler", STATEVECTOR_SPECS + [("single_layer_rot", "cz")])
     def test_exact_gram_and_matrix_are_bitwise_the_dense_formula(self, family, entangler, gamma):
         n = 10
-        spec = EmbeddingSpec(n, family, 2, entangler, seed=4)
         rng = np.random.default_rng(7)
         xs = rng.uniform(0.0, 2.0 * np.pi, (_block_rows(n) + 3, n))
         ys = rng.uniform(0.0, 2.0 * np.pi, (5, n))
         theta = rng.uniform(0.0, 2.0 * np.pi, n) if family == "parameterized" else None
+        spec = EmbeddingSpec(n, family, 2, entangler, seed=4, theta=theta)
         kind = KernelKind.projected(gamma)
-        upper = _dense_projected(spec, xs, None, gamma, theta)
+        upper = _dense_projected(spec, xs, None, gamma)
         ref = np.eye(len(xs))
         iu = np.triu_indices(len(xs), k=1)
         ref[iu] = upper[iu]
         ref.T[iu] = upper[iu]
-        assert np.array_equal(gram(spec, xs, kind, theta=theta).matrix, ref)
-        rect = kernel_matrix(spec, ys, xs, kind, theta=theta)
-        assert np.array_equal(rect, _dense_projected(spec, ys, xs, gamma, theta))
+        assert np.array_equal(gram(spec, xs, kind).matrix, ref)
+        rect = kernel_matrix(spec, ys, xs, kind)
+        assert np.array_equal(rect, _dense_projected(spec, ys, xs, gamma))
         # an empty point set on either side gives an empty matrix
-        assert gram(spec, xs[:0], kind, theta=theta).matrix.shape == (0, 0)
-        assert kernel_matrix(spec, ys[:2], xs[:0], kind, theta=theta).shape == (2, 0)
-        assert kernel_matrix(spec, xs[:0], ys[:2], kind, theta=theta).shape == (0, 2)
+        assert gram(spec, xs[:0], kind).matrix.shape == (0, 0)
+        assert kernel_matrix(spec, ys[:2], xs[:0], kind).shape == (2, 0)
+        assert kernel_matrix(spec, xs[:0], ys[:2], kind).shape == (0, 2)
 
     @pytest.mark.parametrize(
         "family, entangler", [("single_layer_rot", "cz"), ("hardware_efficient", "cz"), ("hardware_efficient", "cnot")]
@@ -488,10 +488,10 @@ class TestBlockedProjectedKernels:
         assert peak < 8 * 10**6
 
 
-def _dense_fidelity(spec, xs, ys, theta=None):
+def _dense_fidelity(spec, xs, ys):
     """Fidelity kernel from one product of the whole statevector batches."""
-    psi_a = embed_batch(spec, xs, theta=theta)
-    psi_b = psi_a if ys is None else embed_batch(spec, ys, theta=theta)
+    psi_a = embed_batch(spec, xs)
+    psi_b = psi_a if ys is None else embed_batch(spec, ys)
     ov = psi_a @ psi_b.conj().T
     return ov.real**2 + ov.imag**2
 
@@ -500,20 +500,20 @@ class TestBlockedFidelityKernels:
     @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
     @pytest.mark.parametrize("family", ["hardware_efficient", "parameterized", "haar"])
     def test_exact_gram_and_matrix_are_bitwise_the_dense_formula(self, family, n):
-        spec = EmbeddingSpec(n, family, 2, seed=4)
         rng = np.random.default_rng(n)
         xs = rng.uniform(0.0, 2.0 * np.pi, (min(_block_rows(n), 64) + 3, n))
         ys = rng.uniform(0.0, 2.0 * np.pi, (5, n))
         theta = rng.uniform(0.0, 2.0 * np.pi, n) if family == "parameterized" else None
+        spec = EmbeddingSpec(n, family, 2, seed=4, theta=theta)
         kind = KernelKind.fidelity()
-        upper = _dense_fidelity(spec, xs, None, theta)
+        upper = _dense_fidelity(spec, xs, None)
         ref = np.eye(len(xs))
         iu = np.triu_indices(len(xs), k=1)
         ref[iu] = upper[iu]
         ref.T[iu] = upper[iu]
-        assert np.array_equal(gram(spec, xs, kind, theta=theta).matrix, ref)
-        assert np.array_equal(kernel_matrix(spec, ys, xs, kind, theta=theta), _dense_fidelity(spec, ys, xs, theta))
-        assert np.array_equal(kernel_matrix(spec, xs, ys, kind, theta=theta), _dense_fidelity(spec, xs, ys, theta))
+        assert np.array_equal(gram(spec, xs, kind).matrix, ref)
+        assert np.array_equal(kernel_matrix(spec, ys, xs, kind), _dense_fidelity(spec, ys, xs))
+        assert np.array_equal(kernel_matrix(spec, xs, ys, kind), _dense_fidelity(spec, xs, ys))
 
     def test_exact_fidelity_gram_holds_no_conjugate_copy(self):
         # 300 twelve-qubit states take 19.7 MB; conjugating them all at once
@@ -540,7 +540,7 @@ def _gate_state(spec, x):
 
 def _real_rows(spec, xs):
     """The float64 rows of ``_state_blocks``, copied out of its reused buffer."""
-    return np.concatenate([phi.copy() for phi in _state_blocks(spec, xs, None, None)])
+    return np.concatenate([phi.copy() for phi in _state_blocks(spec, xs, None)])
 
 
 class TestNarrowStateForms:
@@ -560,7 +560,7 @@ class TestNarrowStateForms:
             assert phi_a.dtype == np.float64
             assert np.array_equal(phi_a * phase, psi_a), layers
             np.testing.assert_allclose(
-                _all_bloch(spec, xs, None) if family == "hardware_efficient"
+                _all_bloch(spec, xs) if family == "hardware_efficient"
                 else _block_bloch(spec, phi_a),
                 _accel.bloch_batch(psi_a, n), rtol=0.0, atol=1e-13,
             )
@@ -577,11 +577,11 @@ class TestNarrowStateForms:
         xs, ys = rng.uniform(-np.pi, np.pi, (2, step + 3, n))
         spec = EmbeddingSpec(n, "hardware_efficient", layers=3)
         phi_a, phi_b = _real_rows(spec, xs), _real_rows(spec, ys)
-        bloch, overlap = _all_bloch(spec, xs, None), _accel.pair_absq(phi_a, phi_b)
+        bloch, overlap = _all_bloch(spec, xs), _accel.pair_absq(phi_a, phi_b)
         for r in (0, 1, step - 1, step, step + 2):
             one_a, one_b = _real_rows(spec, xs[r : r + 1]), _real_rows(spec, ys[r : r + 1])
             assert np.array_equal(phi_a[r], one_a[0]), r
-            assert np.array_equal(bloch[r], _all_bloch(spec, xs[r : r + 1], None)[0]), r
+            assert np.array_equal(bloch[r], _all_bloch(spec, xs[r : r + 1])[0]), r
             assert overlap[r] == _accel.pair_absq(one_a, one_b)[0], r
 
     @pytest.mark.parametrize("n", range(1, 13))

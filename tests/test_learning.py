@@ -1,12 +1,15 @@
 """Kernel models: ridge regression, SVM dual, alignment, generalization scan."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qkonc.embeddings import EmbeddingSpec
 from qkonc.estimators import EstimatorSpec
+from qkonc.datasets import gen_hypercube
 from qkonc.kernels import KernelKind, gram
 from qkonc.learning import (
     SVM_SOLVER,
@@ -268,6 +271,17 @@ class TestTrainedModels:
         assert back.kind == model.kind
         assert back.lam == model.lam
 
+    def test_parameterized_json_roundtrip_is_byte_identical(self):
+        theta = np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, 3)
+        spec = EmbeddingSpec(3, "parameterized", layers=2, theta=theta)
+        model, _, _ = train(spec, self.xs, self.y, self.kind)
+        text = model.to_json()
+        back = TrainedModel.from_json(text)
+        assert back.to_json() == text
+        assert back.spec == spec
+        assert back.spec.theta == tuple(theta.tolist())
+        np.testing.assert_array_equal(predict(back, self.xs), predict(model, self.xs))
+
     def test_svm_json_keeps_labels(self):
         y = np.sign(self.y - np.median(self.y))
         y[y == 0.0] = 1.0
@@ -304,14 +318,40 @@ class TestKtaScan:
         y = np.array([1.0, -1.0, 1.0, -1.0, 1.0])
         scan = kta_variance_over_theta(spec, xs, y, 20, np.random.default_rng(1))
         assert scan.ta_values.shape == (20,)
-        assert scan.kernel_values.shape == (20, 5, 5)
         assert scan.kernel_variances.shape == (5, 5)
         assert scan.ta_variance == pytest.approx(
             float(scan.ta_values.var(ddof=1)), abs=1e-15
         )
-        np.testing.assert_allclose(
-            scan.kernel_variances, scan.kernel_values.var(axis=0, ddof=1), atol=1e-15
-        )
+
+    @pytest.mark.parametrize("kind", [KernelKind.fidelity(), KernelKind.projected(0.7)], ids=["fidelity", "projected"])
+    def test_running_variances_match_the_stacked_grams(self, kind):
+        # the same thetas, drawn from the same stream, each Gram kept
+        rng = np.random.default_rng(42)
+        spec = EmbeddingSpec(3, "parameterized", layers=2)
+        xs = rng.uniform(0.0, 2.0 * np.pi, (7, 3))
+        y = np.array([1.0, -1.0, 1.0, -1.0, 1.0, 1.0, -1.0])
+        scan = kta_variance_over_theta(spec, xs, y, 50, np.random.default_rng(1), kind)
+        draw = np.random.default_rng(1)
+        stack = np.stack([
+            gram(replace(spec, theta=draw.uniform(0.0, 2.0 * math.pi, 3)), xs, kind).matrix for _ in range(50)
+        ])
+        np.testing.assert_allclose(scan.kernel_variances, stack.var(axis=0, ddof=1), rtol=1e-12, atol=0.0)
+        assert np.all(np.diagonal(scan.kernel_variances) == 0.0)
+
+    def test_memory_does_not_grow_with_the_theta_count(self):
+        # the stacked Grams took 5.2 and 10.3 MB at 200 and 400 thetas
+        rng = np.random.default_rng(3)
+        ds = gen_hypercube(40, 3, rng)
+        peaks = []
+        for num_thetas in (200, 400):
+            tracemalloc.start()
+            try:
+                kta_variance_over_theta(EmbeddingSpec(3, "parameterized"), ds.inputs, ds.labels, num_thetas, rng)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert peaks[1] <= 1.1 * peaks[0], peaks
 
     def test_diagonal_entries_never_vary(self):
         rng = np.random.default_rng(42)

@@ -28,7 +28,6 @@ from qkonc.noise import (
     _to_pauli,
     noise_bounds,
     noisy_embed,
-    noisy_pauli_batch,
     noisy_pauli_depths,
     pauli_fidelity_kernel,
     pauli_projected_kernel,
@@ -66,7 +65,7 @@ def random_dm(rng, num_qubits, rank=3):
     return np.einsum("r,ri,rj->ij", weights, vecs, vecs.conj())
 
 
-def kraus_oracle_embed(spec, x, params, theta=None):
+def kraus_oracle_embed(spec, x, params):
     """Every gate as G rho G^dag, then the explicit 4-term Kraus sum on every
     qubit before the first layer and after each layer."""
     n = spec.num_qubits
@@ -78,7 +77,7 @@ def kraus_oracle_embed(spec, x, params, theta=None):
         return DensityMatrix(n, mat)
 
     rho = channel(pure_dm(computational_basis_state(n)).matrix)
-    for layer in layer_decomposition(spec, x, theta=theta):
+    for layer in layer_decomposition(spec, x):
         for gate in layer:
             rho = apply_gate_dm(rho, gate)
         rho = channel(rho.matrix)
@@ -94,7 +93,7 @@ def pauli_channel(rho, params):
 
 def noisy_kernels(spec, x, y, params, gamma=1.0):
     """Noisy fidelity and projected kernels of one pair, read from Pauli vectors."""
-    c = noisy_pauli_batch(spec, [x, y], params)
+    c = next(noisy_pauli_depths(spec, [x, y], params, [spec.layers]))[1]
     return float(pauli_fidelity_kernel(c[0], c[1])), float(pauli_projected_kernel(c[0], c[1], gamma))
 
 
@@ -309,11 +308,11 @@ class TestNoisyEmbedding:
         rng = np.random.default_rng(7)
         for n in (1, 2, 3, 4, 5, 6):
             for layers in (1, 3):
-                spec = EmbeddingSpec(n, family, layers=layers, entangler=entangler)
                 x = rng.uniform(-np.pi, np.pi, n)
                 theta = rng.uniform(0.0, 2.0 * np.pi, n) if with_theta else None
-                rho = kraus_oracle_embed(spec, x, params, theta)
-                got = noisy_embed(spec, x, params, theta=theta)
+                spec = EmbeddingSpec(n, family, layers=layers, entangler=entangler, theta=theta)
+                rho = kraus_oracle_embed(spec, x, params)
+                got = noisy_embed(spec, x, params)
                 np.testing.assert_allclose(got.matrix, rho.matrix, rtol=0.0, atol=1e-12)
 
     def test_qubit_cap(self):
@@ -352,13 +351,13 @@ class TestNoisyPauliDepths:
             rng = np.random.default_rng(n)
             xs = rng.uniform(-np.pi, np.pi, (7, n))  # at n = 6, blocks of two rows
             theta = rng.uniform(0.0, 2.0 * np.pi, n) if family == "parameterized" else None
-            spec = EmbeddingSpec(n, family, entangler=entangler)
-            got = [(layers, batch.copy()) for layers, batch in noisy_pauli_depths(spec, xs, params, depths, theta)]
+            spec = EmbeddingSpec(n, family, entangler=entangler, theta=theta)
+            got = [(layers, batch.copy()) for layers, batch in noisy_pauli_depths(spec, xs, params, depths)]
             assert [layers for layers, _ in got] == [1, 2, 5, 9]
             for layers, batch in got:
-                want = noisy_pauli_batch(
-                    EmbeddingSpec(n, family, layers=layers, entangler=entangler), xs, params, theta
-                )
+                want = next(noisy_pauli_depths(
+                    EmbeddingSpec(n, family, layers=layers, entangler=entangler, theta=theta), xs, params, [layers]
+                ))[1]
                 assert np.array_equal(batch, want), (n, layers)
 
     def test_depth_below_one_rejected(self):

@@ -22,7 +22,7 @@ ALLOWLIST = {
     "layer_decomposition": "oracle: the gates of an embedding, for gate-by-gate references",
     "fidelity_kernel": "oracle: per-pair fidelity kernel the noise-scan columns are checked against",
     "schatten2_distance": "oracle: per-pair state distance the noise-scan columns are checked against",
-    "noisy_embed": "oracle: validated single-state view of noisy_pauli_batch",
+    "noisy_embed": "oracle: validated single-state view of noisy_pauli_depths",
     # fixtures: reference states
     "computational_basis_state": "fixture: |i> as a StateVector",
     "ghz_state": "fixture: state with maximally mixed single-qubit reductions",
