@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .core import (
 )
 from .embeddings import EmbeddingSpec, _block_bloch, _block_rows, _state_blocks, embed_batch
 from .estimators import projected_kernel_from_bloch_diff
-from .kernels import PRODUCT_FAMILIES, KernelKind, product_kernel, projected_kernel
+from .kernels import PRODUCT_FAMILIES, KernelKind, product_bloch_vectors, product_kernel, projected_kernel
 
 
 def beta_haar(num_qubits: int) -> float:
@@ -97,15 +98,20 @@ def _chunk_kappas(
     low: float,
     high: float,
 ) -> list[np.ndarray]:
-    if spec.family in PRODUCT_FAMILIES:
-        xs, ys = _sample_inputs(spec, count, rng, low, high)
-        return [product_kernel(xs, ys, kind, spec.family) for kind in kinds]
-    # states are made and reduced in row blocks, which bounds memory at any
+    # inputs, or states made and reduced, in row blocks, which bounds memory at any
     # pair count; haar draws each block's first states, then its second states
-    n, step = spec.num_qubits, _block_rows(spec.num_qubits)
+    n = spec.num_qubits
+    overlap, bloch = _accel.pair_absq, partial(_block_bloch, spec)
     if spec.family == "haar":
+        step = _block_rows(n)
         sizes = (min(step, count - i) for i in range(0, count, step))
         blocks = ((haar_random_states(n, k, rng), haar_random_states(n, k, rng)) for k in sizes)
+    elif spec.family in PRODUCT_FAMILIES:  # blocks of inputs, about 2**14 one-qubit states each
+        xs, ys = _sample_inputs(spec, count, rng, low, high)
+        step = max(1, (1 << 14) // n)
+        blocks = ((xs[i : i + step], ys[i : i + step]) for i in range(0, count, step))
+        overlap = partial(product_kernel, family=spec.family)
+        bloch = partial(product_bloch_vectors, family=spec.family)
     else:  # the chunk's inputs are drawn at once
         xs, ys = _sample_inputs(spec, count, rng, low, high)
         blocks = zip(_state_blocks(spec, xs, None), _state_blocks(spec, ys, None))
@@ -115,10 +121,10 @@ def _chunk_kappas(
         diff = None
         for acc, kind in zip(out, kinds):
             if kind.variant == "fidelity":
-                acc.append(_accel.pair_absq(a, b))
+                acc.append(overlap(a, b))
                 continue
             if diff is None:
-                diff = _block_bloch(spec, a) - _block_bloch(spec, b)
+                diff = bloch(a) - bloch(b)
             acc.append(projected_kernel_from_bloch_diff(diff, kind.gamma))
     return [np.concatenate(acc) for acc in out]
 

@@ -65,7 +65,7 @@ from .analysis import (
 )
 from .datasets import Dataset, gen_hypercube, gen_uniform, load_csv, save_csv
 from .embeddings import EmbeddingSpec, _block_rows
-from .estimators import STRATEGIES, EstimatorSpec
+from .estimators import STRATEGIES, STRATEGY_KERNELS, EstimatorSpec
 from .kernels import (
     PRODUCT_FAMILIES,
     KernelKind,
@@ -295,8 +295,9 @@ def _resolve(name: str, table: dict, cfg, prefix: str = "") -> dict:
     other value to the type in ``_NULL_DEFAULT_TYPES``, a dict default is
     a sub-table resolved the same way, and a ``mode`` key whose default is a
     dict of tables adds the table of the given mode (the first is the
-    default). Each value then passes its ``_CHECKS`` entry. Every failure is a
-    ``click.ClickException`` that names the key.
+    default). Each value then passes its ``_CHECKS`` entry, and ``high`` may
+    not be below ``low`` unless the family is ``haar``, which reads no inputs.
+    Every failure is a ``click.ClickException`` that names the key.
     """
     if not isinstance(cfg, dict):
         raise _reject(name, prefix[:-1] or "config", "is not a JSON object")
@@ -324,6 +325,9 @@ def _resolve(name: str, table: dict, cfg, prefix: str = "") -> dict:
             why = f"{exc}" if isinstance(value, dict) else f"= {value!r}: {exc}"
             raise _reject(name, prefix + key, why) from None
         resolved[key] = value
+    if "high" in resolved and "low" in resolved and resolved.get("family") != "haar":
+        if resolved["high"] < resolved["low"]:
+            raise _reject(name, prefix + "high", f"= {resolved['high']!r} is below 'low' = {resolved['low']!r}")
     return resolved
 
 
@@ -374,7 +378,7 @@ def _estimator(name: str, est: dict, kind: KernelKind, master_seed: int) -> Esti
         why = "is read only by a sampling strategy, not 'exact'"
         _unread(name, est, {"shots": 1000, "seed": None}, why, "estimator.")
         return None
-    if (est["strategy"] in ("loschmidt", "swap")) != (kind.variant == "fidelity"):
+    if STRATEGY_KERNELS[est["strategy"]] != kind.variant:
         why = f"strategy {est['strategy']!r} does not estimate the {kind.variant} kernel"
         raise _reject(name, "estimator", why)
     seed = master_seed if est["seed"] is None else est["seed"]
@@ -617,13 +621,12 @@ def _run_train(cfg, master_seed, outdir, threads):
         raise _reject("train", "dataset", "has no labels to train on")
     n, theta = ds.dim, cfg["theta"]
     spec = _embedding(cfg, n, cfg["layers"])
-    if spec.family != "parameterized" and theta is not None:
-        raise _reject("train", "theta", f"is set, but family {spec.family!r} takes no parameters")
     if spec.family == "parameterized" and theta is None:
         theta = point_rng(master_seed, 1).uniform(0.0, 2.0 * math.pi, n)
-    elif theta is not None and len(theta) != n:
-        raise _reject("train", "theta", f"= {theta!r} is not one angle per dataset feature ({n})")
-    spec = replace(spec, theta=theta)
+    try:
+        spec = replace(spec, theta=theta)
+    except ValueError as exc:
+        raise _reject("train", "theta", f"= {theta!r}: {exc}") from None
     model, fit, gm = train(spec, ds.inputs, ds.labels, kind, cfg["algorithm"], cfg["lambda"], cfg["ridge_sign"], est)
     if cfg["algorithm"] == "krr":
         extras = {"condition_number": fit.condition_number}
@@ -729,7 +732,7 @@ def _pair_fidelities(cfg: dict, n: int, rng: np.random.Generator) -> np.ndarray:
     input pairs: every x is drawn, then every y."""
     xs = rng.uniform(cfg["low"], cfg["high"], (cfg["pairs"], n))
     ys = rng.uniform(cfg["low"], cfg["high"], (cfg["pairs"], n))
-    return product_kernel(xs, ys, KernelKind.fidelity())
+    return product_kernel(xs, ys)
 
 
 @_experiment("indistinguishability", {"mode": {
@@ -916,7 +919,7 @@ def run_experiment(name: str, config: dict, seed=None, out=".", threads=None) ->
             "v3: exact kernels read tensor_ry and cz hardware_efficient as a real Ry circuit times "
             "(-i)^popcount, and single_layer_rot from each qubit's state"
         ),
-        "tensor_ry_kernel": "v2: angle-addition products",
+        "tensor_ry_kernel": "v3: angle-addition fidelity; tensor_ry, single_layer_rot projected from Bloch vectors",
         "package_version": __version__,
         "threads": threads,
         "blas_threads": blas_threads,

@@ -29,7 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-STRATEGIES = ("loschmidt", "swap", "tomography", "local_swap")
+# strategy -> the kernel variant it estimates
+STRATEGY_KERNELS = {"loschmidt": "fidelity", "swap": "fidelity", "tomography": "projected", "local_swap": "projected"}
+STRATEGIES = tuple(STRATEGY_KERNELS)
 
 
 @dataclass(frozen=True)
@@ -55,6 +57,13 @@ def _check_prob(p, what: str) -> np.ndarray:
     return np.clip(p, 0.0, 1.0)
 
 
+def _pm_one_mean(e, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """Mean of ``shots`` outcomes in {-1, +1} whose expectation is ``e``,
+    clipped to [-1, 1]: 2 binomial(shots, (1 + e)/2) / shots - 1 per entry."""
+    p = 0.5 * (1.0 + np.clip(e, -1.0, 1.0))
+    return 2.0 * rng.binomial(shots, p) / shots - 1.0
+
+
 def sample_fidelity(kappa, strategy: str, shots: int, rng: np.random.Generator) -> np.ndarray:
     """One independent ``shots``-shot estimate per entry of an array of fidelity
     kernel values, drawn as binomial counts: ``loschmidt`` counts all-zeros
@@ -64,20 +73,14 @@ def sample_fidelity(kappa, strategy: str, shots: int, rng: np.random.Generator) 
     if strategy == "loschmidt":
         return rng.binomial(shots, _check_prob(kappa, "kappa")) / shots
     if strategy == "swap":
-        p = _check_prob(0.5 * (1.0 + kappa), "(1+kappa)/2")
-        return 2.0 * rng.binomial(shots, p) / shots - 1.0
+        _check_prob(0.5 * (1.0 + kappa), "(1+kappa)/2")
+        return _pm_one_mean(kappa, shots, rng)
     raise ValueError(f"strategy {strategy!r} cannot estimate a fidelity kernel")
 
 
 # ---------------------------------------------------------------------------
 # projected-kernel estimators (work on per-qubit Bloch vectors)
 # ---------------------------------------------------------------------------
-
-
-def _tomography_from_bloch(c: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
-    """Estimated Bloch components, ``shots`` single-component measurements each."""
-    p = 0.5 * (1.0 + np.clip(c, -1.0, 1.0))
-    return 2.0 * rng.binomial(shots, p) / shots - 1.0
 
 
 def _local_swap_from_bloch(
@@ -93,8 +96,7 @@ def _local_swap_from_bloch(
         ],
         axis=-1,
     )
-    p = 0.5 * (1.0 + np.clip(vals, -1.0, 1.0))
-    return 2.0 * rng.binomial(shots, p) / shots - 1.0
+    return _pm_one_mean(vals, shots, rng)
 
 
 def projected_kernel_from_bloch_diff(diff: np.ndarray, gamma: float = 1.0) -> np.ndarray:
@@ -121,9 +123,9 @@ def projected_estimate_from_bloch(
     clipping), so finite-shot estimates can exceed 1.
     """
     ca = np.broadcast_to(ca, cb.shape)
-    if strategy == "tomography":
-        ea = _tomography_from_bloch(ca, shots, rng)
-        eb = _tomography_from_bloch(cb, shots, rng)
+    if strategy == "tomography":  # each Bloch component from ``shots`` single-component measurements
+        ea = _pm_one_mean(ca, shots, rng)
+        eb = _pm_one_mean(cb, shots, rng)
         return projected_kernel_from_bloch_diff(ea - eb, gamma)
     if strategy != "local_swap":
         raise ValueError(f"strategy {strategy!r} cannot estimate a projected kernel")

@@ -7,20 +7,20 @@ Two kernels are supported between embedded states rho(x), rho(x'):
   over single-qubit reduced states; for pure global states each term equals
   half the squared Bloch-vector difference.
 
-The product families, tensor_ry and single_layer_rot, additionally have
-closed forms valid at any qubit count (no statevector is ever materialized):
-with u_k and b_k qubit k's state and Bloch vector,
+Every family's exact projected kernel is read from (m, n, 3) Bloch arrays:
+reduced from statevectors one row block at a time, or, for the product
+families tensor_ry and single_layer_rot, taken from each qubit's own state at
+any qubit count (``product_bloch_vectors``). The product families' fidelity
+kernel has a closed form at any qubit count, ``product_kernel``: with u_k
+qubit k's state,
 
   kappa_FQ = prod_k |<u_k(x)|u_k(x')>|^2
-  kappa_PQ = exp(-gamma * sum_k (1 - b_k(x) . b_k(x')))
 
-For tensor_ry, u_k = (cos(x_k/2), sin(x_k/2)) and b_k = (sin x_k, 0, cos x_k),
-so these are prod_k cos^2((x_k - x'_k)/2) and exp(-gamma * sum_k
-(1 - cos(x_k - x'_k))), evaluated by angle addition from each input's own
+For tensor_ry, u_k = (cos(x_k/2), sin(x_k/2)), so this is prod_k
+cos^2((x_k - x'_k)/2), evaluated by angle addition from each input's own
 cosines and sines: the transcendentals cost O((m + m') n) and the (m, m')
 pairs only multiplies and adds. single_layer_rot's u_k is column 0 of its
-qubit gate in ``embeddings._layer_gates``; its exact projected Gram takes the
-b_k through the matrix formula of the statevector families.
+qubit gate in ``embeddings._layer_gates``.
 """
 
 from __future__ import annotations
@@ -31,10 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _accel
 from .core import StateVector, _reduced_matrix, bloch_vectors, fidelity, hs_inner
 from .embeddings import EmbeddingSpec, _block_bloch, _block_rows, _first_columns, _state_blocks, embed_batch
-from .estimators import EstimatorSpec, projected_estimate_from_bloch, sample_fidelity
+from .estimators import STRATEGY_KERNELS, EstimatorSpec, projected_estimate_from_bloch, sample_fidelity
 
 KERNEL_VARIANTS = ("fidelity", "projected")
 # the seed-stream offset of kernel_matrix's estimated rows past gram's rows
@@ -97,32 +96,28 @@ def projected_kernel(a, b, gamma: float = 1.0) -> float:
 PRODUCT_FAMILIES = ("tensor_ry", "single_layer_rot")
 
 
-def _qubit_vectors(xs: np.ndarray, fid: bool, family: str, bra: bool = False) -> np.ndarray:
-    """(..., n, d) per-qubit vectors whose dot product over the last axis is
-    each qubit's kernel factor: the qubit's amplitudes (conjugated on the
-    ``bra`` side) for the fidelity kernel, its Bloch vector for the projected
-    kernel. tensor_ry's are (cos a, sin a), with a = x/2 for the amplitudes
-    and a = x for the Bloch vector (sin x, 0, cos x) without its zero."""
+def _qubit_vectors(xs: np.ndarray, family: str, bra: bool = False) -> np.ndarray:
+    """(..., n, 2) amplitudes of each qubit's state, conjugated on the ``bra``
+    side; tensor_ry's are (cos(x/2), sin(x/2))."""
     if family == "tensor_ry":
-        a = 0.5 * xs if fid else xs
+        a = 0.5 * xs
         return np.stack([np.cos(a), np.sin(a)], axis=-1)
-    if not fid:
-        return product_bloch_vectors(xs, family)
     col = _first_columns(EmbeddingSpec(xs.shape[-1], family), xs)[..., 0]
     return col.conj() if bra else col
 
 
-def product_kernel(xs, ys, kind: KernelKind, family: str = "tensor_ry") -> np.ndarray:
-    """Product-family kernel over the broadcast of ``xs`` and ``ys`` (shape ``(..., n)``).
+def product_kernel(xs, ys, family: str = "tensor_ry") -> np.ndarray:
+    """Product-family fidelity kernel over the broadcast of ``xs`` and ``ys``
+    (shape ``(..., n)``): prod_k |<u_k(x)|u_k(y)>|^2.
 
-    Each input row's per-qubit vectors (``_qubit_vectors``) are made once;
-    the loop over the qubits then multiplies in one amplitude overlap
-    (fidelity, absolute-squared once at the end) or adds one 1 - (Bloch
-    overlap) term (projected) per step, in place in a buffer of the
-    broadcast shape. For tensor_ry the overlaps are cos(a - b) by angle
-    addition, cos a cos b + sin a sin b. Pass ``(m, n)`` against ``(m, n)``
-    for row-wise pairs, ``xs[:, None]`` against ``ys[None]`` for an (m, m')
-    matrix, which for tensor_ry is bitwise symmetric when ``ys`` is ``xs``.
+    Each input row's qubit amplitudes (``_qubit_vectors``) are made once; the
+    loop over the qubits then multiplies in one amplitude overlap per step, in
+    place in a buffer of the broadcast shape, and the product is
+    absolute-squared once at the end. For tensor_ry the overlaps are
+    cos((x - y)/2) by angle addition, cos a cos b + sin a sin b. Pass
+    ``(m, n)`` against ``(m, n)`` for row-wise pairs, ``xs[:, None]`` against
+    ``ys[None]`` for an (m, m') matrix, which for tensor_ry is bitwise
+    symmetric when ``ys`` is ``xs``.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
@@ -130,22 +125,15 @@ def product_kernel(xs, ys, kind: KernelKind, family: str = "tensor_ry") -> np.nd
         raise ValueError(f"inputs of widths {xs.shape[-1]} and {ys.shape[-1]}")
     if family not in PRODUCT_FAMILIES:
         raise ValueError(f"family {family!r} is not a product family {PRODUCT_FAMILIES}")
-    fid = kind.variant == "fidelity"
-    u, v = _qubit_vectors(xs, fid, family, bra=True), _qubit_vectors(ys, fid, family)
+    u, v = _qubit_vectors(xs, family, bra=True), _qubit_vectors(ys, family)
     shape = np.broadcast_shapes(xs.shape[:-1], ys.shape[:-1])
     dtype = np.result_type(u, v)
-    out = np.full(shape, 1.0, dtype) if fid else np.zeros(shape)
+    out = np.full(shape, 1.0, dtype)
     term, ss = np.empty(shape, dtype), np.empty(shape, dtype)
     for k in range(xs.shape[-1]):
         np.multiply(u[..., k, 0], v[..., k, 0], out=term)
-        for d in range(1, u.shape[-1]):
-            term += np.multiply(u[..., k, d], v[..., k, d], out=ss)
-        if fid:
-            out *= term
-        else:  # pure one-qubit states: ||rho_k - rho'_k||_2^2 = 1 - (Bloch overlap)
-            out += np.subtract(1.0, term, out=term)
-    if not fid:
-        return np.exp(-kind.gamma * out, out=out)
+        term += np.multiply(u[..., k, 1], v[..., k, 1], out=ss)
+        out *= term
     del term, ss  # before |out|^2 of a complex product allocates three more
     return out.real**2 + out.imag**2 if out.dtype.kind == "c" else np.square(out, out=out)
 
@@ -201,9 +189,8 @@ def _points(spec: EmbeddingSpec, xs) -> np.ndarray:
 def _exact_kernel_matrix(spec: EmbeddingSpec, xs: np.ndarray, ys: np.ndarray | None, kind: KernelKind) -> np.ndarray:
     """Exact kernel values between two point sets. ys=None means xs vs xs,
     of which only the upper triangle and the diagonal are certain to be set."""
-    # the projected kernel of single_layer_rot takes the Bloch-vector path below
-    if spec.family == "tensor_ry" or (spec.family in PRODUCT_FAMILIES and kind.variant == "fidelity"):
-        return product_kernel(xs[:, None], (xs if ys is None else ys)[None], kind, spec.family)
+    if spec.family in PRODUCT_FAMILIES and kind.variant == "fidelity":
+        return product_kernel(xs[:, None], (xs if ys is None else ys)[None], spec.family)
     if kind.variant == "fidelity":
         # |<a|b>|^2 against one row block of b states at a time, each block
         # conjugated on its own; xs vs xs takes only the rows up to the block's
@@ -256,11 +243,11 @@ def _sampled_kernel_matrix(
     estimator run, from one generator
     SeedSequence((seed, _SHOT_STREAM, row_offset + i)).
     """
-    fidelity_strategy = estimator.strategy in ("loschmidt", "swap")
-    if fidelity_strategy != (kind.variant == "fidelity"):
+    if STRATEGY_KERNELS[estimator.strategy] != kind.variant:
         raise ValueError(
             f"estimator {estimator.strategy!r} is incompatible with the {kind.variant} kernel"
         )
+    fidelity_strategy = kind.variant == "fidelity"
     if fidelity_strategy:
         exact = _exact_kernel_matrix(spec, xs, ys, kind)
     else:

@@ -35,7 +35,7 @@ from qkonc.core import (
     trace_norm,
 )
 from qkonc.embeddings import EmbeddingSpec, embed_batch
-from qkonc.kernels import KernelKind
+from qkonc.kernels import KernelKind, product_bloch_vectors, product_kernel
 
 
 def haar_twofold_moment(num_qubits: int) -> np.ndarray:
@@ -180,6 +180,30 @@ class TestConcentrationScan:
             tracemalloc.stop()
         assert peak < 32 * 2**20
         assert all(0.0 < r.mean < 1.0 for r in reports)
+
+    @pytest.mark.parametrize("family", ["tensor_ry", "single_layer_rot"])
+    def test_product_family_memory_does_not_grow_with_qubits(self, family):
+        # past the drawn inputs, a scan holds one block of about 2**14
+        # one-qubit states and its Bloch and amplitude arrays, at any n
+        kinds = [KernelKind.fidelity(), KernelKind.projected(0.5)]
+        pairs = 4096
+        for n in (40, 200):
+            tracemalloc.start()
+            try:
+                reports = concentration_scan(EmbeddingSpec(n, family), kinds, pairs, np.random.default_rng(3))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - 2 * pairs * n * 8 < 8 * 2**20, n
+            # the blocks cover every pair: the same draws evaluated at once
+            rng = np.random.default_rng(3)
+            xs, ys = rng.uniform(-math.pi, math.pi, (2, pairs, n))
+            fid = product_kernel(xs, ys, family)
+            diff = product_bloch_vectors(xs, family) - product_bloch_vectors(ys, family)
+            proj = np.exp(-0.25 * np.sum(diff * diff, axis=(1, 2)))
+            assert reports[0].mean == pytest.approx(fid.mean(), rel=1e-12, abs=0.0)
+            assert reports[1].mean == pytest.approx(proj.mean(), rel=1e-12)
+            assert reports[1].variance == pytest.approx(proj.var(ddof=1), rel=1e-12)
 
     @pytest.mark.parametrize("n", [3, 6, 10])
     def test_haar_fidelity_mean_is_one_over_dimension(self, n):

@@ -416,7 +416,7 @@ class TestGram:
         manifest = run_experiment("gram", cfg, seed=6, out=tmp_path)
         assert "v3" in manifest["seed_rule"]
         assert "SeedSequence((estimator_seed, 0x73686F74, row_offset + row))" in manifest["seed_rule"]
-        assert manifest["tensor_ry_kernel"].startswith("v2")
+        assert manifest["tensor_ry_kernel"].startswith("v3")
 
     def test_estimated_gram_zero_ratio_rises_with_qubits(self, tmp_path):
         base = {

@@ -222,11 +222,29 @@ class TestResolver:
             ("train", {"dataset": {"count": 4, "path": "points.csv"}}, "path"),
             ("gram", {"dataset": {"source": "hypercube", "count": 4, "low": 0.0}}, "low"),
             ("gram", {"dataset": {"count": 4, "path": "points.csv"}}, "path"),
+            # high below low, rejected before rng.uniform sees the interval
+            ("variance-scan", {"low": 1.0, "high": 0.0}, "high"),
+            ("expressivity", {"low": 1.0, "high": 0.0}, "high"),
+            ("noise-scan", {"low": 1.0, "high": 0.0}, "high"),
+            ("generalization", {"qubits": 4, "train_sizes": [5], "low": 1.0, "high": 0.0}, "high"),
+            ("indistinguishability", {"low": 1.0, "high": 0.0}, "high"),
+            ("indistinguishability", {"mode": "swap_test", "low": 1.0, "high": 0.0}, "high"),
+            ("gram", {"dataset": {"count": 4, "low": 1.0, "high": 0.0}}, "high"),
+            ("train", {"dataset": {"source": "uniform", "count": 4, "low": 1.0, "high": 0.0}}, "high"),
         ],
     )
     def test_bad_value_fails_early_naming_the_key(self, tmp_path, experiment, cfg, key):
         result, outdir = invoke(tmp_path, experiment, cfg)
         assert_rejected(result, outdir, experiment, key)
+
+    @pytest.mark.parametrize("experiment", ["variance-scan", "expressivity"])
+    def test_haar_runs_with_any_input_interval(self, tmp_path, experiment):
+        # haar states read no inputs, so low and high are not an interval there
+        cfg = {"family": "haar", "qubits": [2], "layers": [1], "low": 1.0, "high": 0.0}
+        cfg["pairs" if experiment == "variance-scan" else "samples"] = 10
+        result, outdir = invoke(tmp_path, experiment, cfg)
+        assert result.exit_code == 0, result.output
+        assert list(outdir.glob("*.csv"))
 
     def test_unknown_mode_names_the_modes(self):
         with pytest.raises(click.ClickException, match="'mode' = 'bell'.*swap_test"):

@@ -10,7 +10,7 @@ from qkonc.embeddings import EmbeddingSpec, embed
 from qkonc.estimators import (
     EstimatorSpec,
     _local_swap_from_bloch,
-    _tomography_from_bloch,
+    _pm_one_mean,
     projected_estimate_from_bloch,
     projected_kernel_from_bloch_diff,
     sample_fidelity,
@@ -128,7 +128,7 @@ class TestProjectedEstimation:
 class TestBlochTomography:
     def test_components_converge_to_bloch_vectors(self):
         a, _ = embedded_pair()
-        got = _tomography_from_bloch(bloch_vectors(a), 500000, np.random.default_rng(42))
+        got = _pm_one_mean(bloch_vectors(a), 500000, np.random.default_rng(42))
         assert got.shape == (3, 3)
         np.testing.assert_allclose(got, bloch_vectors(a), atol=0.01)
 

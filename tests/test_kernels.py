@@ -27,7 +27,12 @@ from qkonc.embeddings import (
     embed_batch,
     layer_decomposition,
 )
-from qkonc.estimators import EstimatorSpec, projected_estimate_from_bloch, sample_fidelity
+from qkonc.estimators import (
+    EstimatorSpec,
+    projected_estimate_from_bloch,
+    projected_kernel_from_bloch_diff,
+    sample_fidelity,
+)
 from qkonc.kernels import (
     GramMatrix,
     KernelKind,
@@ -128,6 +133,16 @@ def _reference_product_kernels(xs, ys, gamma):
     return np.prod(c * c, axis=-1), np.exp(-gamma * np.sum(1.0 - np.cos(diff), axis=-1))
 
 
+def _product_pairs(xs, ys, kind, family="tensor_ry"):
+    """A product-family kernel over the broadcast of ``xs`` and ``ys``, as
+    concentration_scan takes it: the fidelity closed form, or the projected
+    kernel of the two Bloch arrays' difference."""
+    if kind.variant == "fidelity":
+        return product_kernel(xs, ys, family)
+    diff = product_bloch_vectors(xs, family) - product_bloch_vectors(ys, family)
+    return projected_kernel_from_bloch_diff(diff, kind.gamma)
+
+
 class TestClosedForms:
     def test_fidelity_matches_statevector(self):
         rng = np.random.default_rng(42)
@@ -135,7 +150,7 @@ class TestClosedForms:
         for _ in range(5):
             x, y = rng.uniform(-np.pi, np.pi, (2, 4))
             want = fidelity_kernel(embed(spec, x), embed(spec, y))
-            assert product_kernel(x, y, KernelKind.fidelity()) == pytest.approx(want, abs=1e-13)
+            assert product_kernel(x, y) == pytest.approx(want, abs=1e-13)
 
     def test_projected_matches_statevector(self):
         rng = np.random.default_rng(42)
@@ -143,19 +158,21 @@ class TestClosedForms:
         for _ in range(5):
             x, y = rng.uniform(-np.pi, np.pi, (2, 4))
             want = projected_kernel(embed(spec, x), embed(spec, y), gamma=1.3)
-            assert product_kernel(x, y, KernelKind.projected(1.3)) == pytest.approx(
+            assert _product_pairs(x, y, KernelKind.projected(1.3)) == pytest.approx(
                 want, abs=1e-13
             )
+            got = kernel_matrix(spec, x[None], y[None], KernelKind.projected(1.3))[0, 0]
+            assert got == pytest.approx(want, abs=1e-13)
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(42)
         xs = rng.uniform(-np.pi, np.pi, (8, 5))
         ys = rng.uniform(-np.pi, np.pi, (8, 5))
         for kind in (KernelKind.fidelity(), KernelKind.projected(0.9)):
-            rows = product_kernel(xs, ys, kind)
+            rows = _product_pairs(xs, ys, kind)
             assert rows.shape == (8,)
             for i in range(8):
-                assert rows[i] == product_kernel(xs[i], ys[i], kind)
+                assert rows[i] == _product_pairs(xs[i], ys[i], kind)
 
     @pytest.mark.parametrize("n", [3, 12, 40])
     @pytest.mark.parametrize("near_orthogonal", [False, True])
@@ -168,19 +185,22 @@ class TestClosedForms:
         for a, b in ((xs[:7], ys), (xs[:, None], ys[None])):
             fid, proj = _reference_product_kernels(a, b, 1.3)
             np.testing.assert_allclose(
-                product_kernel(a, b, KernelKind.fidelity()), fid, rtol=1e-10, atol=1e-15
+                _product_pairs(a, b, KernelKind.fidelity()), fid, rtol=1e-10, atol=1e-15
             )
             np.testing.assert_allclose(
-                product_kernel(a, b, KernelKind.projected(1.3)), proj, rtol=0.0, atol=1e-12
+                _product_pairs(a, b, KernelKind.projected(1.3)), proj, rtol=0.0, atol=1e-12
             )
+        # the exact matrix path, the Gram of the (m, 3n) Bloch arrays, against the matrix reference
+        matrix = kernel_matrix(EmbeddingSpec(n, "tensor_ry"), xs, ys, KernelKind.projected(1.3))
+        np.testing.assert_allclose(matrix, proj, rtol=0.0, atol=1e-12)
 
     def test_matrix_diagonal_equals_row_wise_form(self):
         rng = np.random.default_rng(42)
         xs, ys = rng.uniform(-np.pi, np.pi, (2, 11, 40))
         for kind in (KernelKind.fidelity(), KernelKind.projected(0.7)):
-            matrix = product_kernel(xs[:, None], ys[None], kind)
+            matrix = _product_pairs(xs[:, None], ys[None], kind)
             assert matrix.shape == (11, 11)
-            np.testing.assert_array_equal(np.diag(matrix), product_kernel(xs, ys, kind))
+            np.testing.assert_array_equal(np.diag(matrix), _product_pairs(xs, ys, kind))
 
     @pytest.mark.parametrize("kind", [KernelKind.fidelity(), KernelKind.projected(0.7)])
     def test_transcendentals_per_input_row_and_symmetric_matrix(self, monkeypatch, kind):
@@ -198,20 +218,23 @@ class TestClosedForms:
 
         monkeypatch.setattr(np, "cos", counting(np.cos))
         monkeypatch.setattr(np, "sin", counting(np.sin))
-        assert product_kernel(xs[:, None], ys[None], kind).shape == (m, m2)
+        assert _product_pairs(xs[:, None], ys[None], kind).shape == (m, m2)
         assert 0 < counted[0] <= 2 * (m + m2) * n
-        matrix = product_kernel(xs[:, None], xs[None], kind)
+        counted[0] = 0
+        assert kernel_matrix(EmbeddingSpec(n, "tensor_ry"), xs, ys, kind).shape == (m, m2)
+        assert 0 < counted[0] <= 2 * (m + m2) * n
+        matrix = _product_pairs(xs[:, None], xs[None], kind)
         np.testing.assert_array_equal(matrix, matrix.T)
 
     def test_width_mismatch(self):
         with pytest.raises(ValueError, match="widths"):
-            product_kernel(np.zeros((3, 4)), np.zeros((3, 5)), KernelKind.fidelity())
+            product_kernel(np.zeros((3, 4)), np.zeros((3, 5)))
 
     def test_closed_forms_scale_past_statevector_range(self):
         rng = np.random.default_rng(42)
         x, y = rng.uniform(-np.pi, np.pi, (2, 100))
-        kf = product_kernel(x, y, KernelKind.fidelity())
-        kp = product_kernel(x, y, KernelKind.projected())
+        kf = product_kernel(x, y)
+        kp = _product_pairs(x, y, KernelKind.projected())
         assert 0.0 <= kf < 1e-10  # concentrates fast at n=100
         assert 0.0 < kp < 1.0
 
@@ -246,7 +269,7 @@ class TestGramMatrices:
     def test_tensor_ry_gram_uses_closed_form(self):
         spec = EmbeddingSpec(3, "tensor_ry")
         g = gram(spec, self.xs, KernelKind.fidelity())
-        want = product_kernel(self.xs[0], self.xs[2], KernelKind.fidelity())
+        want = product_kernel(self.xs[0], self.xs[2])
         assert g.matrix[0, 2] == pytest.approx(want, abs=1e-13)
 
     def test_estimated_gram_is_deterministic_per_seed(self):
@@ -405,11 +428,11 @@ class TestRectangularKernelMatrix:
 
 def _whole_bloch(spec, xs):
     """Bloch vectors of the whole batch at once, in the arithmetic of the
-    kernel path: each qubit's own state for single_layer_rot, the real rows
+    kernel path: each qubit's own state for the product families, the real rows
     for cz hardware_efficient (its states times conj((-i)**popcount), which
     is exactly real), the complex statevectors otherwise."""
     n = spec.num_qubits
-    if spec.family == "single_layer_rot":
+    if spec.family in ("tensor_ry", "single_layer_rot"):
         return product_bloch_vectors(xs, spec.family)
     psi = embed_batch(spec, xs)
     if spec.family == "hardware_efficient" and spec.entangler == "cz":
@@ -447,7 +470,9 @@ class TestBlockedProjectedKernels:
         assert np.array_equal(_all_bloch(spec, xs), _whole_bloch(spec, xs))
 
     @pytest.mark.parametrize("gamma", [1.0, 0.37])
-    @pytest.mark.parametrize("family, entangler", STATEVECTOR_SPECS + [("single_layer_rot", "cz")])
+    @pytest.mark.parametrize(
+        "family, entangler", STATEVECTOR_SPECS + [("single_layer_rot", "cz"), ("tensor_ry", "cz")]
+    )
     def test_exact_gram_and_matrix_are_bitwise_the_dense_formula(self, family, entangler, gamma):
         n = 10
         rng = np.random.default_rng(7)
@@ -590,8 +615,8 @@ class TestNarrowStateForms:
         rng = np.random.default_rng(n)
         xs, ys = rng.uniform(-np.pi, np.pi, (2, 5, n))
         bloch = product_bloch_vectors(xs, spec.family)
-        fid = product_kernel(xs, ys, KernelKind.fidelity(), spec.family)
-        proj = product_kernel(xs, ys, KernelKind.projected(0.7), spec.family)
+        fid = product_kernel(xs, ys, spec.family)
+        proj = _product_pairs(xs, ys, KernelKind.projected(0.7), spec.family)
         for i in range(len(xs)):
             a, b = _gate_state(spec, xs[i]), _gate_state(spec, ys[i])
             np.testing.assert_allclose(bloch[i], bloch_vectors(a), rtol=0.0, atol=1e-13)
@@ -612,7 +637,7 @@ class TestNarrowStateForms:
 
     def test_product_kernel_rejects_a_statevector_family(self):
         with pytest.raises(ValueError, match="not a product family"):
-            product_kernel(np.zeros((2, 3)), np.zeros((2, 3)), KernelKind.fidelity(), "hardware_efficient")
+            product_kernel(np.zeros((2, 3)), np.zeros((2, 3)), "hardware_efficient")
 
 
 def read_gram_csv(path) -> tuple[np.ndarray, dict]:
