@@ -51,6 +51,7 @@ from . import __version__
 from .analysis import (
     HAAR_STATE_RULE,
     MAX_EXPRESSIVITY_QUBITS,
+    _CHUNK_PAIRS,
     beta_haar,
     beta_haar_projected,
     binomial_pvalue,
@@ -474,8 +475,13 @@ def _run_variance_scan(cfg, master_seed, outdir, threads):
     if len(set(cfg["kernels"])) < len(cfg["kernels"]):
         raise _reject("variance-scan", "kernels", f"= {cfg['kernels']!r} names a kernel twice")
     concurrent = min(threads, len(qubits) * len(layer_list))
-    need = concurrent * 8 * len(kinds) * pairs
-    _check_memory("variance-scan", "pairs", need, f"{len(kinds)} x {pairs} kernel values per sweep point")
+    # per sweep point: its kernel values, and a chunk's inputs at the widest
+    # qubits: two float64 (chunk, n) draws and their bool comparison
+    chunk, widest = min(pairs, _CHUNK_PAIRS), max(qubits)
+    inputs = 0 if cfg["family"] == "haar" else 17 * chunk * widest
+    need = concurrent * (8 * len(kinds) * pairs + inputs)
+    what = f"{len(kinds)} x {pairs} kernel values and 2 x {chunk} inputs of {widest} qubits per sweep point"
+    _check_memory("variance-scan", "pairs", need, what)
 
     def work(rng, i, j):
         spec = _embedding(cfg, qubits[i], layer_list[j])
@@ -594,7 +600,8 @@ def _run_gram(cfg, master_seed, outdir, threads):
     points_path = outdir / "points.csv"
     save_csv(ds, points_path)
     pairs = ds.count * (ds.count - 1) // 2
-    zeros = np.count_nonzero(np.triu(gm.matrix == 0.0, 1))
+    # the diagonal is 1 and the matrix bitwise symmetric: each zero pair twice
+    zeros = np.count_nonzero(gm.matrix == 0.0) // 2
     return [gram_path, points_path], {"zero_ratio": zeros / pairs if pairs else None}
 
 

@@ -154,8 +154,21 @@ def product_bloch_vectors(xs, family: str = "tensor_ry") -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# columns per block of GramMatrix.to_csv: each row's upper-triangle text is
+# kept as one comma-joined chunk per later block until that block is written
+_CSV_BLOCK = 32
+# the fields of a chunk of each width, "%.17g,...,%.17g"
+_CSV_FORMATS = [",".join(["%.17g"] * k) for k in range(_CSV_BLOCK + 1)]
+
+
 @dataclass(frozen=True, eq=False)
 class GramMatrix:
+    """A square kernel matrix that is bitwise symmetric: entry (i, j) and
+    entry (j, i) must have the same 64 bits, so ``0.0`` against ``-0.0`` or
+    two NaN payloads are rejected. ``gram`` mirrors its strict upper
+    triangle, so every Gram matrix it builds is; the matrix is held, not
+    copied, and ``to_csv`` writes each mirror pair from one formatted value."""
+
     matrix: np.ndarray
     kind: KernelKind
     estimator: EstimatorSpec | None = None
@@ -164,19 +177,61 @@ class GramMatrix:
         mat = np.asarray(self.matrix, dtype=np.float64)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+        # each block of rows from the diagonal on against the same block of
+        # columns, compared as bits; no temporary outgrows a block of rows
+        bits = mat.view(np.uint64)
+        for lo in range(0, len(mat), _CSV_BLOCK):
+            hi = lo + _CSV_BLOCK
+            differ = np.argwhere(bits[lo:hi, lo:] != bits[lo:, lo:hi].T)
+            if len(differ):
+                i, j = differ[0] + lo
+                raise ValueError(f"expected a bitwise-symmetric matrix, but entries ({i}, {j}) and ({j}, {i}) differ")
         object.__setattr__(self, "matrix", mat)
 
     def to_csv(self, path) -> None:
+        """Write a ``# {json metadata}`` header line, then one line per row:
+        its values as ``%.17g``, comma-joined.
+
+        Each value of the upper triangle, diagonal included, is formatted
+        once; a lower-triangle field reuses the text of its mirror entry,
+        which the bitwise symmetry makes the same. Rows go out in blocks of
+        ``_CSV_BLOCK``: row i keeps one comma-joined chunk of its fields in
+        each later block's columns, and a block's lower parts are split out
+        of those chunks a group of rows at a time and joined. So the text
+        held at once is at most that of the rows above one block boundary
+        in the columns after it, a quarter of the matrix.
+        """
         meta = {"variant": self.kind.variant, "gamma": self.kind.gamma}
         if self.estimator is not None:
             meta["strategy"] = self.estimator.strategy
             meta["shots"] = self.estimator.shots
             meta["seed"] = self.estimator.seed
+        mat, w = self.matrix, _CSV_BLOCK
+        # later[c]: for every row above block c, its text in block c's columns
+        later = [[] for _ in range(0, len(mat), w)]
         with open(path, "w", newline="\n") as fh:
             fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
-            line = ",".join(["%.17g"] * self.matrix.shape[1]) + "\n"
-            for row in self.matrix:
-                fh.write(line % tuple(row.tolist()))
+            for c, lo in enumerate(range(0, len(mat), w)):
+                chunks, later[c] = later[c], None
+                hi = min(lo + w, len(mat))
+                lower = [[] for _ in range(lo, hi)]  # row i's fields in the rows above the block
+                for g in range(0, len(chunks), w):
+                    for parts, col in zip(lower, zip(*(ch.split(",") for ch in chunks[g : g + w]))):
+                        parts.append(",".join(col))
+                del chunks
+                square = []  # row i's fields from its diagonal to the block's end
+                for i in range(lo, hi):
+                    vals = mat[i, i:].tolist()
+                    square.append((_CSV_FORMATS[hi - i] % tuple(vals[: hi - i])).split(","))
+                    fields = lower[i - lo]
+                    fields += [square[j][i - lo - j] for j in range(i - lo)]
+                    fields += square[-1]
+                    for d, k in enumerate(range(hi - i, len(vals), w), c + 1):
+                        chunk = _CSV_FORMATS[min(w, len(vals) - k)] % tuple(vals[k : k + w])
+                        later[d].append(chunk)
+                        fields.append(chunk)
+                    fh.write(",".join(fields) + "\n")
+                    lower[i - lo] = None
 
 
 def _points(spec: EmbeddingSpec, xs) -> np.ndarray:

@@ -775,6 +775,19 @@ class TestMemoryCheck:
         run_experiment("gram", cfg, seed=1, out=tmp_path)
         assert (tmp_path / "gram.csv").exists()
 
+    def test_product_family_scan_is_charged_its_inputs(self, tmp_path, monkeypatch):
+        # 32,768 pairs of 200-qubit tensor_ry inputs: the kernel values take
+        # 0.5 MB, a chunk's two float64 draws and their comparison 111 MB
+        def refuse(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(qkonc.cli, "point_rng", refuse)
+        monkeypatch.setattr(qkonc.cli, "_available_memory", lambda: 50 * 10**6)
+        cfg = {"family": "tensor_ry", "qubits": [2, 200], "pairs": 2**15}
+        what = "'pairs' asks for 2 x 32768 kernel values and 2 x 32768 inputs of 200 qubits per sweep point"
+        with pytest.raises(click.ClickException, match=what):
+            run_experiment("variance-scan", cfg, seed=1, out=tmp_path)
+
     def test_csv_points_are_checked_after_reading(self, tmp_path, monkeypatch):
         import qkonc.cli
         from qkonc.datasets import gen_hypercube, save_csv

@@ -648,6 +648,8 @@ def read_gram_csv(path) -> tuple[np.ndarray, dict]:
 
 
 class TestGramCsvRoundtrip:
+    B = kernels._CSV_BLOCK
+
     def test_matrix_and_metadata_survive(self, tmp_path):
         rng = np.random.default_rng(42)
         spec = EmbeddingSpec(3, "hardware_efficient", layers=2)
@@ -682,18 +684,70 @@ class TestGramCsvRoundtrip:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_bytes_match_the_per_value_format(self, tmp_path):
-        mat = np.array(
-            [
-                [1e-300, 0.0, -0.0, np.inf, np.nan],
-                [-np.inf, 5e-324, 1.0 / 3.0, 0.1, 1.0],
-                [2.0**-1074, 1e300, -1e-17, 123456789.123456789, -0.5],
-                [0.25, 1 - 1e-16, np.pi, -np.e, 1e16],
-                [7.0, 1e-5, 3e-310, -2.5e-8, 0.999999999999],
-            ]
-        )
+        # a bitwise-symmetric matrix: special values on the diagonal and mirrored
+        # across it, so each lower-triangle field is its mirror entry's text
+        mat = np.diag([0.0, -0.0, np.inf, np.nan, 1.0, 7.0, 0.25])
+        upper = [
+            1e-300, -np.inf, 5e-324, 1.0 / 3.0, 0.1, 2.0**-1074, 1e300,
+            -1e-17, 123456789.123456789, -0.5, 1 - 1e-16, np.pi, -np.e, 1e16,
+            1e-5, 3e-310, -2.5e-8, 0.999999999999, np.nan, np.inf, -0.0,
+        ]
+        iu = np.triu_indices(len(mat), 1)
+        mat[iu] = upper
+        mat[iu[1], iu[0]] = upper
         g = GramMatrix(mat, KernelKind.projected(0.5))
         path = tmp_path / "gram.csv"
         g.to_csv(path)
         header = "# " + '{"gamma": 0.5, "variant": "projected"}' + "\n"
         want = header + "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in mat)
         assert path.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("m", [0, 1, 2, B - 1, B, B + 1, 2 * B + 1, 600])
+    @pytest.mark.parametrize("strategy", [None, "loschmidt", "swap"])
+    def test_gram_bytes_match_the_per_value_format(self, tmp_path, strategy, m):
+        # m around the column block of the reused text, exact and estimated
+        rng = np.random.default_rng(m)
+        est = None if strategy is None else EstimatorSpec(strategy, shots=100, seed=5)
+        spec = EmbeddingSpec(4, "hardware_efficient", layers=2)
+        g = gram(spec, rng.uniform(-np.pi, np.pi, (m, 4)), KernelKind.fidelity(), est)
+        path = tmp_path / "gram.csv"
+        g.to_csv(path)
+        meta = {"gamma": 1.0, "variant": "fidelity"}
+        if est is not None:
+            meta |= {"seed": 5, "shots": 100, "strategy": strategy}
+        want = "# " + json.dumps(meta, sort_keys=True) + "\n"
+        want += "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in g.matrix)
+        assert path.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize(
+        "i, j, a, b",
+        [
+            (3, 35, 0.5, 0.25),  # mirror pair in different column blocks
+            (40, 33, 0.5, 0.25),  # below the diagonal, in one block
+            (3, 4, 0.0, -0.0),  # equal as floats, not as bits
+            (0, 70, np.nan, 0x7FF8000000000001),  # two NaNs, payloads differ
+        ],
+    )
+    def test_non_symmetric_matrix_is_rejected(self, i, j, a, b):
+        mat = np.eye(80)
+        mat[i, j] = a
+        if isinstance(b, int):
+            mat.view(np.uint64)[j, i] = b
+            assert np.isnan(mat[j, i])
+        else:
+            mat[j, i] = b
+        lo, hi = min(i, j), max(i, j)
+        with pytest.raises(ValueError, match=rf"bitwise-symmetric.*\({lo}, {hi}\) and \({hi}, {lo}\) differ"):
+            GramMatrix(mat, KernelKind.fidelity())
+
+    @pytest.mark.parametrize("m", [600, 1500])
+    def test_text_held_at_once_stays_below_one_copy_of_the_matrix(self, tmp_path, m):
+        rng = np.random.default_rng(7)
+        g = gram(EmbeddingSpec(8, "tensor_ry"), rng.uniform(-np.pi, np.pi, (m, 8)), KernelKind.fidelity())
+        tracemalloc.start()
+        try:
+            g.to_csv(tmp_path / "gram.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * m * m
